@@ -73,6 +73,12 @@ class DriftSpec:
                 f"f0 degree must be <= 2q-2 = {2 * self.q - 2}, "
                 f"got {len(self.lower) - 1} coefficients beyond that"
             )
+        c = np.zeros(2 * self.q)
+        c[: len(self.lower)] += self.lower
+        c[-1] -= self.leading
+        c.flags.writeable = False
+        # built once: the sweep evaluates f on every collocation
+        object.__setattr__(self, "_coeffs", c)
 
     @property
     def degree(self) -> int:
@@ -80,11 +86,9 @@ class DriftSpec:
 
     @property
     def coeffs(self) -> np.ndarray:
-        """Full polynomial coefficients of f, ascending order, length 2q."""
-        c = np.zeros(2 * self.q)
-        c[: len(self.lower)] += self.lower
-        c[-1] -= self.leading
-        return c
+        """Full polynomial coefficients of f, ascending order, length 2q
+        (read-only)."""
+        return self._coeffs
 
 
 #: Allen-Cahn drift f(v) = v - v^3.

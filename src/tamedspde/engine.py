@@ -17,6 +17,15 @@ fine noise grid.  Every random number is counter-addressed per (sample,
 mode, fine step), samples are processed in fixed-size chunks, and all
 reductions happen on per-sample arrays in index order, so results are
 bit-identical for any thread count.
+
+Each chunk streams its noise: a ``noise.IncrementStream`` keeps one live
+Philox generator per sample and fills reused window buffers of 256 fine
+steps laid out (step, sample, mode).  Once per window, the coarse
+increments of every (ratio, scheme kind) in use are summed from those
+buffers by the fine-step recursion, vectorised over the window's coarse
+steps.  The runs then advance fine-step-major, in run order, so blow-up
+reporting and ``skip_blowups`` see the steps in the same order whatever
+the window layout.
 """
 
 from __future__ import annotations
@@ -332,8 +341,11 @@ def sweep_ensemble(
         ratios.append(ratio)
 
     pres = [_RunPre(r) for r in runs]
+    tamed = [r.kind is SchemeKind.TAMED_EXP_EULER for r in runs]
+    need_dw = any(r.with_noise and not t for r, t in zip(runs, tamed))
+    need_conv = any(r.with_noise and t for r, t in zip(runs, tamed))
     decay_fine = np.exp(-basis.eigenvalues * h)
-    sqrt_h, l21, l22 = noise_mod.increment_factors(basis.eigenvalues, h)
+    window = min(_WINDOW_STEPS, fine_steps)
 
     chunks = [
         (start, min(start + _CHUNK_SAMPLES, n_samples))
@@ -344,47 +356,54 @@ def sweep_ensemble(
         lo, hi = chunk
         count = hi - lo
         states = [np.tile(x0, (count, 1)) for _ in runs]
-        accs = [np.zeros((count, n_mode)) for _ in runs]
         alive = np.ones(count, dtype=bool)
         if track_monitors:
             mons = [list(_state_norms(basis, states[i])) for i in range(len(runs))]
         for i, sm in enumerate(snap_map):
             if 0 in sm:
                 outputs[i].snapshots[sm[0]][lo:hi] = x0
-        any_noise = any(r.with_noise for r in runs)
-        for w0 in range(0, fine_steps, _WINDOW_STEPS):
-            wl = min(_WINDOW_STEPS, fine_steps - w0)
-            if any_noise:
-                z1, z2 = noise_mod.standard_pairs_batch(
-                    plan, sample_ids[lo:hi], w0, wl, n_mode
-                )
-                z2 *= l22
-                z2 += l21 * z1      # z2 is now the conv increment
-                z1 *= sqrt_h        # z1 is now the plain dW increment
-            for kl in range(wl):
+        stream = noise_mod.IncrementStream(
+            plan, sample_ids[lo:hi], basis.eigenvalues, h, window,
+            dw=need_dw, conv=need_conv,
+        ) if need_dw or need_conv else None
+        # one coarse accumulator per (ratio, kind): runs sharing both get
+        # the same increments.  fine_steps is a power of two, so a ratio
+        # either divides the window (one slot per coarse step) or is a
+        # multiple of it (one slot, accumulated across windows)
+        accs = {
+            (ratio, t): np.empty((max(1, window // ratio), count, n_mode))
+            for r, ratio, t in zip(runs, ratios, tamed)
+            if r.with_noise and ratio > 1
+        }
+        no_noise = np.zeros((1, count, n_mode))
+        for w0 in range(0, fine_steps, window):
+            if stream is not None:
+                dw, conv = stream.next_window()
+            for (ratio, t), acc in accs.items():
+                if w0 % ratio == 0:
+                    acc.fill(0.0)
+                # acc <- e^{-lambda h} acc + fine increment (tamed runs;
+                # plain sum for the reference), over all slots at once
+                src = conv if t else dw
+                for j in range(min(ratio, window)):
+                    if t:
+                        acc *= decay_fine
+                    acc += src[j::ratio]
+            # incs[i][(m - 1) % len]: run i's increment for coarse step m
+            incs = [
+                no_noise if not r.with_noise
+                else (conv if t else dw) if ratio == 1
+                else accs[ratio, t]
+                for r, ratio, t in zip(runs, ratios, tamed)
+            ]
+            for kl in range(window):
                 k = w0 + kl
                 for i, (pre, ratio) in enumerate(zip(pres, ratios)):
-                    tamed = runs[i].kind is SchemeKind.TAMED_EXP_EULER
-                    if not runs[i].with_noise:
-                        if (k + 1) % ratio:
-                            continue
-                        inc = accs[i]  # stays zero
-                    elif ratio == 1:
-                        inc = z2[:, kl, :] if tamed else z1[:, kl, :]
-                    else:
-                        acc = accs[i]
-                        if tamed:
-                            acc *= decay_fine
-                            acc += z2[:, kl, :]
-                        else:
-                            acc += z1[:, kl, :]
-                        if (k + 1) % ratio:
-                            continue
-                        inc = acc
+                    if (k + 1) % ratio:
+                        continue
                     m = (k + 1) // ratio
+                    inc = incs[i][(m - 1) % len(incs[i])]
                     states[i] = new = pre.advance(states[i], inc)
-                    if ratio > 1:
-                        accs[i].fill(0.0)
                     ok = np.isfinite(new).all(axis=1)
                     if not ok.all():
                         if not skip_blowups:

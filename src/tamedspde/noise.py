@@ -18,6 +18,15 @@ normals by Box-Muller, which consumes exactly one word per normal; this
 fixed-consumption map is what makes pointwise, windowed, and whole-path
 generation bit-identical.
 
+Pointwise access (``standard_pairs`` and the helpers built on it) builds a
+generator at the requested step.  The ensemble sweep instead streams:
+``IncrementStream`` builds each sample's generator once at step 0 and
+draws window after window from it, which yields the same words because
+consecutive steps occupy consecutive counter blocks.  Both paths run the
+same per-sample Box-Muller kernel with the same operations in the same
+order, so their bits agree.  The floor of that kernel is libm's scalar
+cos and sin; any faster normal map would change the output bits.
+
 A coarse step of ratio R covers R fine steps; its convolution increment
 
     sum_k e^{-lambda (R-1-k) h} conv_k
@@ -122,19 +131,31 @@ def _raw_words(
     return raw[:, : 2 * n_modes]
 
 
-def _box_muller(raw: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    # fixed consumption: words (..., j-1) and (..., n_modes + j - 1) become
-    # mode j's uniform pair (contiguous halves keep the ufuncs fast)
-    u = ((raw >> _SHIFT).astype(np.float64) + 0.5) * _INV_2_53
-    u1 = u[..., :n_modes]
-    u2 = u[..., n_modes:]
+def _box_muller_into(
+    raw: np.ndarray, u: np.ndarray, z1: np.ndarray, z2: np.ndarray,
+) -> None:
+    """Standard normals of one sample from its raw words, written in place.
+
+    ``raw`` is (n_steps, >= 2N) and is overwritten; ``u`` is an
+    (n_steps, 2N) scratch buffer; ``z1`` and ``z2`` receive the
+    (n_steps, N) pairs.  Fixed consumption: words (k, j-1) and
+    (k, N+j-1) become mode j's uniform pair at step k (contiguous halves
+    keep the ufuncs fast).
+    """
+    n_modes = z1.shape[-1]
+    raw >>= _SHIFT
+    np.add(raw[:, : 2 * n_modes], 0.5, out=u)
+    u *= _INV_2_53
+    u1 = u[:, :n_modes]
+    u2 = u[:, n_modes:]
     np.log(u1, out=u1)
-    radius = np.sqrt(np.multiply(u1, -2.0, out=u1), out=u1)
+    np.multiply(u1, -2.0, out=u1)
+    np.sqrt(u1, out=u1)                 # u1 is now the radius
     np.multiply(u2, 2.0 * np.pi, out=u2)
-    z1 = np.cos(u2) * radius
-    z2 = np.sin(u2, out=u2)
-    z2 *= radius
-    return z1, z2
+    np.cos(u2, out=z1)
+    z1 *= u1
+    np.sin(u2, out=z2)
+    z2 *= u1
 
 
 def standard_pairs(
@@ -142,12 +163,16 @@ def standard_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standard-normal pair arrays (z1, z2), each (n_steps, n_modes).
 
-    Box-Muller on the raw words: mode j consumes words 2(j-1), 2(j-1)+1 of
+    Box-Muller on the raw words: mode j consumes words j-1 and N+j-1 of
     its step block.
     """
-    return _box_muller(
-        _raw_words(plan, sample, step_start, n_steps, n_modes), n_modes
+    z1 = np.empty((n_steps, n_modes))
+    z2 = np.empty((n_steps, n_modes))
+    _box_muller_into(
+        _raw_words(plan, sample, step_start, n_steps, n_modes),
+        np.empty((n_steps, 2 * n_modes)), z1, z2,
     )
+    return z1, z2
 
 
 def standard_pairs_batch(
@@ -159,13 +184,77 @@ def standard_pairs_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pair arrays (z1, z2), each (len(samples), n_steps, n_modes).
 
-    Identical values to per-sample ``standard_pairs`` calls; the raw
-    words are gathered per sample and transformed in one pass.
+    Identical values to per-sample ``standard_pairs`` calls, by the same
+    per-sample kernel.
     """
-    raw = np.empty((len(samples), n_steps, 2 * n_modes), dtype=_U64)
+    z1 = np.empty((len(samples), n_steps, n_modes))
+    z2 = np.empty((len(samples), n_steps, n_modes))
+    u = np.empty((n_steps, 2 * n_modes))
     for c, s in enumerate(samples):
-        raw[c] = _raw_words(plan, int(s), step_start, n_steps, n_modes)
-    return _box_muller(raw, n_modes)
+        _box_muller_into(
+            _raw_words(plan, int(s), step_start, n_steps, n_modes), u, z1[c], z2[c]
+        )
+    return z1, z2
+
+
+class IncrementStream:
+    """Fine (dW, conv) increments of a batch of samples, window by window.
+
+    Each sample's Philox generator is built once, at fine step 0, and kept
+    alive: the counter layout puts step k+1 right after step k, so drawing
+    the next ``window * words_per_step`` words from it yields exactly the
+    words the layout assigns to those steps.  Box-Muller and the Cholesky
+    mix run per sample on its (window, 2N) block in buffers reused
+    across windows, and the increments land in window buffers laid out
+    (step, sample, mode), so each step of a window is one contiguous
+    (samples, modes) block.  ``dw`` or ``conv`` set to False skips that
+    window buffer (it is then returned as None).
+    """
+
+    def __init__(
+        self,
+        plan: NoisePlan,
+        samples: np.ndarray,
+        eigenvalues: np.ndarray,
+        h: float,
+        window: int,
+        *,
+        dw: bool = True,
+        conv: bool = True,
+    ):
+        key = plan.philox_key()
+        self._bitgens = [
+            np.random.Philox(
+                key=key, counter=np.array([0, 0, int(s), PATH_STREAM], dtype=_U64)
+            )
+            for s in samples
+        ]
+        n_modes = len(eigenvalues)
+        self._words = window * _words_per_step(n_modes)
+        self._sqrt_h, self._l21, self._l22 = increment_factors(eigenvalues, h)
+        self._u = np.empty((window, 2 * n_modes))
+        self._z1 = np.empty((window, n_modes))
+        self._z2 = np.empty((window, n_modes))
+        self._mix = np.empty((window, n_modes))
+        shape = (window, len(samples), n_modes)
+        self._dw = np.empty(shape) if dw else None
+        self._conv = np.empty(shape) if conv else None
+
+    def next_window(self):
+        """(dW, conv) of the next window of fine steps, each
+        (window, samples, modes) or None; valid until the next call."""
+        z1, z2 = self._z1, self._z2
+        for c, bitgen in enumerate(self._bitgens):
+            raw = bitgen.random_raw(self._words).reshape(len(z1), -1)
+            _box_muller_into(raw, self._u, z1, z2)
+            z2 *= self._l22
+            z2 += np.multiply(self._l21, z1, out=self._mix)   # z2 is now conv
+            z1 *= self._sqrt_h                                # z1 is now dW
+            if self._dw is not None:
+                self._dw[:, c] = z1
+            if self._conv is not None:
+                self._conv[:, c] = z2
+        return self._dw, self._conv
 
 
 def conv_variance(lam, h: float):

@@ -1,3 +1,5 @@
+import platform
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,21 @@ def basis16():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def fingerprint():
+    """numpy, BLAS and CPU SIMD dispatch: what pinned float bytes depend on."""
+    lines = [f"python {platform.python_version()}, numpy {np.__version__}, "
+             f"machine {platform.machine()}"]
+    try:
+        cfg = np.show_config(mode="dicts")
+    except TypeError:             # numpy < 1.26 prints only
+        return lines[0]
+    blas = cfg.get("Build Dependencies", {}).get("blas", {})
+    simd = cfg.get("SIMD Extensions", {})
+    lines.append(f"blas {blas.get('name')} {blas.get('version')}: "
+                 f"{blas.get('openblas configuration')}")
+    lines.append(f"simd baseline {simd.get('baseline')}, "
+                 f"found {simd.get('found')}")
+    return "\n".join(lines)

@@ -37,6 +37,14 @@ class TestDriftSpec:
         v = np.array([-1.0, 0.0, 0.5, 2.0])
         assert np.allclose(f_eval(ALLEN_CAHN, v), v - v**3)
 
+    def test_coeffs_built_once_read_only(self):
+        d = DriftSpec(q=3, leading=2.0, lower=(0.5, 0.0, -1.0))
+        assert d.coeffs is d.coeffs
+        assert d.coeffs.tolist() == [0.5, 0.0, -1.0, 0.0, 0.0, -2.0]
+        with pytest.raises(ValueError):
+            d.coeffs[0] = 1.0
+        assert d == DriftSpec(q=3, leading=2.0, lower=(0.5, 0.0, -1.0))
+
     def test_rejects_nonpositive_leading(self):
         with pytest.raises(ValueError):
             DriftSpec(q=2, leading=0.0)

@@ -1,5 +1,7 @@
 """Steppers, trajectory drivers, coupling, determinism, blow-up handling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from tamedspde import (
     NoisePlan,
     SchemeConfig,
     SchemeKind,
+    SineBasis,
     TamingParams,
     default_initial,
     f_tau_eval,
@@ -286,3 +289,53 @@ class TestRunEnsemble:
                                      skip_blowups=True)
         assert blown.all()
         assert np.isnan(outs[0].endpoints).all()
+
+
+class TestBlowUpOrdering:
+    """Runs of ratio 1 and 4 over four noise windows; of twelve samples,
+    sample 2 blows up in the ratio-4 run at coarse step 169 (fine step
+    676, inside the third window).  The pins were recorded with the
+    per-fine-step sweep that streamed noise replaced; the hashes carry
+    the float bytes, so they depend on the machine like the golden CSVs.
+    """
+
+    TIMES = [0.25, 0.5, 0.75, 1.0]
+
+    @staticmethod
+    def runs():
+        basis = SineBasis(8)
+        out = []
+        for level in (10, 8):
+            tau = 2.0**-level
+            out.append(SchemeConfig(
+                epsilon=0.0024, tau=tau, n_steps=2**level, basis=basis,
+                drift=ALLEN_CAHN,
+                taming=TamingParams(alpha=1.0, beta=1e-6, theta=0.5, tau=tau),
+            ))
+        return out
+
+    def test_error_names_step_sample_run(self):
+        with pytest.raises(BlowUpError) as err:
+            sweep_ensemble(self.runs(), NoisePlan(6, 10), 12)
+        assert (err.value.step_index, err.value.sample,
+                err.value.run_index) == (169, 2, 1)
+
+    def test_skip_blowups_outputs_pinned(self, fingerprint):
+        with np.errstate(over="ignore"):      # monitors of the exploding path
+            outs, blown = sweep_ensemble(
+                self.runs(), NoisePlan(6, 10), 12, skip_blowups=True,
+                snapshot_times=[self.TIMES, self.TIMES], track_monitors=True,
+            )
+        assert np.nonzero(blown)[0].tolist() == [2]
+        digests = []
+        for out in outs:
+            h = hashlib.sha256()
+            for a in ([out.endpoints] + [out.snapshots[t] for t in self.TIMES]
+                      + [out.max_l2, out.max_l4, out.max_sup]):
+                h.update(np.ascontiguousarray(a).tobytes())
+            digests.append(h.hexdigest())
+            assert np.isnan(out.endpoints).any(axis=1).nonzero()[0].tolist() == [2]
+        assert digests == [
+            "09f4f013e1b6b3273600125161df2807b3cf35bc114c53699521f55659c51d9b",
+            "b6eb4987893be20e5b3e7823ea75833f7234a8995b06ea960fcaa90cc6d13aa8",
+        ], f"sweep bytes moved on this machine:\n{fingerprint}"

@@ -5,13 +5,19 @@ import pytest
 
 from tamedspde import (
     NoisePlan,
+    SineBasis,
     coarse_convolution_increment,
     conv_dw_covariance,
     conv_variance,
     increment_pairs,
     sample_increment_pair,
 )
-from tamedspde.noise import increment_factors, standard_pairs, standard_pairs_batch
+from tamedspde.noise import (
+    IncrementStream,
+    increment_factors,
+    standard_pairs,
+    standard_pairs_batch,
+)
 
 
 def quad_conv_variance(lam, h):
@@ -203,3 +209,44 @@ def test_plan_validation():
     assert plan.fine_steps == 1024
     assert plan.fine_step_size(1.0) == 2.0**-10
     assert plan.mode_word_offsets(1, 64) == (0, 64)
+
+
+class TestIncrementStream:
+    """Live generators and window buffers give the pointwise bits.
+
+    ``increment_pairs`` is per-sample ``standard_pairs`` at one step plus
+    the Cholesky mix, with a generator built at that step.
+    """
+
+    @pytest.mark.parametrize("n_modes", [5, 64])
+    @pytest.mark.parametrize("level", [7, 8, 10])
+    def test_windows_equal_per_sample_pairs(self, level, n_modes):
+        plan = NoisePlan(99, level)
+        h = 2.0**-level
+        eig = SineBasis(n_modes).eigenvalues
+        samples = np.array([400, 3, 17, 258])     # explicit, non-contiguous
+        window = min(256, plan.fine_steps)
+        stream = IncrementStream(plan, samples, eig, h, window)
+        checks = [k for k in (0, 255, 256, 257, plan.fine_steps - 1)
+                  if k < plan.fine_steps]
+        for w0 in range(0, plan.fine_steps, window):
+            dw, conv = stream.next_window()
+            assert dw.shape == conv.shape == (window, len(samples), n_modes)
+            for k in (k for k in checks if w0 <= k < w0 + window):
+                for c, s in enumerate(samples):
+                    ref_dw, ref_conv = increment_pairs(plan, eig, h, s, k, 1)
+                    assert np.array_equal(dw[k - w0, c], ref_dw[0])
+                    assert np.array_equal(conv[k - w0, c], ref_conv[0])
+
+    def test_skipped_buffer_leaves_other_bits(self, basis64):
+        plan = NoisePlan(4, 9)
+        h = 2.0**-9
+        samples = np.array([9, 2])
+        both = IncrementStream(plan, samples, basis64.eigenvalues, h, 256)
+        conv_only = IncrementStream(plan, samples, basis64.eigenvalues, h, 256,
+                                    dw=False)
+        for _ in range(2):
+            _, conv = both.next_window()
+            dw, conv2 = conv_only.next_window()
+            assert dw is None
+            assert np.array_equal(conv, conv2)

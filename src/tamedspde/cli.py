@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, format_float
 from .drift import DriftSpec, TamingParams, derive_growth_constants, step_size_condition
-from .engine import BlowUpError, SchemeConfig, SchemeKind
+from .engine import BlowUpError, SchemeConfig, SchemeKind, _blas_threads
 from .noise import NoisePlan
 from .presets import PRESETS, preset
 from .spectral import SineBasis
@@ -75,6 +75,7 @@ def _write_manifest(outdir: Path, command: str, cfg: ExperimentConfig,
         "master_seed": cfg.master_seed,
         "resolved_config": cfg.to_ini(),
         "outputs": sorted(outputs),
+        "blas": _blas_threads(),
         **extra,
     }
     _write_json(outdir / "manifest.json", manifest)
@@ -358,7 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override one configuration value (repeatable)")
     common.add_argument("--seed", type=int, help="override the master seed")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; never changes output bytes")
+                        help="worker threads, the only parallelism of a run "
+                             "(BLAS is held at one thread while sweeps run, "
+                             "process-wide); never changes output bytes")
     common.add_argument("--out-dir", metavar="DIR",
                         help="override the output directory")
     parser = argparse.ArgumentParser(

@@ -115,9 +115,23 @@ class TamingParams:
             )
 
 
-def f_eval(d: DriftSpec, v) -> np.ndarray:
-    """Evaluate f(v); vectorized over v."""
-    return npoly.polyval(np.asarray(v, dtype=np.float64), d.coeffs)
+def f_eval(d: DriftSpec, v, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate f(v); vectorized over v, into ``out`` when given.
+
+    Horner's rule in place, with the operations of
+    ``numpy.polynomial.polynomial.polyval`` in its order, so the bits
+    match it.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    c = d.coeffs
+    if out is None:
+        out = np.empty_like(v)
+    np.multiply(v, 0.0, out=out)
+    out += c[-1]
+    for ci in c[-2::-1]:
+        out *= v
+        out += ci
+    return out[()] if out.ndim == 0 else out
 
 
 def f_prime_eval(d: DriftSpec, v) -> np.ndarray:

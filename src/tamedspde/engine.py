@@ -25,15 +25,31 @@ increments of every (ratio, scheme kind) in use are summed from those
 buffers by the fine-step recursion, vectorised over the window's coarse
 steps.  The runs then advance fine-step-major, in run order, so blow-up
 reporting and ``skip_blowups`` see the steps in the same order whatever
-the window layout.
+the window layout.  A step writes its new state, both transforms and the
+drift polynomial into buffers allocated once per chunk: it fills a spare
+state buffer and hands the run's old one on as the next spare, and one
+collocation scratch pair serves every run.
+
+``threads`` is the only parallelism: that many chunks run at once, and
+BLAS is held at one thread for the whole sweep, then set back.  A chunk's
+collocation matmul, (256, 64) @ (64, 64), is above OpenBLAS's cut-off for
+threading, so each chunk thread would otherwise start BLAS threads of its
+own and oversubscribe the cores.  The BLAS thread count is process-wide,
+so other BLAS calls in the process also run on one thread while a sweep
+is under way; where no OpenBLAS is found, nothing is pinned.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import functools
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -174,30 +190,42 @@ class _RunPre:
             self.tame_power = (2 * cfg.drift.q - 2) / t.alpha
             self.tame_alpha = t.alpha
 
-    def drift_term(self, states: np.ndarray) -> np.ndarray | None:
-        """Collocation evaluation of the (tamed) Nemytskii drift."""
+    def drift_term(self, states: np.ndarray, phys: np.ndarray,
+                   fv: np.ndarray) -> np.ndarray | None:
+        """Collocation evaluation of the (tamed) Nemytskii drift, written
+        to ``phys``; ``fv`` is scratch of the same shape."""
         cfg = self.cfg
         if cfg.drift is None:
             return None
         # non-finite values propagate silently here; the step's blow-up
         # check is the reporting point
         with np.errstate(invalid="ignore", over="ignore"):
-            phys = states @ self.transform
-            fv = drift_mod.f_eval(cfg.drift, phys)
+            np.matmul(states, self.transform, out=phys)
+            drift_mod.f_eval(cfg.drift, phys, out=fv)
             if cfg.kind is SchemeKind.TAMED_EXP_EULER:
                 x = self.tame_coef * drift_mod._abs_power(phys, self.tame_power)
                 fv /= drift_mod._taming_denominator(x, self.tame_alpha)
-            return (fv @ self.transform) * self.inv_nodes
+            np.matmul(fv, self.transform, out=phys)
+            phys *= self.inv_nodes
+        return phys
 
-    def advance(self, states: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        drift_term = self.drift_term(states)
+    def advance(self, states: np.ndarray, noise: np.ndarray, out: np.ndarray,
+                phys: np.ndarray, fv: np.ndarray) -> np.ndarray:
+        """One step of ``states`` written to ``out``; ``phys`` and ``fv``
+        are scratch.  All four buffers have the shape of ``states``."""
+        base = self.drift_term(states, phys, fv)
+        if base is None:
+            base = states
+        else:
+            base *= self.drift_scale
+            base += states
         if self.cfg.kind is SchemeKind.TAMED_EXP_EULER:
-            out = states if drift_term is None else states + self.drift_scale * drift_term
-            return out * self.semigroup + noise
-        out = states + noise if drift_term is None else (
-            states + self.drift_scale * drift_term + noise
-        )
-        return out * self.divisor
+            np.multiply(base, self.semigroup, out=out)
+            out += noise
+        else:
+            np.add(base, noise, out=out)
+            out *= self.divisor
+        return out
 
 
 def _check_finite(states: np.ndarray, step_index: int, samples=None,
@@ -219,10 +247,7 @@ def tamed_exponential_step(
     convolution increment in spectral coordinates."""
     if cfg.kind is not SchemeKind.TAMED_EXP_EULER:
         raise ValueError("config kind must be TAMED_EXP_EULER")
-    out = _RunPre(cfg).advance(np.asarray(state, dtype=np.float64),
-                               np.asarray(noise, dtype=np.float64))
-    _check_finite(out, step_index)
-    return out
+    return _one_step(state, cfg, noise, step_index)
 
 
 def semi_implicit_reference_step(
@@ -233,10 +258,105 @@ def semi_implicit_reference_step(
     increments in spectral coordinates."""
     if cfg.kind is not SchemeKind.SEMI_IMPLICIT_REFERENCE:
         raise ValueError("config kind must be SEMI_IMPLICIT_REFERENCE")
-    out = _RunPre(cfg).advance(np.asarray(state, dtype=np.float64),
-                               np.asarray(dW, dtype=np.float64))
+    return _one_step(state, cfg, dW, step_index)
+
+
+def _one_step(state, cfg: SchemeConfig, noise, step_index: int) -> np.ndarray:
+    state = np.asarray(state, dtype=np.float64)
+    out, phys, fv = (np.empty_like(state) for _ in range(3))
+    _RunPre(cfg).advance(state, np.asarray(noise, dtype=np.float64),
+                         out, phys, fv)
     _check_finite(out, step_index)
     return out
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+
+class _OpenBLAS(NamedTuple):
+    library: str                      # file name of the shared library
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+# (get, set) symbol pairs: numpy's wheel first, then a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas() -> _OpenBLAS | None:
+    """The OpenBLAS library numpy loaded, found in this process's memory
+    map; None where there is none (MKL, Accelerate) or no map to read
+    (not Linux).  Looked up once, at the first sweep."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                     if "openblas" in line.lower()}
+    except OSError:
+        return None
+    # numpy's own copy (in numpy.libs/ or under numpy/) before any other
+    numpy_dir = os.path.dirname(np.__file__)
+    for path in sorted(paths, key=lambda p: (not p.startswith(numpy_dir), p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            try:
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return _OpenBLAS(os.path.basename(path), get, put)
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0          # sweeps inside _single_threaded_blas, any thread
+_blas_saved = 0          # thread count before the first of them entered
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Hold BLAS at one thread (see the module docstring for why); the
+    count outside is restored when the last of several overlapping
+    holders, from any thread, exits."""
+    global _blas_depth, _blas_saved
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = blas.get_threads()
+            blas.set_threads(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                blas.set_threads(_blas_saved)
+
+
+def _blas_threads() -> dict:
+    """The BLAS library sweeps pin and its thread count outside and
+    inside a sweep (all None when no OpenBLAS was found)."""
+    blas = _openblas()
+    if blas is None:
+        return {"library": None, "threads_outside": None, "threads_inside": None}
+    outside = blas.get_threads()
+    with _single_threaded_blas():
+        inside = blas.get_threads()
+    return {"library": blas.library, "threads_outside": outside,
+            "threads_inside": inside}
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +475,13 @@ def sweep_ensemble(
     def work(chunk: tuple[int, int]) -> None:
         lo, hi = chunk
         count = hi - lo
+        # one state buffer per run plus a spare: each step writes the
+        # spare and hands the run's old buffer on as the next spare.  The
+        # runs step one after another, so they share the spare and one
+        # scratch pair for the collocation
         states = [np.tile(x0, (count, 1)) for _ in runs]
+        spare = np.empty((count, n_mode))
+        phys, fv = np.empty((count, n_mode)), np.empty((count, n_mode))
         alive = np.ones(count, dtype=bool)
         if track_monitors:
             mons = [list(_state_norms(basis, states[i])) for i in range(len(runs))]
@@ -403,7 +529,8 @@ def sweep_ensemble(
                         continue
                     m = (k + 1) // ratio
                     inc = incs[i][(m - 1) % len(incs[i])]
-                    states[i] = new = pre.advance(states[i], inc)
+                    new = pre.advance(states[i], inc, spare, phys, fv)
+                    spare, states[i] = states[i], new
                     ok = np.isfinite(new).all(axis=1)
                     if not ok.all():
                         if not skip_blowups:
@@ -417,20 +544,26 @@ def sweep_ensemble(
                             np.maximum(mon, val, out=mon)
                     if m in snap_map[i]:
                         outputs[i].snapshots[snap_map[i][m]][lo:hi] = new
+        dead = lo + np.flatnonzero(~alive)
         for i, out in enumerate(outputs):
             out.endpoints[lo:hi] = states[i]
-            if skip_blowups:
-                out.endpoints[lo:hi][~alive] = np.nan
             if track_monitors:
                 _write_monitors(out, slice(lo, hi), *mons[i])
+            # a blown sample restarted from zero where it blew: none of
+            # its rows, in any run, hold a path of the scheme
+            for arr in (out.endpoints, *out.snapshots.values(),
+                        out.max_l2, out.max_l4, out.max_sup):
+                if arr is not None:
+                    arr[dead] = np.nan
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for f in [pool.submit(work, c) for c in chunks]:
-                f.result()
-    else:
-        for c in chunks:
-            work(c)
+    with _single_threaded_blas():
+        if threads > 1 and len(chunks) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for f in [pool.submit(work, c) for c in chunks]:
+                    f.result()
+        else:
+            for c in chunks:
+                work(c)
     return outputs, blown
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tamedspde import SineBasis
+from tamedspde.engine import _blas_threads
 
 
 @pytest.fixture(scope="session")
@@ -24,12 +25,16 @@ def rng():
 @pytest.fixture(scope="session")
 def fingerprint():
     """numpy, BLAS and CPU SIMD dispatch: what pinned float bytes depend on."""
+    pinned = _blas_threads()
     lines = [f"python {platform.python_version()}, numpy {np.__version__}, "
-             f"machine {platform.machine()}"]
+             f"machine {platform.machine()}",
+             f"blas pinned in sweeps: {pinned['library']}, threads "
+             f"{pinned['threads_outside']} outside, "
+             f"{pinned['threads_inside']} inside"]
     try:
         cfg = np.show_config(mode="dicts")
     except TypeError:             # numpy < 1.26 prints only
-        return lines[0]
+        return "\n".join(lines)
     blas = cfg.get("Build Dependencies", {}).get("blas", {})
     simd = cfg.get("SIMD Extensions", {})
     lines.append(f"blas {blas.get('name')} {blas.get('version')}: "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from tamedspde import (
     ALLEN_CAHN,
@@ -36,6 +37,19 @@ class TestDriftSpec:
     def test_vectorized(self):
         v = np.array([-1.0, 0.0, 0.5, 2.0])
         assert np.allclose(f_eval(ALLEN_CAHN, v), v - v**3)
+
+    def test_in_place_horner_matches_polyval_bits(self, rng):
+        # numpy's polyval is the reference the sweep's bytes were pinned with
+        d = DriftSpec(q=3, leading=2.0, lower=(0.5, 3.0, -1.0, 0.25))
+        v = np.concatenate([rng.standard_normal((50, 64)).ravel() * 3,
+                            [0.0, -0.0, 1e80, -1e80, np.inf, -np.inf, np.nan]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = npoly.polyval(v, d.coeffs).tobytes()
+            assert f_eval(d, v).tobytes() == want
+            out = np.empty_like(v)
+            assert f_eval(d, v, out=out) is out
+            assert out.tobytes() == want
+        assert type(f_eval(d, 1.5)) is type(npoly.polyval(1.5, d.coeffs))
 
     def test_coeffs_built_once_read_only(self):
         d = DriftSpec(q=3, leading=2.0, lower=(0.5, 0.0, -1.0))

@@ -1,10 +1,12 @@
 """Steppers, trajectory drivers, coupling, determinism, blow-up handling."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
+from tamedspde import engine
 from tamedspde import (
     ALLEN_CAHN,
     BlowUpError,
@@ -294,9 +296,9 @@ class TestRunEnsemble:
 class TestBlowUpOrdering:
     """Runs of ratio 1 and 4 over four noise windows; of twelve samples,
     sample 2 blows up in the ratio-4 run at coarse step 169 (fine step
-    676, inside the third window).  The pins were recorded with the
-    per-fine-step sweep that streamed noise replaced; the hashes carry
-    the float bytes, so they depend on the machine like the golden CSVs.
+    676, inside the third window).  The error pin was recorded with the
+    per-fine-step sweep that streamed noise replaced; the digest carries
+    the float bytes, so it depends on the machine like the golden CSVs.
     """
 
     TIMES = [0.25, 0.5, 0.75, 1.0]
@@ -327,15 +329,129 @@ class TestBlowUpOrdering:
                 snapshot_times=[self.TIMES, self.TIMES], track_monitors=True,
             )
         assert np.nonzero(blown)[0].tolist() == [2]
-        digests = []
+        # the blown sample is NaN in every run, snapshots and monitors too
+        survivors = np.arange(12) != 2
+        h = hashlib.sha256()
         for out in outs:
-            h = hashlib.sha256()
-            for a in ([out.endpoints] + [out.snapshots[t] for t in self.TIMES]
-                      + [out.max_l2, out.max_l4, out.max_sup]):
-                h.update(np.ascontiguousarray(a).tobytes())
-            digests.append(h.hexdigest())
-            assert np.isnan(out.endpoints).any(axis=1).nonzero()[0].tolist() == [2]
-        assert digests == [
-            "09f4f013e1b6b3273600125161df2807b3cf35bc114c53699521f55659c51d9b",
-            "b6eb4987893be20e5b3e7823ea75833f7234a8995b06ea960fcaa90cc6d13aa8",
-        ], f"sweep bytes moved on this machine:\n{fingerprint}"
+            arrays = ([out.endpoints] + [out.snapshots[t] for t in self.TIMES]
+                      + [out.max_l2, out.max_l4, out.max_sup])
+            for a in arrays:
+                assert np.isnan(a[2]).all()
+                assert np.isfinite(a[survivors]).all()
+                h.update(np.ascontiguousarray(a[survivors]).tobytes())
+        # the eleven other samples' rows, recorded before blown samples
+        # were written as NaN: they keep their bytes
+        assert h.hexdigest() == (
+            "8674624037c3916b7181f29759495a51958d0325cf288bc3401f0c4195a2a862"
+        ), f"sweep bytes moved on this machine:\n{fingerprint}"
+
+
+def _openblas():
+    blas = engine._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS in this process: sweeps leave BLAS threads "
+                    "alone, so there is no count to check")
+    return blas
+
+
+@pytest.fixture
+def blas_two_threads():
+    """OpenBLAS set to two threads for the test, restored afterwards."""
+    blas = _openblas()
+    before = blas.get_threads()
+    blas.set_threads(2)
+    try:
+        if blas.get_threads() != 2:
+            pytest.skip("this OpenBLAS does not take two threads")
+        yield blas
+    finally:
+        blas.set_threads(before)
+
+
+@pytest.fixture
+def blas_seen(monkeypatch, blas_two_threads):
+    """BLAS thread counts read at every advance, with an optional hook
+    run there too."""
+    seen, hooks = [], []
+    advance = engine._RunPre.advance
+
+    def spy(self, *args):
+        seen.append(blas_two_threads.get_threads())
+        for hook in hooks:
+            hook()
+        return advance(self, *args)
+
+    monkeypatch.setattr(engine._RunPre, "advance", spy)
+    return blas_two_threads, seen, hooks
+
+
+class TestThreading:
+    """``threads`` is a sweep's only parallelism: it changes no byte, and
+    BLAS runs on one thread while any sweep is under way."""
+
+    def test_600_samples_bytes_equal_at_one_and_two_threads(self, basis64):
+        runs = [tamed_cfg(basis64, level=4, epsilon=0.5),
+                reference_cfg(basis64, level=6, epsilon=0.5)]
+        kwargs = dict(snapshot_times=[[0.5, 1.0], [0.5, 1.0]],
+                      track_monitors=True)
+        plan = NoisePlan(17, 6)
+        one, _ = sweep_ensemble(runs, plan, 600, threads=1, **kwargs)
+        two, _ = sweep_ensemble(runs, plan, 600, threads=2, **kwargs)
+        for a, b in zip(one, two):
+            for x, y in [(a.endpoints, b.endpoints), (a.max_l2, b.max_l2),
+                         (a.max_l4, b.max_l4), (a.max_sup, b.max_sup)] + [
+                    (a.snapshots[t], b.snapshots[t]) for t in (0.5, 1.0)]:
+                assert x.tobytes() == y.tobytes()
+
+    def test_one_thread_inside_restored_after_return(self, basis64, blas_seen):
+        blas, seen, _ = blas_seen
+        sweep_ensemble([tamed_cfg(basis64, level=3)], NoisePlan(1, 3), 300,
+                       threads=2)
+        assert seen and set(seen) == {1}
+        assert blas.get_threads() == 2
+
+    def test_restored_after_blowup(self, blas_seen):
+        blas, seen, _ = blas_seen
+        with np.errstate(over="ignore"), pytest.raises(BlowUpError):
+            sweep_ensemble(TestBlowUpOrdering.runs(), NoisePlan(6, 10), 12)
+        assert seen and set(seen) == {1}
+        assert blas.get_threads() == 2
+
+    def test_overlapping_sweeps_restore_when_last_exits(self, basis64,
+                                                        blas_seen):
+        # sweep A and sweep B both enter; A returns while B is still
+        # stepping, and B must still see one thread
+        blas, seen, hooks = blas_seen
+        both_inside = threading.Barrier(2)
+        a_done = threading.Event()
+        entered, b_after_a, errors = set(), [], []
+
+        def hook():
+            name = threading.current_thread().name
+            if name in entered:
+                return
+            entered.add(name)
+            both_inside.wait(timeout=30)
+            if name == "B":
+                assert a_done.wait(timeout=30)
+                b_after_a.append(blas.get_threads())
+
+        def sweep():
+            try:
+                sweep_ensemble([tamed_cfg(basis64, level=3)], NoisePlan(1, 3), 4)
+            except Exception as exc:          # reported in the main thread
+                errors.append(exc)
+            if threading.current_thread().name == "A":
+                a_done.set()
+
+        hooks.append(hook)
+        workers = [threading.Thread(target=sweep, name=n) for n in "AB"]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert b_after_a == [1]
+        assert set(seen) == {1}
+        assert blas.get_threads() == 2

@@ -30,7 +30,6 @@ __all__ = [
     "MomentReport",
     "ProfileSet",
     "PropertyReport",
-    "step_test_eval",
     "weak_error_estimate",
     "weak_errors_shared_reference",
     "weak_error_table",
@@ -55,12 +54,9 @@ class StepTestFunction:
     distribution); 'sup' takes the nodal maximum.
     """
 
-    bin_width: float = 0.1
     norm_kind: str = "nodal"
 
     def __post_init__(self):
-        if self.bin_width != 0.1:
-            raise ValueError("bin width is fixed to 0.1")
         if self.norm_kind not in ("l2", "sup", "nodal"):
             raise ValueError(f"unsupported norm kind {self.norm_kind!r}")
 
@@ -73,11 +69,6 @@ class StepTestFunction:
 
     def __call__(self, basis: SineBasis, coeffs: np.ndarray) -> np.ndarray:
         return np.sin(np.floor(10.0 * self.radius(basis, coeffs)) / 10.0)
-
-
-def step_test_eval(phi: StepTestFunction, basis: SineBasis, coeffs: np.ndarray):
-    """Evaluate the step test function on one or many coefficient arrays."""
-    return phi(basis, coeffs)
 
 
 @dataclass(frozen=True)

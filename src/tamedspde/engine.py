@@ -15,19 +15,23 @@ explicit in the untamed reaction term,
 ``sweep_ensemble`` advances any number of runs through one pass over the
 fine noise grid.  Every random number is counter-addressed per (sample,
 mode, fine step), samples are processed in fixed-size chunks, and all
-reductions happen on per-sample arrays in index order, so results are
-bit-identical for any thread count.
+reductions happen on per-sample arrays in index order, so a sample's
+results are bit-identical for any thread count, chunk size or entry
+point.  A one-row matmul takes BLAS's matrix-vector path, whose last bit
+can differ from a row of a matrix product, so a chunk of one sample is
+swept as two copies of it.
 
 Each chunk streams its noise: a ``noise.IncrementStream`` keeps one live
-Philox generator per sample and fills reused window buffers of 256 fine
-steps laid out (step, sample, mode).  Once per window, the coarse
-increments of every (ratio, scheme kind) in use are summed from those
-buffers by the fine-step recursion, vectorised over the window's coarse
-steps.  The runs then advance fine-step-major, in run order, so blow-up
-reporting and ``skip_blowups`` see the steps in the same order whatever
-the window layout.  A step writes its new state, both transforms and the
-drift polynomial into buffers allocated once per chunk: it fills a spare
-state buffer and hands the run's old one on as the next spare, and one
+Philox generator per sample and fills reused window buffers of 64 fine
+steps laid out (step, sample, mode).  At every fine step, each (ratio,
+scheme kind) in use adds the step's increments to one running
+(samples, modes) coarse sum by the fine-step recursion, restarted at each
+coarse step; runs sharing a ratio and a kind share the sum.  The runs
+then advance fine-step-major, in run order, so blow-up reporting and
+``skip_blowups`` see the steps in the same order whatever the window
+length.  A step writes its new state, both transforms and the drift
+polynomial into buffers allocated once per chunk: it fills a spare state
+buffer and hands the run's old one on as the next spare, and one
 collocation scratch pair serves every run.
 
 ``threads`` is the only parallelism: that many chunks run at once, and
@@ -74,7 +78,7 @@ __all__ = [
 ]
 
 _CHUNK_SAMPLES = 256
-_WINDOW_STEPS = 256
+_WINDOW_STEPS = 64
 
 
 class SchemeKind(enum.Enum):
@@ -439,9 +443,9 @@ def sweep_ensemble(
             out.endpoints[:] = x0
             for t in out.snapshots:
                 out.snapshots[t][:] = x0
-            if track_monitors:
-                _write_monitors(out, slice(0, n_samples),
-                                *_state_norms(basis, x0[None]))
+            if track_monitors:     # two rows: see the one-row note in work
+                _write_monitors(out, slice(0, n_samples), *(
+                    v[:1] for v in _state_norms(basis, np.tile(x0, (2, 1)))))
         return outputs, blown
 
     fine_steps = plan.fine_steps
@@ -474,7 +478,14 @@ def sweep_ensemble(
 
     def work(chunk: tuple[int, int]) -> None:
         lo, hi = chunk
-        count = hi - lo
+        rows = hi - lo
+        ids = sample_ids[lo:hi]
+        # a one-row matmul takes BLAS's matrix-vector path, whose bits
+        # differ from a row of a matrix product: a lone sample is swept
+        # twice and its copy dropped
+        if rows == 1:
+            ids = ids.repeat(2)
+        count = len(ids)
         # one state buffer per run plus a spare: each step writes the
         # spare and hands the run's old buffer on as the next spare.  The
         # runs step one after another, so they share the spare and one
@@ -489,66 +500,54 @@ def sweep_ensemble(
             if 0 in sm:
                 outputs[i].snapshots[sm[0]][lo:hi] = x0
         stream = noise_mod.IncrementStream(
-            plan, sample_ids[lo:hi], basis.eigenvalues, h, window,
-            dw=need_dw, conv=need_conv,
+            plan, ids, basis.eigenvalues, h, window, dw=need_dw, conv=need_conv,
         ) if need_dw or need_conv else None
-        # one coarse accumulator per (ratio, kind): runs sharing both get
-        # the same increments.  fine_steps is a power of two, so a ratio
-        # either divides the window (one slot per coarse step) or is a
-        # multiple of it (one slot, accumulated across windows)
-        accs = {
-            (ratio, t): np.empty((max(1, window // ratio), count, n_mode))
-            for r, ratio, t in zip(runs, ratios, tamed)
-            if r.with_noise and ratio > 1
-        }
-        no_noise = np.zeros((1, count, n_mode))
+        # one running coarse sum per (ratio, kind), shared by the runs
+        # with both: acc <- e^{-lambda h} acc + fine increment for tamed
+        # runs, a plain sum for the reference, restarted at each coarse step
+        accs = {(ratio, t): np.empty((count, n_mode))
+                for r, ratio, t in zip(runs, ratios, tamed)
+                if r.with_noise and ratio > 1}
+        decay = np.tile(decay_fine, (count, 1))
+        no_noise = np.zeros((count, n_mode))
         for w0 in range(0, fine_steps, window):
             if stream is not None:
-                dw, conv = stream.next_window()
-            for (ratio, t), acc in accs.items():
-                if w0 % ratio == 0:
-                    acc.fill(0.0)
-                # acc <- e^{-lambda h} acc + fine increment (tamed runs;
-                # plain sum for the reference), over all slots at once
-                src = conv if t else dw
-                for j in range(min(ratio, window)):
-                    if t:
-                        acc *= decay_fine
-                    acc += src[j::ratio]
-            # incs[i][(m - 1) % len]: run i's increment for coarse step m
-            incs = [
-                no_noise if not r.with_noise
-                else (conv if t else dw) if ratio == 1
-                else accs[ratio, t]
-                for r, ratio, t in zip(runs, ratios, tamed)
-            ]
+                fine = stream.next_window()     # (dW, conv), indexed by "tamed"
             for kl in range(window):
                 k = w0 + kl
-                for i, (pre, ratio) in enumerate(zip(pres, ratios)):
+                for (ratio, t), acc in accs.items():
+                    if k % ratio == 0:
+                        acc.fill(0.0)
+                    if t:
+                        acc *= decay
+                    acc += fine[t][kl]
+                for i, (r, pre, ratio, t) in enumerate(
+                        zip(runs, pres, ratios, tamed)):
                     if (k + 1) % ratio:
                         continue
                     m = (k + 1) // ratio
-                    inc = incs[i][(m - 1) % len(incs[i])]
+                    inc = (no_noise if not r.with_noise
+                           else fine[t][kl] if ratio == 1 else accs[ratio, t])
                     new = pre.advance(states[i], inc, spare, phys, fv)
                     spare, states[i] = states[i], new
                     ok = np.isfinite(new).all(axis=1)
                     if not ok.all():
                         if not skip_blowups:
                             bad = int(np.nonzero(~ok)[0][0])
-                            raise BlowUpError(m, int(sample_ids[lo + bad]), i)
+                            raise BlowUpError(m, int(ids[bad]), i)
                         alive &= ok
                         new[~alive] = 0.0
-                        blown[lo:hi] |= ~alive
+                        blown[lo:hi] |= ~alive[:rows]
                     if track_monitors:
                         for mon, val in zip(mons[i], _state_norms(basis, new)):
                             np.maximum(mon, val, out=mon)
                     if m in snap_map[i]:
-                        outputs[i].snapshots[snap_map[i][m]][lo:hi] = new
-        dead = lo + np.flatnonzero(~alive)
+                        outputs[i].snapshots[snap_map[i][m]][lo:hi] = new[:rows]
+        dead = lo + np.flatnonzero(~alive[:rows])
         for i, out in enumerate(outputs):
-            out.endpoints[lo:hi] = states[i]
+            out.endpoints[lo:hi] = states[i][:rows]
             if track_monitors:
-                _write_monitors(out, slice(lo, hi), *mons[i])
+                _write_monitors(out, slice(lo, hi), *(v[:rows] for v in mons[i]))
             # a blown sample restarted from zero where it blew: none of
             # its rows, in any run, hold a path of the scheme
             for arr in (out.endpoints, *out.snapshots.values(),

@@ -23,9 +23,10 @@ generator at the requested step.  The ensemble sweep instead streams:
 ``IncrementStream`` builds each sample's generator once at step 0 and
 draws window after window from it, which yields the same words because
 consecutive steps occupy consecutive counter blocks.  Both paths run the
-same per-sample Box-Muller kernel with the same operations in the same
-order, so their bits agree.  The floor of that kernel is libm's scalar
-cos and sin; any faster normal map would change the output bits.
+same elementwise Box-Muller kernel, the stream on blocks of 8 samples at
+a time, with the same operations in the same order, so their bits agree.
+The floor of that kernel is libm's scalar cos and sin; any faster normal
+map would change the output bits.
 
 A coarse step of ratio R covers R fine steps; its convolution increment
 
@@ -63,6 +64,7 @@ _U64 = np.uint64
 _PHILOX_WORDS_PER_BLOCK = 4
 _INV_2_53 = 2.0**-53
 _SHIFT = _U64(11)
+_BLOCK_SAMPLES = 8          # samples per Box-Muller call in IncrementStream
 
 
 @dataclass(frozen=True)
@@ -134,20 +136,22 @@ def _raw_words(
 def _box_muller_into(
     raw: np.ndarray, u: np.ndarray, z1: np.ndarray, z2: np.ndarray,
 ) -> None:
-    """Standard normals of one sample from its raw words, written in place.
+    """Standard normals from raw words, written in place.
 
-    ``raw`` is (n_steps, >= 2N) and is overwritten; ``u`` is an
-    (n_steps, 2N) scratch buffer; ``z1`` and ``z2`` receive the
-    (n_steps, N) pairs.  Fixed consumption: words (k, j-1) and
+    ``raw`` is (..., n_steps, >= 2N) and is overwritten; ``u`` is a
+    (..., n_steps, 2N) scratch buffer; ``z1`` and ``z2`` receive the
+    (..., n_steps, N) pairs.  Fixed consumption: words (k, j-1) and
     (k, N+j-1) become mode j's uniform pair at step k (contiguous halves
-    keep the ufuncs fast).
+    keep the ufuncs fast).  Every element sees the same operations
+    whatever the leading shape, so one sample or a block of samples
+    gives the same bits.
     """
     n_modes = z1.shape[-1]
     raw >>= _SHIFT
-    np.add(raw[:, : 2 * n_modes], 0.5, out=u)
+    np.add(raw[..., : 2 * n_modes], 0.5, out=u)
     u *= _INV_2_53
-    u1 = u[:, :n_modes]
-    u2 = u[:, n_modes:]
+    u1 = u[..., :n_modes]
+    u2 = u[..., n_modes:]
     np.log(u1, out=u1)
     np.multiply(u1, -2.0, out=u1)
     np.sqrt(u1, out=u1)                 # u1 is now the radius
@@ -204,11 +208,13 @@ class IncrementStream:
     alive: the counter layout puts step k+1 right after step k, so drawing
     the next ``window * words_per_step`` words from it yields exactly the
     words the layout assigns to those steps.  Box-Muller and the Cholesky
-    mix run per sample on its (window, 2N) block in buffers reused
-    across windows, and the increments land in window buffers laid out
-    (step, sample, mode), so each step of a window is one contiguous
-    (samples, modes) block.  ``dw`` or ``conv`` set to False skips that
-    window buffer (it is then returned as None).
+    mix run once per block of 8 samples on their (8, window, words) raw
+    words, so short windows cost few Python-level numpy calls per sample
+    and step; each block lands in window buffers laid out (step, sample,
+    mode) by one transposed copy, so each step of a window is one
+    contiguous (samples, modes) block.  Every buffer is reused across
+    windows.  ``dw`` or ``conv`` set to False skips that window buffer
+    (it is then returned as None).
     """
 
     def __init__(
@@ -230,12 +236,13 @@ class IncrementStream:
             for s in samples
         ]
         n_modes = len(eigenvalues)
-        self._words = window * _words_per_step(n_modes)
+        wps = _words_per_step(n_modes)
+        self._words = window * wps
         self._sqrt_h, self._l21, self._l22 = increment_factors(eigenvalues, h)
-        self._u = np.empty((window, 2 * n_modes))
-        self._z1 = np.empty((window, n_modes))
-        self._z2 = np.empty((window, n_modes))
-        self._mix = np.empty((window, n_modes))
+        block = (min(_BLOCK_SAMPLES, len(samples)), window)
+        self._block = (                 # raw words, u, z1, z2, mix scratch
+            np.empty((*block, wps), dtype=_U64), np.empty((*block, 2 * n_modes)),
+            *(np.empty((*block, n_modes)) for _ in range(3)))
         shape = (window, len(samples), n_modes)
         self._dw = np.empty(shape) if dw else None
         self._conv = np.empty(shape) if conv else None
@@ -243,17 +250,18 @@ class IncrementStream:
     def next_window(self):
         """(dW, conv) of the next window of fine steps, each
         (window, samples, modes) or None; valid until the next call."""
-        z1, z2 = self._z1, self._z2
-        for c, bitgen in enumerate(self._bitgens):
-            raw = bitgen.random_raw(self._words).reshape(len(z1), -1)
-            _box_muller_into(raw, self._u, z1, z2)
+        for b0 in range(0, len(self._bitgens), _BLOCK_SAMPLES):
+            gens = self._bitgens[b0 : b0 + _BLOCK_SAMPLES]
+            raw, u, z1, z2, mix = (a[: len(gens)] for a in self._block)
+            np.stack([g.random_raw(self._words) for g in gens],
+                     out=raw.reshape(len(gens), -1))
+            _box_muller_into(raw, u, z1, z2)
             z2 *= self._l22
-            z2 += np.multiply(self._l21, z1, out=self._mix)   # z2 is now conv
-            z1 *= self._sqrt_h                                # z1 is now dW
-            if self._dw is not None:
-                self._dw[:, c] = z1
-            if self._conv is not None:
-                self._conv[:, c] = z2
+            z2 += np.multiply(self._l21, z1, out=mix)   # z2 is now conv
+            z1 *= self._sqrt_h                          # z1 is now dW
+            for buf, z in ((self._dw, z1), (self._conv, z2)):
+                if buf is not None:
+                    buf[:, b0 : b0 + len(gens)] = z.swapaxes(0, 1)
         return self._dw, self._conv
 
 

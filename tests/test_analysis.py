@@ -17,7 +17,6 @@ from tamedspde import (
     interface_profile,
     moment_sup_estimate,
     property_suite,
-    step_test_eval,
     weak_error_estimate,
 )
 from tamedspde import drift as drift_mod
@@ -74,18 +73,26 @@ class TestStepTestFunction:
             0.3 * np.sqrt(65.0), rel=1e-12
         )
 
-    def test_fixed_bin_width(self):
-        with pytest.raises(ValueError):
+    def test_fixed_bin_width(self, basis64):
+        # bins of width 0.1, and no field to choose another width
+        phi = StepTestFunction(norm_kind="l2")
+        for k in range(30):
+            for r in (k / 10 + 0.001, k / 10 + 0.099):
+                assert phi(basis64, coeffs_with_l2_norm(64, r)) == np.sin(k / 10)
+        with pytest.raises(TypeError):
             StepTestFunction(bin_width=0.2)
 
     def test_unknown_norm_kind(self):
         with pytest.raises(ValueError):
             StepTestFunction(norm_kind="h1")
 
-    def test_step_test_eval_wrapper(self, basis64):
+    def test_one_or_many_coefficient_arrays(self, basis64, rng):
         phi = StepTestFunction(norm_kind="l2")
         c = coeffs_with_l2_norm(64, 1.23)
-        assert step_test_eval(phi, basis64, c) == phi(basis64, c)
+        assert phi(basis64, c) == np.sin(1.2)
+        batch = rng.standard_normal((5, 64))
+        assert np.array_equal(phi(basis64, batch),
+                              [phi(basis64, row) for row in batch])
 
 
 def _tamed(basis, level, epsilon=0.05, horizon=1.0):

@@ -2,6 +2,7 @@
 
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,98 @@ class TestSweep:
         assert np.allclose(outs[0].endpoints[0], state, rtol=1e-12, atol=1e-15)
 
 
+    def test_window_length_changes_no_byte(self, basis64, monkeypatch):
+        # coarse ratios below, at and above the default 64-step window
+        runs = [tamed_cfg(basis64, level=9 - q, epsilon=0.5)
+                for q in (0, 2, 6, 8)]
+        runs += [reference_cfg(basis64, level=level, epsilon=0.5)
+                 for level in (9, 3)]
+        kwargs = dict(snapshot_times=[[0.5, 1.0]] * len(runs),
+                      track_monitors=True)
+        plan = NoisePlan(23, 9)
+        default, _ = sweep_ensemble(runs, plan, 13, **kwargs)
+        for window in (16, 256):
+            monkeypatch.setattr(engine, "_WINDOW_STEPS", window)
+            outs, _ = sweep_ensemble(runs, plan, 13, **kwargs)
+            for a, b in zip(default, outs):
+                assert _output_arrays(a, (0.5, 1.0)) == _output_arrays(
+                    b, (0.5, 1.0))
+
+
+def _output_arrays(out, times, rows=slice(None)):
+    """The bytes of every output array of one run, per array."""
+    arrays = [out.endpoints, out.max_l2, out.max_l4, out.max_sup] + [
+        out.snapshots[t] for t in times]
+    return [a[rows].tobytes() for a in arrays]
+
+
+class TestSampleBits:
+    """A sample id gives the same bits whatever batch, chunk or entry
+    point computes it: rows of a 300-sample sweep (chunks of 256 and 44)
+    are the reference."""
+
+    TIMES = (0.5, 1.0)
+
+    @staticmethod
+    def runs(basis):
+        return [tamed_cfg(basis, level=4, epsilon=0.5),
+                reference_cfg(basis, level=6, epsilon=0.5)]
+
+    def sweep(self, basis, samples):
+        outs, _ = sweep_ensemble(
+            self.runs(basis), NoisePlan(41, 6), samples, track_monitors=True,
+            snapshot_times=[self.TIMES, self.TIMES])
+        return outs
+
+    @pytest.fixture(scope="class")
+    def full(self, basis64):
+        return self.sweep(basis64, 300)
+
+    @pytest.mark.parametrize("sample", [0, 5, 255, 256, 299])
+    def test_single_sample_equals_batch_row(self, basis64, full, sample):
+        one = self.sweep(basis64, [sample])
+        for a, b in zip(one, full):
+            assert _output_arrays(a, self.TIMES) == _output_arrays(
+                b, self.TIMES, [sample])
+        for i, cfg in enumerate(self.runs(basis64)):
+            rec = run_trajectory(cfg, NoisePlan(41, 6), sample,
+                                 snapshot_times=self.TIMES)
+            row = full[i]
+            assert rec.endpoint.tobytes() == row.endpoints[sample].tobytes()
+            assert (rec.max_l2, rec.max_l4, rec.max_sup) == (
+                row.max_l2[sample], row.max_l4[sample], row.max_sup[sample])
+            for t in self.TIMES:
+                assert rec.snapshots[t].tobytes() == row.snapshots[t][
+                    sample].tobytes()
+
+    @pytest.mark.parametrize("count", [255, 256, 257])
+    def test_chunk_edges(self, basis64, full, count):
+        # 257 samples end in a one-row chunk
+        for a, b in zip(self.sweep(basis64, count), full):
+            assert _output_arrays(a, self.TIMES) == _output_arrays(
+                b, self.TIMES, slice(0, count))
+
+    def test_explicit_ids_equal_count(self, basis64, full):
+        ids = [299, 0, 5, 256, 255]
+        for a, b in zip(self.sweep(basis64, ids), full):
+            assert _output_arrays(a, self.TIMES) == _output_arrays(
+                b, self.TIMES, ids)
+
+
+def test_sweep_memory_is_window_sized(basis64):
+    # 200 samples at fine level 8: four tamed runs of ratio 2..16 plus
+    # the reference.  Whole-path noise buffers would be 26 MB each
+    runs = [tamed_cfg(basis64, level=level) for level in (7, 6, 5, 4)]
+    runs.append(reference_cfg(basis64, level=8))
+    tracemalloc.start()
+    try:
+        sweep_ensemble(runs, NoisePlan(3, 8), 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 class TestRunEnsemble:
     def test_constant_observable(self, basis64):
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
@@ -294,9 +387,9 @@ class TestRunEnsemble:
 
 
 class TestBlowUpOrdering:
-    """Runs of ratio 1 and 4 over four noise windows; of twelve samples,
-    sample 2 blows up in the ratio-4 run at coarse step 169 (fine step
-    676, inside the third window).  The error pin was recorded with the
+    """Runs of ratio 1 and 4 over sixteen 64-step noise windows; of twelve
+    samples, sample 2 blows up in the ratio-4 run at coarse step 169 (fine
+    step 676, inside the eleventh window).  The error pin was recorded with the
     per-fine-step sweep that streamed noise replaced; the digest carries
     the float bytes, so it depends on the machine like the golden CSVs.
     """

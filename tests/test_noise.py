@@ -1,5 +1,7 @@
 """Noise plan: addressing, joint law of increment pairs, coarse coupling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -224,19 +226,23 @@ class TestIncrementStream:
         plan = NoisePlan(99, level)
         h = 2.0**-level
         eig = SineBasis(n_modes).eigenvalues
-        samples = np.array([400, 3, 17, 258])     # explicit, non-contiguous
-        window = min(256, plan.fine_steps)
-        stream = IncrementStream(plan, samples, eig, h, window)
-        checks = [k for k in (0, 255, 256, 257, plan.fine_steps - 1)
+        checks = [k for k in (0, 63, 64, 65, 255, 256, 257, plan.fine_steps - 1)
                   if k < plan.fine_steps]
-        for w0 in range(0, plan.fine_steps, window):
-            dw, conv = stream.next_window()
-            assert dw.shape == conv.shape == (window, len(samples), n_modes)
-            for k in (k for k in checks if w0 <= k < w0 + window):
-                for c, s in enumerate(samples):
-                    ref_dw, ref_conv = increment_pairs(plan, eig, h, s, k, 1)
-                    assert np.array_equal(dw[k - w0, c], ref_dw[0])
-                    assert np.array_equal(conv[k - w0, c], ref_conv[0])
+        sample_sets = [
+            [400, 3, 17, 258],                      # explicit, non-contiguous
+            [5, 900, 1, 2, 3, 64, 4, 7, 255, 256, 11, 0, 6],  # blocks of 8 and 5
+        ]
+        for window, samples in itertools.product((64, 256), sample_sets):
+            window = min(window, plan.fine_steps)
+            stream = IncrementStream(plan, np.array(samples), eig, h, window)
+            for w0 in range(0, plan.fine_steps, window):
+                dw, conv = stream.next_window()
+                assert dw.shape == conv.shape == (window, len(samples), n_modes)
+                for k in (k for k in checks if w0 <= k < w0 + window):
+                    for c, s in enumerate(samples):
+                        ref_dw, ref_conv = increment_pairs(plan, eig, h, s, k, 1)
+                        assert np.array_equal(dw[k - w0, c], ref_dw[0])
+                        assert np.array_equal(conv[k - w0, c], ref_conv[0])
 
     def test_skipped_buffer_leaves_other_bits(self, basis64):
         plan = NoisePlan(4, 9)

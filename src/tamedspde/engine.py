@@ -19,7 +19,10 @@ reductions happen on per-sample arrays in index order, so a sample's
 results are bit-identical for any thread count, chunk size or entry
 point.  A one-row matmul takes BLAS's matrix-vector path, whose last bit
 can differ from a row of a matrix product, so a chunk of one sample is
-swept as two copies of it.
+swept as two copies of it, and the single-step helpers step a lone state
+as two rows.  Snapshots can be reduced as the sweep goes
+(``snapshot_fn``), so a caller that reads a few numbers per sample and
+time does not hold the states.
 
 Each chunk streams its noise: a ``noise.IncrementStream`` keeps one live
 Philox generator per sample and fills reused window buffers of 64 fine
@@ -267,9 +270,16 @@ def semi_implicit_reference_step(
 
 def _one_step(state, cfg: SchemeConfig, noise, step_index: int) -> np.ndarray:
     state = np.asarray(state, dtype=np.float64)
-    out, phys, fv = (np.empty_like(state) for _ in range(3))
-    _RunPre(cfg).advance(state, np.asarray(noise, dtype=np.float64),
+    # a lone state is stepped as two rows and one dropped, so its bits
+    # equal a sweep row's (see the module docstring)
+    batch = np.atleast_2d(state)
+    lone = len(batch) == 1
+    if lone:
+        batch = batch.repeat(2, axis=0)
+    out, phys, fv = (np.empty_like(batch) for _ in range(3))
+    _RunPre(cfg).advance(batch, np.asarray(noise, dtype=np.float64),
                          out, phys, fv)
+    out = out[:1].reshape(state.shape) if lone else out
     _check_finite(out, step_index)
     return out
 
@@ -387,6 +397,7 @@ def sweep_ensemble(
     *,
     x0: np.ndarray | None = None,
     snapshot_times: Sequence[Sequence[float]] | None = None,
+    snapshot_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     track_monitors: bool = False,
     skip_blowups: bool = False,
     threads: int = 1,
@@ -398,6 +409,14 @@ def sweep_ensemble(
     run plus the boolean mask of samples that blew up (only ever set
     when ``skip_blowups``; otherwise a blow-up raises).  Results are
     independent of ``threads``.
+
+    ``snapshot_fn`` reduces what a snapshot stores: it maps a (rows, N)
+    batch of states to (rows, K) per-sample values, and each snapshot
+    array is then (samples, K) instead of (samples, N).  It is applied to
+    a whole chunk's states, always at least two rows (the state at t = 0
+    as two copies of ``x0``), so a one-row matmul inside it cannot take
+    BLAS's matrix-vector path; its rows must depend only on their own
+    state.  None stores the states themselves.
     """
     if not runs:
         raise ValueError("need at least one run")
@@ -426,10 +445,15 @@ def sweep_ensemble(
         _snapshot_steps(r, snapshot_times[i]) if snapshot_times else {}
         for i, r in enumerate(runs)
     ]
+    if snapshot_fn is None:
+        snapshot_fn = np.asarray       # the states themselves
+    # two rows: see the one-row note in work
+    snap0 = snapshot_fn(np.tile(x0, (2, 1)))[:1]
     outputs = [
         RunOutput(
             endpoints=np.empty((n_samples, n_mode)),
-            snapshots={t: np.empty((n_samples, n_mode)) for t in sm.values()},
+            snapshots={t: np.empty((n_samples, *snap0.shape[1:]))
+                       for t in sm.values()},
             max_l2=np.empty(n_samples) if track_monitors else None,
             max_l4=np.empty(n_samples) if track_monitors else None,
             max_sup=np.empty(n_samples) if track_monitors else None,
@@ -442,10 +466,10 @@ def sweep_ensemble(
         for i, out in enumerate(outputs):
             out.endpoints[:] = x0
             for t in out.snapshots:
-                out.snapshots[t][:] = x0
+                out.snapshots[t][:] = snap0
             if track_monitors:     # two rows: see the one-row note in work
                 _write_monitors(out, slice(0, n_samples), *(
-                    v[:1] for v in _state_norms(basis, np.tile(x0, (2, 1)))))
+                    v[:1] for v in _monitor_values(basis, np.tile(x0, (2, 1)))))
         return outputs, blown
 
     fine_steps = plan.fine_steps
@@ -495,10 +519,11 @@ def sweep_ensemble(
         phys, fv = np.empty((count, n_mode)), np.empty((count, n_mode))
         alive = np.ones(count, dtype=bool)
         if track_monitors:
-            mons = [list(_state_norms(basis, states[i])) for i in range(len(runs))]
+            mons = [list(_monitor_values(basis, states[i]))
+                    for i in range(len(runs))]
         for i, sm in enumerate(snap_map):
             if 0 in sm:
-                outputs[i].snapshots[sm[0]][lo:hi] = x0
+                outputs[i].snapshots[sm[0]][lo:hi] = snap0
         stream = noise_mod.IncrementStream(
             plan, ids, basis.eigenvalues, h, window, dw=need_dw, conv=need_conv,
         ) if need_dw or need_conv else None
@@ -539,10 +564,11 @@ def sweep_ensemble(
                         new[~alive] = 0.0
                         blown[lo:hi] |= ~alive[:rows]
                     if track_monitors:
-                        for mon, val in zip(mons[i], _state_norms(basis, new)):
+                        for mon, val in zip(mons[i], _monitor_values(basis, new)):
                             np.maximum(mon, val, out=mon)
                     if m in snap_map[i]:
-                        outputs[i].snapshots[snap_map[i][m]][lo:hi] = new[:rows]
+                        outputs[i].snapshots[snap_map[i][m]][lo:hi] = (
+                            snapshot_fn(new)[:rows])
         dead = lo + np.flatnonzero(~alive[:rows])
         for i, out in enumerate(outputs):
             out.endpoints[lo:hi] = states[i][:rows]
@@ -566,13 +592,23 @@ def sweep_ensemble(
     return outputs, blown
 
 
-def _state_norms(basis: SineBasis, states: np.ndarray):
+def _state_norms(basis: SineBasis, states: np.ndarray) -> np.ndarray:
+    """Per-sample ``(sum c^2, sum phi^4 / (N+1), max |phi|)`` of a (B, N)
+    batch of coefficients ``c`` with nodal values ``phi``, as a (B, 3)
+    array: the squared L2 norm, the fourth power of the L4 norm and the
+    sup norm.  Give it at least two rows (see the module docstring)."""
+    phys = basis.to_physical(states)
+    return np.stack([
+        np.sum(states**2, axis=-1),
+        np.sum(phys**4, axis=-1) / (basis.n_modes + 1),
+        np.max(np.abs(phys), axis=-1),
+    ], axis=-1)
+
+
+def _monitor_values(basis: SineBasis, states: np.ndarray):
     """(L2, L4, sup) norms of a (B, N) batch of states."""
-    l2 = np.linalg.norm(states, axis=-1)
-    phys = states @ basis._transform
-    l4 = (np.sum(phys**4, axis=-1) / (basis.n_modes + 1)) ** 0.25
-    sup = np.max(np.abs(phys), axis=-1)
-    return l2, l4, sup
+    l2_sq, l4_4, sup = _state_norms(basis, states).T
+    return np.sqrt(l2_sq), l4_4**0.25, sup
 
 
 def _write_monitors(out: RunOutput, rows, l2, l4, sup) -> None:

@@ -1,5 +1,7 @@
 """Step test function, weak errors, rate fits, moments, property suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from tamedspde import (
     interface_profile,
     moment_sup_estimate,
     property_suite,
+    sweep_ensemble,
     weak_error_estimate,
 )
 from tamedspde import drift as drift_mod
@@ -256,6 +259,50 @@ class TestMoments:
                            drift=None)
         with pytest.raises(ValueError):
             moment_sup_estimate(cfg, NoisePlan(1, 4), 2, [0.3])
+
+    @staticmethod
+    def tamed(basis, level):
+        tau = 2.0**-level
+        return SchemeConfig(
+            epsilon=0.05, tau=tau, n_steps=2**level, basis=basis,
+            drift=ALLEN_CAHN,
+            taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=tau),
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_in_sweep_norms_equal_full_snapshot_means(self, basis64, threads):
+        # 257 samples: chunks of 256 and 1.  The oracle is the reduction
+        # of full-state snapshots after the sweep, in the formulas the
+        # estimator used before it reduced inside the sweep
+        cfg = self.tamed(basis64, 6)
+        plan = NoisePlan(5, 6)
+        times = [m * cfg.tau for m in range(cfg.n_steps + 1)]
+        report = moment_sup_estimate(cfg, plan, 257, times, threads=threads)
+        outs, _ = sweep_ensemble([cfg], plan, 257, snapshot_times=[times],
+                                 threads=threads)
+        l2sq, l44, sup = [], [], []
+        for t in times:
+            coeffs = outs[0].snapshots[t]
+            phys = basis64.to_physical(coeffs)
+            l2sq.append(np.mean(np.sum(coeffs**2, axis=-1)))
+            l44.append(np.mean(np.sum(phys**4, axis=-1) / (basis64.n_modes + 1)))
+            sup.append(np.mean(np.max(np.abs(phys), axis=-1)))
+        assert report.mean_l2_sq.tobytes() == np.array(l2sq).tobytes()
+        assert report.mean_l4_4.tobytes() == np.array(l44).tobytes()
+        assert report.mean_sup.tobytes() == np.array(sup).tobytes()
+
+    def test_memory_holds_norms_not_states(self, basis64):
+        # a snapshot at each of 513 steps: full (100, 64) states would
+        # take 26 MB, three norms per sample take 1.2 MB
+        cfg = self.tamed(basis64, 9)
+        times = [m * cfg.tau for m in range(cfg.n_steps + 1)]
+        tracemalloc.start()
+        try:
+            moment_sup_estimate(cfg, NoisePlan(3, 9), 100, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestInterfaceProfile:

@@ -277,6 +277,28 @@ class TestMomentsCommand:
         ratio = manifest["growth_ratios"][0]["l2_sq_ratio"]
         assert ratio >= 1.0
 
+    def test_manifest_replay_at_two_threads(self, tmp_path):
+        # 257 samples: chunks of 256 and 1, so the replay runs the thread
+        # pool and a one-row chunk
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(
+            "moments", "--set", "discretization.n_modes=16",
+            "--set", "moments.horizons=0.5 1.0",
+            "--set", "moments.n_samples=257",
+            "--set", "moments.tau_level=6",
+            "--set", "model.epsilon=0.05",
+            "--threads", "1", "--out-dir", str(out1),
+        ) == 0
+        assert run_cli(
+            "moments", "--config", str(out1 / "manifest.json"),
+            "--threads", "2", "--out-dir", str(out2),
+        ) == 0
+        names = sorted(p.name for p in out1.glob("*.csv"))
+        assert names == ["moments_T_0.5.csv", "moments_T_1.csv"]
+        assert sorted(p.name for p in out2.glob("*.csv")) == names
+        for name in names:
+            assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
+
 
 class TestFlagsAndHelp:
     def test_unknown_preset_rejected(self):

@@ -323,6 +323,102 @@ class TestSampleBits:
                 b, self.TIMES, ids)
 
 
+class TestStepHelperBits:
+    """The public single-step helpers, composed with a sample's coarse
+    increments, give the bits of that sample's sweep endpoint: a lone
+    state steps as a batch row does.  Ratio 8 at fine level 6, samples
+    256-299 of a 300-sample sweep (the second chunk)."""
+
+    @staticmethod
+    def cfg(basis, kind):
+        if kind == "tamed":
+            return tamed_cfg(basis, level=3, epsilon=0.5)
+        return reference_cfg(basis, level=3, epsilon=0.5)
+
+    @pytest.mark.parametrize("kind", ["tamed", "reference"])
+    def test_composed_steps_equal_sweep_rows(self, basis64, kind):
+        from tamedspde import increment_pairs
+
+        cfg = self.cfg(basis64, kind)
+        step = (tamed_exponential_step if kind == "tamed"
+                else semi_implicit_reference_step)
+        plan = NoisePlan(41, 6)
+        outs, _ = sweep_ensemble([cfg], plan, 300)
+        lam = basis64.eigenvalues
+        h = plan.fine_step_size(1.0)
+        decay = np.exp(-lam * h)
+        for sample in range(256, 300):
+            dw, conv = increment_pairs(plan, lam, h, sample, 0, 64)
+            state = default_initial(basis64)
+            for m in range(8):
+                # the sweep's running coarse sum, in its order
+                acc = np.zeros(64)
+                for k in range(8 * m, 8 * m + 8):
+                    if kind == "tamed":
+                        acc = acc * decay + conv[k]
+                    else:
+                        acc = acc + dw[k]
+                state = step(state, cfg, acc, m + 1)
+            assert state.shape == (64,)
+            assert state.tobytes() == outs[0].endpoints[sample].tobytes(), (
+                f"sample {sample}")
+
+    def test_batch_steps_row_by_row(self, basis64, rng):
+        cfg = self.cfg(basis64, "tamed")
+        states = rng.standard_normal((3, 64)) * 0.2
+        noise = rng.standard_normal((3, 64)) * 0.01
+        batch = tamed_exponential_step(states, cfg, noise)
+        assert batch.shape == (3, 64)
+        for i in range(3):
+            for one in (states[i], states[i:i + 1]):
+                out = tamed_exponential_step(one, cfg, noise[i])
+                assert out.shape == one.shape
+                assert out.tobytes() == batch[i].tobytes()
+
+
+def test_monitor_bytes_pinned(basis64, fingerprint):
+    # 257 samples end in a one-row chunk; the digest was recorded before
+    # the monitors and the moments shared one norm helper
+    runs = [tamed_cfg(basis64, level=4, epsilon=0.5),
+            reference_cfg(basis64, level=6, epsilon=0.5)]
+    for threads in (1, 2):
+        outs, _ = sweep_ensemble(runs, NoisePlan(41, 6), 257,
+                                 track_monitors=True, threads=threads)
+        h = hashlib.sha256()
+        for out in outs:
+            for a in (out.max_l2, out.max_l4, out.max_sup):
+                h.update(a.tobytes())
+        assert h.hexdigest() == (
+            "288d8fcc467ae5c5c47f59252d3cc8bdcb2899e56d1715a94c22974e6747a1dd"
+        ), f"monitor bytes moved at threads={threads}:\n{fingerprint}"
+
+
+class TestSnapshotFn:
+    TIMES = (0.0, 0.5, 1.0)
+
+    def test_reduced_snapshots_equal_reduced_states(self, basis64):
+        # the callable sees whole chunks, so its rows equal the rows of
+        # the same callable applied to the stored states
+        cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
+        plan = NoisePlan(41, 6)
+        reduce = lambda states: states @ basis64._transform[:, :2]
+        full, _ = sweep_ensemble([cfg], plan, 257, snapshot_times=[self.TIMES])
+        small, _ = sweep_ensemble([cfg], plan, 257, snapshot_times=[self.TIMES],
+                                  snapshot_fn=reduce)
+        for t in self.TIMES:
+            assert small[0].snapshots[t].shape == (257, 2)
+            assert small[0].snapshots[t].tobytes() == reduce(
+                full[0].snapshots[t]).tobytes()
+        assert small[0].endpoints.tobytes() == full[0].endpoints.tobytes()
+
+    def test_zero_horizon(self, basis64):
+        cfg = SchemeConfig(epsilon=0.5, tau=2.0**-4, n_steps=0, basis=basis64,
+                           drift=None)
+        outs, _ = sweep_ensemble([cfg], NoisePlan(1, 4), 3, snapshot_times=[[0.0]],
+                                 snapshot_fn=lambda s: s[:, :1] * 2.0)
+        assert outs[0].snapshots[0.0].tolist() == [[2 * default_initial(basis64)[0]]] * 3
+
+
 def test_sweep_memory_is_window_sized(basis64):
     # 200 samples at fine level 8: four tamed runs of ratio 2..16 plus
     # the reference.  Whole-path noise buffers would be 26 MB each

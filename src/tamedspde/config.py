@@ -79,6 +79,11 @@ class ExperimentConfig:
             bad("discretization.n_modes", f"must be >= 1, got {self.n_modes}")
         if not self.horizon > 0:
             bad("discretization.horizon", f"must be > 0, got {self.horizon}")
+        # the paper7 presets' reference grid, 2^14 fine steps, is the
+        # finest one supported
+        if not 0 <= self.fine_level <= 14:
+            bad("discretization.fine_level",
+                f"must lie in 0..14, got {self.fine_level}")
         if not self.tau_levels:
             bad("discretization.tau_levels", "must list at least one level")
         if any(k < 0 or k > self.fine_level for k in self.tau_levels):

@@ -17,6 +17,7 @@ and reproducible, which is what the downstream admissibility checks need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -139,41 +140,55 @@ def f_prime_eval(d: DriftSpec, v) -> np.ndarray:
     return npoly.polyval(np.asarray(v, dtype=np.float64), npoly.polyder(d.coeffs))
 
 
-def _abs_power(v: np.ndarray, p) -> np.ndarray:
-    # |v|**p with a cheap path for small integer exponents (the hot loop
-    # only ever sees p in {2, 4, 6, 8} for the standard alpha choices)
+def _abs_power(v: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
+    # |v|**p, into ``out`` when given, with a cheap path for small integer
+    # exponents (the hot loop only ever sees p in {2, 4, 6, 8} for the
+    # standard alpha choices): repeated squaring of v*v, which equals
+    # |v|*|v| bit for bit.  With ``out`` the squares are taken in place;
+    # an exponent whose half has two or more set bits (6, 7 and 10 to 15)
+    # takes one temporary for the running square
     if np.ndim(p) == 0 and float(p).is_integer() and 1 <= p <= 16:
         n = int(p)
-        out = np.abs(v) if n % 2 else None
-        sq = v * v
+        if n == 1:
+            return np.abs(v, out=out)
+        base = np.multiply(v, v, out=out)
         acc = None
-        base = sq
         m = n // 2
         while m:
             if m & 1:
-                acc = base if acc is None else acc * base
+                acc = base if acc is None else np.multiply(acc, base, out=out)
             m >>= 1
             if m:
-                base = base * base
-        if acc is None:
-            return out
-        return acc if out is None else acc * out
-    return np.abs(v) ** p
+                # in place, unless acc still holds this square; without
+                # ``out`` every square is a fresh array (0-d input needs it)
+                inplace = out is not None and base is not acc
+                base = np.multiply(base, base, out=base if inplace else None)
+        if n % 2:
+            # acc * |v| as |acc * v|: the same bits, since acc >= 0
+            acc = np.abs(np.multiply(acc, v, out=out), out=out)
+        return acc
+    if out is None:
+        return np.abs(v) ** p
+    np.abs(v, out=out)
+    out **= p
+    return out
 
 
-def _taming_denominator(x: np.ndarray, alpha) -> np.ndarray:
+def _taming_denominator(x: np.ndarray, alpha,
+                        out: np.ndarray | None = None) -> np.ndarray:
     # (1 + x)^alpha computed as exp(alpha * log1p(x)) for accuracy at
-    # small x, with exact paths for the standard alpha choices
+    # small x, with exact paths for the standard alpha choices; into
+    # ``out`` when given (``out`` may be ``x``)
     if np.ndim(alpha) == 0:
         if alpha == 1.0:
-            return 1.0 + x
+            return np.add(x, 1.0, out=out)
         if alpha == 0.5:
-            return np.sqrt(1.0 + x)
+            return np.sqrt(np.add(x, 1.0, out=out), out=out)
         if alpha == 0.25:
-            return np.sqrt(np.sqrt(1.0 + x))
+            return np.sqrt(np.sqrt(np.add(x, 1.0, out=out), out=out), out=out)
         if alpha == 1.0 / 3.0:
-            return np.cbrt(1.0 + x)
-    return np.exp(alpha * np.log1p(x))
+            return np.cbrt(np.add(x, 1.0, out=out), out=out)
+    return np.exp(np.multiply(alpha, np.log1p(x, out=out), out=out), out=out)
 
 
 def f_tau_eval(d: DriftSpec, p: TamingParams, v) -> np.ndarray:
@@ -249,8 +264,17 @@ def derive_growth_constants(
     supremum of f'; c0 is found by searching candidates leading/2^k, with
     matching (c1, c2) certified by requiring the residual supremum to be
     attained strictly inside the grid (so enlarging the grid cannot grow
-    it).  Raises DriftDerivationError with the violating pair if no
-    candidate certifies.
+    it).  The first certified (c0, c1) in (k, j) order is returned.
+    Raises DriftDerivationError with the violating pair if no candidate
+    certifies.
+
+    The 2-D residual ``g = ((u+v) f(u) + c0 u^2q) - c1 v^2q`` is swept in
+    blocks of 64 rows, so only two (64, n) buffers are live, never the
+    (n, n) grid: for each c0 a block's ``(u+v) f(u) + c0 u^2q`` is formed
+    once and every c1 is subtracted from it.  Each element takes the same
+    operations in the same order as on the whole grid, and the maximum is
+    taken at its first row-major position (a NaN first, as np.argmax
+    does), so the constants and the reported pair keep their bits.
     """
     coeffs = d.coeffs
     deg = d.degree
@@ -267,23 +291,39 @@ def derive_growth_constants(
     # 2-D certification grid, coarser than the 1-D one
     mags = np.logspace(-6, np.log10(bound), pair_grid)
     axis = np.concatenate([-mags[::-1], [0.0], mags])
+    n = len(axis)
     u = axis[:, None]
     v = axis[None, :]
     fu = f_eval(d, u)
     u2q = _abs_power(u, 2 * d.q)
     v2q = _abs_power(v, 2 * d.q)
     interior = np.abs(axis) <= bound / 2.0
+    c1s = [d.leading * 2.0**j for j in range(-2, 10)]
+    c1v2q = [c1 * v2q for c1 in c1s]
+    rows = 64
+    base, g = np.empty((min(rows, n), n)), np.empty((min(rows, n), n))
 
     last_violation: tuple[float, float] | None = None
     for k in range(0, 12):
         c0 = d.leading / 2.0**k
-        base = (u + v) * fu + c0 * u2q
-        for j in range(-2, 10):
-            c1 = d.leading * 2.0**j
-            g = base - c1 * v2q
-            idx = np.unravel_index(np.argmax(g), g.shape)
+        c0u2q = c0 * u2q
+        top: list = [None] * len(c1s)       # per c1: (max of g, its (i, j))
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            b, gb = base[: r1 - r0], g[: r1 - r0]
+            np.add(u[r0:r1], v, out=b)
+            b *= fu[r0:r1]
+            b += c0u2q[r0:r1]
+            for c, sub in enumerate(c1v2q):
+                np.subtract(b, sub, out=gb)
+                i = int(np.argmax(gb))
+                val = float(gb.flat[i])
+                if (top[c] is None or val > top[c][0]
+                        or (math.isnan(val) and not math.isnan(top[c][0]))):
+                    top[c] = (val, (r0 + i // n, i % n))
+        for c1, (val, idx) in zip(c1s, top):
             if interior[idx[0]] and interior[idx[1]]:
-                c2 = max(float(g[idx]), 0.0)
+                c2 = max(val, 0.0)
                 return DriftConstants(L_f, c0, c1, c2, c3, c4, c5)
             last_violation = (float(axis[idx[0]]), float(axis[idx[1]]))
     raise DriftDerivationError(

@@ -25,17 +25,21 @@ as two rows.  Snapshots can be reduced as the sweep goes
 time does not hold the states.
 
 Each chunk streams its noise: a ``noise.IncrementStream`` keeps one live
-Philox generator per sample and fills reused window buffers of 64 fine
-steps laid out (step, sample, mode).  At every fine step, each (ratio,
-scheme kind) in use adds the step's increments to one running
-(samples, modes) coarse sum by the fine-step recursion, restarted at each
-coarse step; runs sharing a ratio and a kind share the sum.  The runs
-then advance fine-step-major, in run order, so blow-up reporting and
-``skip_blowups`` see the steps in the same order whatever the window
-length.  A step writes its new state, both transforms and the drift
-polynomial into buffers allocated once per chunk: it fills a spare state
-buffer and hands the run's old one on as the next spare, and one
-collocation scratch pair serves every run.
+Philox generator per sample and fills reused window buffers of 16 fine
+steps laid out (step, sample, mode), 16 x 256 x 64 x 8 B = 2 MB per kind
+for a full chunk at N = 64.  At every fine step, each (ratio, scheme
+kind) in use adds the step's increments to one running (samples, modes)
+coarse sum by the fine-step recursion, restarted at each coarse step;
+runs sharing a ratio and a kind share the sum.  The runs then advance
+fine-step-major, in run order, so blow-up reporting and ``skip_blowups``
+see the steps in the same order whatever the window length.  A step
+writes its new state, both transforms, the drift polynomial, the taming
+and its finiteness check into buffers allocated once per chunk: it fills
+a spare state buffer and hands the run's old one on as the next spare,
+the taming works in that spare before the update overwrites it, and one
+collocation scratch pair serves every run.  The update's per-mode factor
+is tiled to the chunk once per (kind, tau), because numpy takes a ufunc
+buffer for every broadcast multiply.
 
 ``threads`` is the only parallelism: that many chunks run at once, and
 BLAS is held at one thread for the whole sweep, then set back.  A chunk's
@@ -81,7 +85,7 @@ __all__ = [
 ]
 
 _CHUNK_SAMPLES = 256
-_WINDOW_STEPS = 64
+_WINDOW_STEPS = 16
 
 
 class SchemeKind(enum.Enum):
@@ -187,10 +191,12 @@ class _RunPre:
         self.transform = basis._transform
         self.inv_nodes = 1.0 / (basis.n_modes + 1)
         self.drift_scale = cfg.tau / cfg.epsilon
+        # per-mode factor of the update: E(tau) for the tamed step,
+        # 1 / (1 + tau lambda) for the reference
         if cfg.kind is SchemeKind.TAMED_EXP_EULER:
-            self.semigroup = basis.semigroup_factors(cfg.tau)
+            self.factor = basis.semigroup_factors(cfg.tau)
         else:
-            self.divisor = 1.0 / (1.0 + cfg.tau * basis.eigenvalues)
+            self.factor = 1.0 / (1.0 + cfg.tau * basis.eigenvalues)
         if cfg.drift is not None and cfg.kind is SchemeKind.TAMED_EXP_EULER:
             t = cfg.taming
             self.tame_coef = t.beta * t.tau**t.theta
@@ -198,9 +204,9 @@ class _RunPre:
             self.tame_alpha = t.alpha
 
     def drift_term(self, states: np.ndarray, phys: np.ndarray,
-                   fv: np.ndarray) -> np.ndarray | None:
+                   fv: np.ndarray, tame: np.ndarray) -> np.ndarray | None:
         """Collocation evaluation of the (tamed) Nemytskii drift, written
-        to ``phys``; ``fv`` is scratch of the same shape."""
+        to ``phys``; ``fv`` and ``tame`` are scratch of the same shape."""
         cfg = self.cfg
         if cfg.drift is None:
             return None
@@ -210,28 +216,33 @@ class _RunPre:
             np.matmul(states, self.transform, out=phys)
             drift_mod.f_eval(cfg.drift, phys, out=fv)
             if cfg.kind is SchemeKind.TAMED_EXP_EULER:
-                x = self.tame_coef * drift_mod._abs_power(phys, self.tame_power)
-                fv /= drift_mod._taming_denominator(x, self.tame_alpha)
+                x = drift_mod._abs_power(phys, self.tame_power, out=tame)
+                x *= self.tame_coef
+                fv /= drift_mod._taming_denominator(x, self.tame_alpha, out=x)
             np.matmul(fv, self.transform, out=phys)
             phys *= self.inv_nodes
         return phys
 
     def advance(self, states: np.ndarray, noise: np.ndarray, out: np.ndarray,
-                phys: np.ndarray, fv: np.ndarray) -> np.ndarray:
+                phys: np.ndarray, fv: np.ndarray,
+                factor: np.ndarray) -> np.ndarray:
         """One step of ``states`` written to ``out``; ``phys`` and ``fv``
-        are scratch.  All four buffers have the shape of ``states``."""
-        base = self.drift_term(states, phys, fv)
+        are scratch.  All four buffers have the shape of ``states``.
+        ``factor`` is ``self.factor``, best tiled to that shape too: a
+        broadcast multiply takes a 64 kB ufunc buffer and twice the time."""
+        # ``out`` is free until the update, so the taming uses it
+        base = self.drift_term(states, phys, fv, out)
         if base is None:
             base = states
         else:
             base *= self.drift_scale
             base += states
         if self.cfg.kind is SchemeKind.TAMED_EXP_EULER:
-            np.multiply(base, self.semigroup, out=out)
+            np.multiply(base, factor, out=out)
             out += noise
         else:
             np.add(base, noise, out=out)
-            out *= self.divisor
+            out *= factor
         return out
 
 
@@ -277,8 +288,9 @@ def _one_step(state, cfg: SchemeConfig, noise, step_index: int) -> np.ndarray:
     if lone:
         batch = batch.repeat(2, axis=0)
     out, phys, fv = (np.empty_like(batch) for _ in range(3))
-    _RunPre(cfg).advance(batch, np.asarray(noise, dtype=np.float64),
-                         out, phys, fv)
+    pre = _RunPre(cfg)
+    pre.advance(batch, np.asarray(noise, dtype=np.float64), out, phys, fv,
+                pre.factor)
     out = out[:1].reshape(state.shape) if lone else out
     _check_finite(out, step_index)
     return out
@@ -517,6 +529,8 @@ def sweep_ensemble(
         states = [np.tile(x0, (count, 1)) for _ in runs]
         spare = np.empty((count, n_mode))
         phys, fv = np.empty((count, n_mode)), np.empty((count, n_mode))
+        finite = np.empty((count, n_mode), dtype=bool)
+        ok = np.empty(count, dtype=bool)
         alive = np.ones(count, dtype=bool)
         if track_monitors:
             mons = [list(_monitor_values(basis, states[i]))
@@ -534,6 +548,10 @@ def sweep_ensemble(
                 for r, ratio, t in zip(runs, ratios, tamed)
                 if r.with_noise and ratio > 1}
         decay = np.tile(decay_fine, (count, 1))
+        # update factors tiled to the chunk, one per (kind, tau) in use
+        tiles = {(r.kind, r.tau): np.tile(pre.factor, (count, 1))
+                 for r, pre in zip(runs, pres)}
+        factors = [tiles[r.kind, r.tau] for r in runs]
         no_noise = np.zeros((count, n_mode))
         for w0 in range(0, fine_steps, window):
             if stream is not None:
@@ -546,16 +564,16 @@ def sweep_ensemble(
                     if t:
                         acc *= decay
                     acc += fine[t][kl]
-                for i, (r, pre, ratio, t) in enumerate(
-                        zip(runs, pres, ratios, tamed)):
+                for i, (r, pre, ratio, t, factor) in enumerate(
+                        zip(runs, pres, ratios, tamed, factors)):
                     if (k + 1) % ratio:
                         continue
                     m = (k + 1) // ratio
                     inc = (no_noise if not r.with_noise
                            else fine[t][kl] if ratio == 1 else accs[ratio, t])
-                    new = pre.advance(states[i], inc, spare, phys, fv)
+                    new = pre.advance(states[i], inc, spare, phys, fv, factor)
                     spare, states[i] = states[i], new
-                    ok = np.isfinite(new).all(axis=1)
+                    np.all(np.isfinite(new, out=finite), axis=1, out=ok)
                     if not ok.all():
                         if not skip_blowups:
                             bad = int(np.nonzero(~ok)[0][0])

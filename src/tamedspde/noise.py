@@ -23,7 +23,7 @@ generator at the requested step.  The ensemble sweep instead streams:
 ``IncrementStream`` builds each sample's generator once at step 0 and
 draws window after window from it, which yields the same words because
 consecutive steps occupy consecutive counter blocks.  Both paths run the
-same elementwise Box-Muller kernel, the stream on blocks of 8 samples at
+same elementwise Box-Muller kernel, the stream on blocks of 32 samples at
 a time, with the same operations in the same order, so their bits agree.
 The floor of that kernel is libm's scalar cos and sin; any faster normal
 map would change the output bits.
@@ -64,7 +64,7 @@ _U64 = np.uint64
 _PHILOX_WORDS_PER_BLOCK = 4
 _INV_2_53 = 2.0**-53
 _SHIFT = _U64(11)
-_BLOCK_SAMPLES = 8          # samples per Box-Muller call in IncrementStream
+_BLOCK_SAMPLES = 32         # samples per Box-Muller call in IncrementStream
 
 
 @dataclass(frozen=True)
@@ -208,12 +208,13 @@ class IncrementStream:
     alive: the counter layout puts step k+1 right after step k, so drawing
     the next ``window * words_per_step`` words from it yields exactly the
     words the layout assigns to those steps.  Box-Muller and the Cholesky
-    mix run once per block of 8 samples on their (8, window, words) raw
+    mix run once per block of 32 samples on their (32, window, words) raw
     words, so short windows cost few Python-level numpy calls per sample
-    and step; each block lands in window buffers laid out (step, sample,
-    mode) by one transposed copy, so each step of a window is one
-    contiguous (samples, modes) block.  Every buffer is reused across
-    windows.  ``dw`` or ``conv`` set to False skips that window buffer
+    and step (512 sample-steps per call at the sweep's 16-step windows);
+    each block lands in window buffers laid out (step, sample, mode) by
+    one transposed copy, so each step of a window is one contiguous
+    (samples, modes) block.  Every buffer is reused across windows.
+    ``dw`` or ``conv`` set to False skips that window buffer
     (it is then returned as None).
     """
 

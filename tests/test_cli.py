@@ -1,6 +1,7 @@
 """Configuration round-trips, subcommands, CSV contracts, exit codes."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,22 @@ class TestConfig:
             replace(ExperimentConfig(), alpha=3.0).validate()
         with pytest.raises(ConfigError, match="sampling.phi_norm"):
             replace(ExperimentConfig(), phi_norm="h1").validate()
+
+    @pytest.mark.parametrize("level", [-1, 15, 20])
+    def test_unsupported_fine_level_exits_one(self, level, tmp_path, capsys):
+        code = run_cli("converge", "--preset", "paper7-beta5-ci",
+                       "--set", f"discretization.fine_level={level}",
+                       "--out-dir", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "discretization.fine_level" in err
+        assert f"must lie in 0..14, got {level}" in err
+        assert not (tmp_path / "errors.csv").exists()
+
+    def test_fine_level_bounds_accepted(self):
+        for level in (0, 14):
+            cfg = replace(ExperimentConfig(), fine_level=level, tau_levels=(0,))
+            assert cfg.validate() is cfg
 
     def test_override(self):
         cfg = ExperimentConfig().with_override("taming.beta", "100")
@@ -312,3 +329,37 @@ class TestFlagsAndHelp:
         assert run_cli("converge", *TINY, "--seed", "2",
                        "--out-dir", str(out2)) == 0
         assert (out1 / "errors.csv").read_bytes() != (out2 / "errors.csv").read_bytes()
+
+
+class TestWorkingSet:
+    """Traced peak memory of whole CLI runs: the certification grid is
+    swept in row blocks and the noise in 16-step windows, so neither the
+    (803, 803) grid nor long windows are ever held."""
+
+    @staticmethod
+    def traced_peak(argv) -> float:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_converge_peak(self, tmp_path):
+        # 200 samples at fine level 8; the grid alone was 22 MB
+        peak = self.traced_peak([
+            "converge", "--preset", "paper7-beta5-ci",
+            "--set", "discretization.fine_level=8",
+            "--set", "discretization.tau_levels=5 6 7",
+            "--out-dir", str(tmp_path)])
+        assert peak <= 12.0, f"traced peak {peak:.1f} MB"
+
+    def test_interface_two_threads_peak(self, tmp_path):
+        # two 256-sample chunks streaming at once
+        peak = self.traced_peak([
+            "interface", "--preset", "interface-eps2", "--threads", "2",
+            "--set", "sampling.n_samples=512",
+            "--set", "discretization.fine_level=6",
+            "--set", "discretization.tau_levels=6",
+            "--out-dir", str(tmp_path)])
+        assert peak <= 16.0, f"traced peak {peak:.1f} MB"

@@ -1,5 +1,8 @@
 """Drift polynomial, taming, regularization, and certified constants."""
 
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,10 @@ from tamedspde import (
     step_size_condition,
 )
 from tamedspde.drift import (
+    DriftConstants,
+    DriftDerivationError,
+    _abs_power,
+    _taming_denominator,
     check_delta_derivative_growth,
     check_one_sided_delta_derivative,
     check_power_mean_inequality,
@@ -213,6 +220,148 @@ class TestGrowthConstants:
         monster = DriftSpec(q=2, leading=1e-9, lower=(0.0, 0.0, 1e6))
         with pytest.raises(DriftDerivationError, match=r"\(u, v\)"):
             derive_growth_constants(monster)
+
+
+def full_grid_constants(d, bound=1e3, pair_grid=401):
+    """The certification search on the whole (n, n) grid at once: the
+    oracle for the row-blocked search."""
+    coeffs = d.coeffs
+    deg = d.degree
+    mid = float(np.abs(coeffs[2:deg]).sum()) if deg > 2 else 0.0
+    c3 = float(abs(coeffs[deg])) + mid
+    c4 = float(abs(coeffs[1]))
+    c5 = float(abs(coeffs[0])) + mid
+    L_f = float(np.max(f_prime_eval(d, verification_grid(bound))))
+    mags = np.logspace(-6, np.log10(bound), pair_grid)
+    axis = np.concatenate([-mags[::-1], [0.0], mags])
+    u = axis[:, None]
+    v = axis[None, :]
+    fu = f_eval(d, u)
+    u2q = _abs_power(u, 2 * d.q)
+    v2q = _abs_power(v, 2 * d.q)
+    interior = np.abs(axis) <= bound / 2.0
+    last_violation = None
+    for k in range(0, 12):
+        c0 = d.leading / 2.0**k
+        base = (u + v) * fu + c0 * u2q
+        for j in range(-2, 10):
+            c1 = d.leading * 2.0**j
+            g = base - c1 * v2q
+            idx = np.unravel_index(np.argmax(g), g.shape)
+            if interior[idx[0]] and interior[idx[1]]:
+                c2 = max(float(g[idx]), 0.0)
+                return DriftConstants(L_f, c0, c1, c2, c3, c4, c5)
+            last_violation = (float(axis[idx[0]]), float(axis[idx[1]]))
+    raise DriftDerivationError(
+        "no (c0, c1) candidate certified the coercivity bound on the grid; "
+        f"supremum escaped to the boundary near (u, v) = {last_violation}"
+    )
+
+
+class TestBlockedCertification:
+    """The row-blocked search gives the whole-grid search's bits."""
+
+    @pytest.mark.parametrize("d", [
+        ALLEN_CAHN,
+        DriftSpec(q=3, leading=2.0, lower=(0.5, -1.0, 0.3, 0.7, -0.2)),
+        DriftSpec(q=2, leading=0.3, lower=(-0.4, 2.0, 1.5)),
+    ], ids=["allen-cahn", "q3-lower-terms", "q2-quadratic"])
+    def test_constants_equal_full_grid_bits(self, d):
+        got = derive_growth_constants(d)
+        want = full_grid_constants(d)
+        assert np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes()
+
+    def test_constants_equal_full_grid_odd_sizes(self):
+        # grids of 41 and 403 points: one partial block, several blocks
+        # and a partial last one
+        d = DriftSpec(q=3, leading=2.0, lower=(0.5, -1.0, 0.3, 0.7, -0.2))
+        for pair_grid in (20, 201):
+            got = derive_growth_constants(d, bound=50.0, pair_grid=pair_grid)
+            want = full_grid_constants(d, bound=50.0, pair_grid=pair_grid)
+            assert astuple(got) == astuple(want)
+
+    @pytest.mark.parametrize("d", [
+        DriftSpec(q=2, leading=1e-9, lower=(0.0, 0.0, 1e6)),
+        DriftSpec(q=60, leading=1.0),      # |u|^120 overflows: NaN residuals
+    ], ids=["monster", "overflowing"])
+    def test_failure_message_equals_full_grid(self, d):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DriftDerivationError) as want:
+                full_grid_constants(d)
+            with pytest.raises(DriftDerivationError) as got:
+                derive_growth_constants(d)
+        assert str(got.value) == str(want.value)
+
+    def test_allen_cahn_constants_pinned(self):
+        dc = derive_growth_constants(ALLEN_CAHN)
+        assert (dc.c0, dc.c1, dc.c2) == (0.5, 1.0, 1.352025208687622)
+
+    def test_memory_is_row_blocked(self):
+        # the (803, 803) grids came to 22 MB; the 1-D grid of 200,001
+        # points and its polynomial temporaries now set the peak
+        tracemalloc.start()
+        try:
+            derive_growth_constants(ALLEN_CAHN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def abs_power_oracle(v, p):
+    """|v|**p by repeated squaring into fresh arrays."""
+    if float(p).is_integer() and 1 <= p <= 16:
+        n = int(p)
+        odd = np.abs(v) if n % 2 else None
+        acc, base, m = None, v * v, n // 2
+        while m:
+            if m & 1:
+                acc = base if acc is None else acc * base
+            m >>= 1
+            if m:
+                base = base * base
+        if acc is None:
+            return odd
+        return acc if odd is None else acc * odd
+    return np.abs(v) ** p
+
+
+def taming_denominator_oracle(x, alpha):
+    """(1 + x)^alpha into fresh arrays."""
+    if alpha == 1.0:
+        return 1.0 + x
+    if alpha == 0.5:
+        return np.sqrt(1.0 + x)
+    if alpha == 0.25:
+        return np.sqrt(np.sqrt(1.0 + x))
+    if alpha == 1.0 / 3.0:
+        return np.cbrt(1.0 + x)
+    return np.exp(alpha * np.log1p(x))
+
+
+class TestTamingInPlace:
+    """``out=`` on the taming helpers keeps every bit."""
+
+    STATES = np.random.default_rng(7).normal(0.0, 3.0, (50, 16))
+
+    @pytest.mark.parametrize("p", [*range(1, 17), 0.5, 2.5])
+    def test_abs_power_into_out(self, p):
+        want = abs_power_oracle(self.STATES, p).tobytes()
+        out = np.empty_like(self.STATES)
+        got = _abs_power(self.STATES, p, out=out)
+        assert got is out
+        assert got.tobytes() == want
+        assert _abs_power(self.STATES, p).tobytes() == want
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 1.0 / 3.0, 0.25, 0.7])
+    def test_taming_denominator_in_place(self, alpha):
+        x = np.abs(self.STATES)
+        want = taming_denominator_oracle(x, alpha).tobytes()
+        buf = x.copy()
+        got = _taming_denominator(buf, alpha, out=buf)
+        assert got is buf
+        assert got.tobytes() == want
+        assert _taming_denominator(x, alpha).tobytes() == want
 
 
 class TestStepSizeCondition:

@@ -246,21 +246,58 @@ class TestSweep:
 
 
     def test_window_length_changes_no_byte(self, basis64, monkeypatch):
-        # coarse ratios below, at and above the default 64-step window
+        # coarse ratios below, at and above the default 16-step window
         runs = [tamed_cfg(basis64, level=9 - q, epsilon=0.5)
-                for q in (0, 2, 6, 8)]
+                for q in (0, 2, 4, 6, 8)]
         runs += [reference_cfg(basis64, level=level, epsilon=0.5)
                  for level in (9, 3)]
         kwargs = dict(snapshot_times=[[0.5, 1.0]] * len(runs),
                       track_monitors=True)
         plan = NoisePlan(23, 9)
         default, _ = sweep_ensemble(runs, plan, 13, **kwargs)
-        for window in (16, 256):
+        for window in (4, 64, 256):
             monkeypatch.setattr(engine, "_WINDOW_STEPS", window)
             outs, _ = sweep_ensemble(runs, plan, 13, **kwargs)
             for a, b in zip(default, outs):
                 assert _output_arrays(a, (0.5, 1.0)) == _output_arrays(
                     b, (0.5, 1.0))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 1.0 / 3.0, 0.25])
+def test_collocation_in_scratch_keeps_bits(basis64, alpha):
+    # the taming runs in place in the step's scratch; the oracle is
+    # f_tau_eval, which takes a fresh array per operation
+    cfg = tamed_cfg(basis64, level=10, alpha=alpha, theta=0.5)
+    pre = engine._RunPre(cfg)
+    states = np.random.default_rng(3).normal(0.0, 1.0, (200, 64))
+    phys, fv, tame = (np.empty_like(states) for _ in range(3))
+    got = pre.drift_term(states, phys, fv, tame)
+    nodal = states @ pre.transform
+    want = f_tau_eval(ALLEN_CAHN, cfg.taming, nodal) @ pre.transform
+    want *= pre.inv_nodes
+    assert got is phys
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25, None],
+                         ids=["tamed-1", "tamed-1/2", "tamed-1/4", "reference"])
+def test_step_allocates_no_arrays(basis64, alpha):
+    # the collocation, the taming and the update write only into the
+    # step's buffers; one (256, 64) temporary would be 131 kB
+    cfg = (reference_cfg(basis64, level=10) if alpha is None
+           else tamed_cfg(basis64, level=10, alpha=alpha))
+    pre = engine._RunPre(cfg)
+    states = np.random.default_rng(3).normal(0.0, 1.0, (256, 64))
+    noise, out, phys, fv = (np.zeros_like(states) for _ in range(4))
+    factor = np.tile(pre.factor, (256, 1))
+    pre.advance(states, noise, out, phys, fv, factor)
+    tracemalloc.start()
+    try:
+        pre.advance(states, noise, out, phys, fv, factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000, f"traced peak {peak} B"
 
 
 def _output_arrays(out, times, rows=slice(None)):
@@ -430,7 +467,8 @@ def test_sweep_memory_is_window_sized(basis64):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24e6, f"traced peak {peak / 1e6:.1f} MB"
+    # 16-step dW and conv windows are 1.6 MB each at 200 samples
+    assert peak <= 11e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestRunEnsemble:
@@ -483,9 +521,9 @@ class TestRunEnsemble:
 
 
 class TestBlowUpOrdering:
-    """Runs of ratio 1 and 4 over sixteen 64-step noise windows; of twelve
-    samples, sample 2 blows up in the ratio-4 run at coarse step 169 (fine
-    step 676, inside the eleventh window).  The error pin was recorded with the
+    """Runs of ratio 1 and 4 over sixty-four 16-step noise windows; of
+    twelve samples, sample 2 blows up in the ratio-4 run at coarse step 169
+    (fine step 676, inside the 43rd window).  The error pin was recorded with the
     per-fine-step sweep that streamed noise replaced; the digest carries
     the float bytes, so it depends on the machine like the golden CSVs.
     """

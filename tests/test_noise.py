@@ -226,13 +226,15 @@ class TestIncrementStream:
         plan = NoisePlan(99, level)
         h = 2.0**-level
         eig = SineBasis(n_modes).eigenvalues
-        checks = [k for k in (0, 63, 64, 65, 255, 256, 257, plan.fine_steps - 1)
+        checks = [k for k in (0, 15, 16, 63, 64, 65, 255, 256, 257,
+                              plan.fine_steps - 1)
                   if k < plan.fine_steps]
         sample_sets = [
             [400, 3, 17, 258],                      # explicit, non-contiguous
-            [5, 900, 1, 2, 3, 64, 4, 7, 255, 256, 11, 0, 6],  # blocks of 8 and 5
+            [5, 900, 1, 2, 3, 64, 4, 7, 255, 256, 11, 0, 6],  # one partial block
+            [3 * s + 1 for s in range(40)],         # blocks of 32 and 8
         ]
-        for window, samples in itertools.product((64, 256), sample_sets):
+        for window, samples in itertools.product((16, 64, 256), sample_sets):
             window = min(window, plan.fine_steps)
             stream = IncrementStream(plan, np.array(samples), eig, h, window)
             for w0 in range(0, plan.fine_steps, window):

@@ -12,7 +12,7 @@ magnitude at the sample counts used here.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "MomentReport",
     "ProfileSet",
     "PropertyReport",
-    "weak_error_estimate",
     "weak_errors_shared_reference",
     "weak_error_table",
     "fit_convergence_rate",
@@ -62,11 +61,9 @@ class StepTestFunction:
             raise ValueError(f"unsupported norm kind {self.norm_kind!r}")
 
     def radius(self, basis: SineBasis, coeffs: np.ndarray) -> np.ndarray:
-        if self.norm_kind == "l2":
-            return basis.norm(coeffs, "l2")
-        if self.norm_kind == "sup":
-            return basis.norm(coeffs, "sup")
-        return np.linalg.norm(basis.to_physical(coeffs), axis=-1)
+        if self.norm_kind == "nodal":
+            return np.linalg.norm(basis.to_physical(coeffs), axis=-1)
+        return basis.norm(coeffs, self.norm_kind)
 
     def __call__(self, basis: SineBasis, coeffs: np.ndarray) -> np.ndarray:
         return np.sin(np.floor(10.0 * self.radius(basis, coeffs)) / 10.0)
@@ -85,14 +82,10 @@ class ErrorRow:
 
 @dataclass
 class ErrorTable:
-    """Weak errors per step size, finest last in ``rows`` order reversed.
-
-    Rows are ordered by strictly decreasing tau; metadata carries the
-    experiment parameters (epsilon, alpha, beta, theta, seed, ...).
-    """
+    """Weak errors per step size, one row each, coarsest first: the rows'
+    tau must strictly decrease."""
 
     rows: list[ErrorRow]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         taus = [r.tau for r in self.rows]
@@ -142,40 +135,25 @@ class ProfileSet:
     mean_values: np.ndarray  # (n_times, N)
 
 
-def weak_error_estimate(
-    cfg_scheme: SchemeConfig,
-    cfg_reference: SchemeConfig,
-    plan: NoisePlan,
-    n_samples: int,
-    phi: StepTestFunction,
-    *,
-    coupled: bool = True,
-    threads: int = 1,
-) -> tuple[float, float]:
-    """|E phi(scheme endpoint) - E phi(reference endpoint)| with a 95%
-    Monte-Carlo halfwidth.
-
-    Coupled mode evaluates both runs on the same realized noise and
-    estimates the mean of the per-sample difference; uncoupled mode uses
-    independent seeds per run.
-    """
-    errors, halfwidths, _ = _weak_errors(
-        [cfg_scheme], cfg_reference, plan, n_samples, phi,
-        coupled=coupled, threads=threads,
-    )
-    return errors[0], halfwidths[0]
-
-
-def _weak_errors(
+def weak_errors_shared_reference(
     schemes: Sequence[SchemeConfig],
     reference: SchemeConfig,
     plan: NoisePlan,
     n_samples: int,
     phi: StepTestFunction,
     *,
-    coupled: bool,
-    threads: int,
-) -> tuple[list[float], list[float], np.ndarray]:
+    coupled: bool = True,
+    threads: int = 1,
+) -> tuple[list[float], list[float]]:
+    """|E phi(scheme endpoint) - E phi(reference endpoint)| of every
+    scheme against one reference run, each with a 95% Monte-Carlo
+    halfwidth.
+
+    Coupled mode advances all schemes and the reference through a single
+    pass over the shared noise path, so the reference is integrated once,
+    and estimates the mean of each per-sample difference.  Uncoupled mode
+    gives every run its own seed and combines the two sample variances.
+    """
     basis = reference.basis
     if coupled:
         outputs, _ = sweep_ensemble(
@@ -187,7 +165,7 @@ def _weak_errors(
             delta = phi(basis, out.endpoints) - phi_ref
             errors.append(float(abs(delta.mean())))
             halfwidths.append(float(1.96 * delta.std(ddof=1) / np.sqrt(n_samples)))
-        return errors, halfwidths, phi_ref
+        return errors, halfwidths
     ref_out, _ = sweep_ensemble(
         [reference], plan.spawn(0), n_samples, threads=threads
     )
@@ -201,29 +179,37 @@ def _weak_errors(
         halfwidths.append(float(
             1.96 * np.sqrt((vals.var(ddof=1) + phi_ref.var(ddof=1)) / n_samples)
         ))
-    return errors, halfwidths, phi_ref
-
-
-def weak_errors_shared_reference(
-    schemes: Sequence[SchemeConfig],
-    reference: SchemeConfig,
-    plan: NoisePlan,
-    n_samples: int,
-    phi: StepTestFunction,
-    *,
-    coupled: bool = True,
-    threads: int = 1,
-) -> tuple[list[float], list[float]]:
-    """Weak errors of many schemes against one reference run.
-
-    In coupled mode the whole batch advances through a single pass over
-    the shared noise path, so the reference is integrated exactly once.
-    """
-    errors, halfwidths, _ = _weak_errors(
-        schemes, reference, plan, n_samples, phi, coupled=coupled,
-        threads=threads,
-    )
     return errors, halfwidths
+
+
+def _error_table(
+    schemes: Sequence[SchemeConfig],
+    errors: Sequence[float],
+    halfwidths: Sequence[float],
+    n_samples: int,
+    constants: DriftConstants | None,
+    epsilon: float | None,
+) -> ErrorTable:
+    """One row per scheme: its level log2(n_steps) and its step-size
+    admissibility verdict from ``constants`` (admissible with a NaN ratio
+    without them or for an untamed scheme)."""
+    rows = []
+    for cfg, err, hw in zip(schemes, errors, halfwidths):
+        if constants is not None and cfg.taming is not None:
+            eps = epsilon if epsilon is not None else cfg.epsilon
+            verdict = drift_mod.step_size_condition(constants, cfg.taming, eps)
+        else:
+            verdict = StepSizeVerdict(True, np.nan)
+        rows.append(ErrorRow(
+            level=int(round(np.log2(cfg.n_steps))),
+            tau=cfg.tau,
+            weak_error=err,
+            mc_halfwidth=hw,
+            n_samples=n_samples,
+            admissible=verdict.admissible,
+            admissibility_ratio=verdict.ratio,
+        ))
+    return ErrorTable(rows=rows)
 
 
 def weak_error_table(
@@ -234,39 +220,21 @@ def weak_error_table(
     phi: StepTestFunction,
     constants: DriftConstants | None = None,
     epsilon: float | None = None,
-    metadata: dict | None = None,
     *,
     coupled: bool = True,
     threads: int = 1,
 ) -> ErrorTable:
-    """Run all step sizes against one shared reference and tabulate.
+    """``weak_errors_shared_reference`` as a table, one row per scheme.
 
     Each row carries the step-size admissibility verdict computed from
     ``constants`` (when provided) for transparency.
     """
-    errors, halfwidths, _ = _weak_errors(
+    errors, halfwidths = weak_errors_shared_reference(
         schemes, reference, plan, n_samples, phi, coupled=coupled,
         threads=threads,
     )
-    horizon = reference.horizon
-    rows = []
-    for cfg, err, hw in zip(schemes, errors, halfwidths):
-        level = int(round(np.log2(horizon / cfg.tau)))
-        if constants is not None and cfg.taming is not None:
-            eps = epsilon if epsilon is not None else cfg.epsilon
-            verdict = drift_mod.step_size_condition(constants, cfg.taming, eps)
-        else:
-            verdict = StepSizeVerdict(True, np.nan)
-        rows.append(ErrorRow(
-            level=level,
-            tau=cfg.tau,
-            weak_error=err,
-            mc_halfwidth=hw,
-            n_samples=n_samples,
-            admissible=verdict.admissible,
-            admissibility_ratio=verdict.ratio,
-        ))
-    return ErrorTable(rows=rows, metadata=dict(metadata or {}))
+    return _error_table(schemes, errors, halfwidths, n_samples, constants,
+                        epsilon)
 
 
 def fit_convergence_rate(table: ErrorTable) -> RateFit:

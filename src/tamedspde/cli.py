@@ -26,6 +26,7 @@ from . import __version__
 from .analysis import (
     ErrorTable,
     StepTestFunction,
+    _error_table,
     fit_convergence_rate,
     interface_profile,
     moment_sup_estimate,
@@ -34,7 +35,7 @@ from .analysis import (
     weak_errors_shared_reference,
 )
 from .config import ConfigError, ExperimentConfig, format_float
-from .drift import DriftSpec, TamingParams, derive_growth_constants, step_size_condition
+from .drift import DriftSpec, TamingParams, derive_growth_constants
 from .engine import BlowUpError, SchemeConfig, SchemeKind, _blas_threads
 from .noise import NoisePlan
 from .presets import PRESETS, preset
@@ -86,6 +87,13 @@ def _drift(cfg: ExperimentConfig) -> DriftSpec:
     return DriftSpec(q=cfg.q, leading=cfg.leading, lower=cfg.f0_coeffs)
 
 
+def _setup(cfg: ExperimentConfig) -> tuple[Path, SineBasis, DriftSpec]:
+    """The output directory, made if missing, the basis and the drift."""
+    outdir = Path(cfg.directory)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir, SineBasis(cfg.n_modes), _drift(cfg)
+
+
 def _scheme(cfg: ExperimentConfig, level: int, *, alpha: float | None = None,
             epsilon: float | None = None, basis: SineBasis,
             drift: DriftSpec) -> SchemeConfig:
@@ -105,22 +113,15 @@ def _scheme(cfg: ExperimentConfig, level: int, *, alpha: float | None = None,
 
 
 def _reference(cfg: ExperimentConfig, *, basis: SineBasis,
-               drift: DriftSpec, epsilon: float | None = None) -> SchemeConfig:
-    tau = cfg.horizon / 2**cfg.fine_level
+               drift: DriftSpec) -> SchemeConfig:
     return SchemeConfig(
-        epsilon=cfg.epsilon if epsilon is None else epsilon,
-        tau=tau,
+        epsilon=cfg.epsilon,
+        tau=cfg.horizon / 2**cfg.fine_level,
         n_steps=2**cfg.fine_level,
         basis=basis,
         drift=drift,
         kind=SchemeKind.SEMI_IMPLICIT_REFERENCE,
     )
-
-
-def _error_csv_rows(table: ErrorTable):
-    for r in table.rows:
-        yield (r.level, r.tau, r.weak_error, r.mc_halfwidth, r.n_samples,
-               r.admissible, r.admissibility_ratio)
 
 
 def _admissibility_entries(table: ErrorTable) -> list[dict]:
@@ -137,10 +138,7 @@ def _admissibility_entries(table: ErrorTable) -> list[dict]:
 
 
 def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
-    outdir = Path(cfg.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    basis = SineBasis(cfg.n_modes)
-    drift = _drift(cfg)
+    outdir, basis, drift = _setup(cfg)
     plan = NoisePlan(cfg.master_seed, cfg.fine_level)
     constants = derive_growth_constants(drift)
     schemes = [_scheme(cfg, k, basis=basis, drift=drift) for k in cfg.tau_levels]
@@ -148,14 +146,13 @@ def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
     table = weak_error_table(
         schemes, reference, plan, cfg.n_samples,
         StepTestFunction(norm_kind=cfg.phi_norm),
-        constants, cfg.epsilon,
-        metadata={"epsilon": cfg.epsilon, "alpha": cfg.alpha, "beta": cfg.beta,
-                  "theta": cfg.theta, "seed": cfg.master_seed},
-        coupled=cfg.coupled, threads=threads,
+        constants, cfg.epsilon, coupled=cfg.coupled, threads=threads,
     )
     header = ("level", "tau", "weak_error", "mc_halfwidth", "n_samples",
               "admissible", "admissibility_ratio")
-    _write_csv(outdir / "errors.csv", header, _error_csv_rows(table))
+    _write_csv(outdir / "errors.csv", header, (
+        (r.level, r.tau, r.weak_error, r.mc_halfwidth, r.n_samples,
+         r.admissible, r.admissibility_ratio) for r in table.rows))
     outputs = ["errors.csv"]
     for row in table.rows:
         print(f"level {row.level}  tau {row.tau:.3e}  weak error "
@@ -177,10 +174,7 @@ def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
 
 
 def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
-    outdir = Path(cfg.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    basis = SineBasis(cfg.n_modes)
-    drift = _drift(cfg)
+    outdir, basis, drift = _setup(cfg)
     plan = NoisePlan(cfg.master_seed, cfg.fine_level)
     constants = derive_growth_constants(drift)
     schemes = [
@@ -194,42 +188,37 @@ def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
         coupled=cfg.coupled, threads=threads,
     )
     n_tau = len(cfg.tau_levels)
-    grid = np.asarray(errors, dtype=np.float64).reshape(len(_TABLE1_ALPHAS), n_tau)
+    tables = [
+        _error_table(schemes[a:a + n_tau], errors[a:a + n_tau],
+                     halfwidths[a:a + n_tau], cfg.n_samples, constants,
+                     cfg.epsilon)
+        for a in range(0, len(schemes), n_tau)
+    ]
     header = ("level", "tau") + _TABLE1_COLUMNS
     rows = [
-        (k, cfg.horizon / 2**k) + tuple(grid[:, i])
-        for i, k in enumerate(cfg.tau_levels)
+        (row.level, row.tau) + tuple(t.rows[i].weak_error for t in tables)
+        for i, row in enumerate(tables[0].rows)
     ]
     _write_csv(outdir / "table1.csv", header, rows)
     fits = {}
     monotone = {}
-    for a, alpha in enumerate(_TABLE1_ALPHAS):
-        col = grid[a]
+    for name, alpha, table in zip(_TABLE1_COLUMNS, _TABLE1_ALPHAS, tables):
+        col = np.array([r.weak_error for r in table.rows])
         pairs = int(np.sum(col[1:] < col[:-1]))
-        monotone[_TABLE1_COLUMNS[a]] = {
+        monotone[name] = {
             "decreasing_pairs": pairs, "total_pairs": len(col) - 1,
             "flagged": bool(pairs < len(col) - 1),
         }
         if n_tau >= 3 and np.all(col > 0):
-            x = np.log2([cfg.horizon / 2**k for k in cfg.tau_levels])
-            design = np.column_stack([x, np.ones_like(x)])
-            coef, *_ = np.linalg.lstsq(design, np.log2(col), rcond=None)
-            fits[_TABLE1_COLUMNS[a]] = {"alpha": alpha, "slope": float(coef[0])}
+            fits[name] = {"alpha": alpha,
+                          "slope": fit_convergence_rate(table).slope}
         print(f"alpha={alpha:.4g}: errors "
               + " ".join(f"{e:.5f}" for e in col))
-    admissibility = []
-    for alpha in _TABLE1_ALPHAS:
-        for k in cfg.tau_levels:
-            tau = cfg.horizon / 2**k
-            verdict = step_size_condition(
-                constants,
-                TamingParams(alpha=alpha, beta=cfg.beta, theta=cfg.theta, tau=tau),
-                cfg.epsilon,
-            )
-            admissibility.append({
-                "alpha": alpha, "level": k, "tau": tau,
-                "admissible": verdict.admissible, "ratio": verdict.ratio,
-            })
+    admissibility = [
+        {"alpha": alpha, **entry}
+        for alpha, table in zip(_TABLE1_ALPHAS, tables)
+        for entry in _admissibility_entries(table)
+    ]
     _write_json(outdir / "table1_fits.json", {"fits": fits, "monotone": monotone})
     _write_manifest(outdir, "table1", cfg, ["table1.csv", "table1_fits.json"],
                     admissibility=admissibility)
@@ -237,10 +226,7 @@ def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
 
 
 def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
-    outdir = Path(cfg.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    basis = SineBasis(cfg.n_modes)
-    drift = _drift(cfg)
+    outdir, basis, drift = _setup(cfg)
     level = cfg.tau_levels[0]
     epsilons = cfg.interface_epsilons or (cfg.epsilon,)
     outputs = []
@@ -265,27 +251,20 @@ def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
 
 
 def cmd_moments(cfg: ExperimentConfig, threads: int) -> int:
-    outdir = Path(cfg.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    basis = SineBasis(cfg.n_modes)
-    drift = _drift(cfg)
+    outdir, basis, drift = _setup(cfg)
     tau = 2.0**-cfg.moments_tau_level
     outputs = []
     maxima = []
     for horizon in cfg.moments_horizons:
-        n_steps = int(round(horizon / tau))
-        fine_level = n_steps.bit_length() - 1
-        plan = NoisePlan(cfg.master_seed, fine_level)
-        scheme = SchemeConfig(
-            epsilon=cfg.epsilon, tau=tau, n_steps=n_steps, basis=basis,
-            drift=drift,
-            taming=TamingParams(alpha=cfg.alpha, beta=cfg.beta,
-                                theta=cfg.theta, tau=tau),
-            kind=SchemeKind.TAMED_EXP_EULER,
-        )
+        n_steps = int(round(horizon / tau))     # a power of two (validate)
+        level = n_steps.bit_length() - 1
+        # the scheme's step, n_steps * tau / 2**level, is tau exactly
+        scheme = _scheme(replace(cfg, horizon=n_steps * tau), level,
+                         basis=basis, drift=drift)
         times = [m * tau for m in range(n_steps + 1)]
         report = moment_sup_estimate(
-            scheme, plan, cfg.moments_n_samples, times, threads=threads,
+            scheme, NoisePlan(cfg.master_seed, level), cfg.moments_n_samples,
+            times, threads=threads,
         )
         name = f"moments_T_{format(horizon, 'g')}.csv"
         rows = zip(report.times, report.mean_l2_sq, report.mean_l4_4,
@@ -311,9 +290,7 @@ def cmd_moments(cfg: ExperimentConfig, threads: int) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, threads: int) -> int:
-    outdir = Path(cfg.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    drift = _drift(cfg)
+    outdir, _, drift = _setup(cfg)
     report = property_suite(drift, seed=cfg.master_seed)
     payload = report.as_dict()
     try:

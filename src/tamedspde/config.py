@@ -112,6 +112,11 @@ class ExperimentConfig:
                 bad("moments.horizons",
                     f"horizon {t} must give a power-of-two number of steps "
                     f"of tau = 2^-{self.moments_tau_level}, got {steps}")
+            # each horizon's sweep runs its own fine grid of n steps
+            if n > 2**14:
+                bad("moments.tau_level",
+                    f"horizon {t} at tau = 2^-{self.moments_tau_level} needs "
+                    f"fine level {n.bit_length() - 1}, above the supported 14")
         return self
 
     # -- serialization ------------------------------------------------------

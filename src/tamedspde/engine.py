@@ -1,5 +1,5 @@
 """Time-stepping engine: tamed exponential Euler, semi-implicit reference,
-and ensemble drivers that keep several step sizes coupled on one noise path.
+and the sweep that keeps several step sizes coupled on one noise path.
 
 The tamed exponential step advances
 
@@ -75,13 +75,11 @@ __all__ = [
     "SchemeConfig",
     "BlowUpError",
     "TrajectoryRecord",
-    "EnsembleStats",
     "RunOutput",
     "tamed_exponential_step",
     "semi_implicit_reference_step",
     "sweep_ensemble",
     "run_trajectory",
-    "run_ensemble",
 ]
 
 _CHUNK_SAMPLES = 256
@@ -156,14 +154,6 @@ class TrajectoryRecord:
     max_l2: float = np.nan
     max_l4: float = np.nan
     max_sup: float = np.nan
-
-
-@dataclass
-class EnsembleStats:
-    mean: float
-    std: float
-    n: int
-    n_skipped: int = 0
 
 
 @dataclass
@@ -246,17 +236,6 @@ class _RunPre:
         return out
 
 
-def _check_finite(states: np.ndarray, step_index: int, samples=None,
-                  run_index=None) -> None:
-    if np.isfinite(states).all():
-        return
-    sample = None
-    if samples is not None and states.ndim == 2:
-        bad = ~np.isfinite(states).all(axis=1)
-        sample = int(np.asarray(samples)[bad][0])
-    raise BlowUpError(step_index, sample, run_index)
-
-
 def tamed_exponential_step(
     state: np.ndarray, cfg: SchemeConfig, noise: np.ndarray,
     step_index: int = 0,
@@ -292,7 +271,8 @@ def _one_step(state, cfg: SchemeConfig, noise, step_index: int) -> np.ndarray:
     pre.advance(batch, np.asarray(noise, dtype=np.float64), out, phys, fv,
                 pre.factor)
     out = out[:1].reshape(state.shape) if lone else out
-    _check_finite(out, step_index)
+    if not np.isfinite(out).all():
+        raise BlowUpError(step_index)
     return out
 
 
@@ -393,7 +373,7 @@ def _blas_threads() -> dict:
 def _snapshot_steps(cfg: SchemeConfig, times: Sequence[float]) -> dict[int, float]:
     table: dict[int, float] = {}
     for t in times:
-        m = int(round(t / cfg.tau)) if cfg.tau > 0 else 0
+        m = int(round(t / cfg.tau))
         if not 0 <= m <= cfg.n_steps or abs(m * cfg.tau - t) > 1e-9 * max(1.0, cfg.tau):
             raise ValueError(
                 f"snapshot time {t} is not on the step grid of tau={cfg.tau}"
@@ -635,16 +615,6 @@ def _write_monitors(out: RunOutput, rows, l2, l4, sup) -> None:
     out.max_sup[rows] = sup
 
 
-def _record(output: RunOutput, sample: int) -> TrajectoryRecord:
-    return TrajectoryRecord(
-        endpoint=output.endpoints[sample],
-        snapshots={t: arr[sample] for t, arr in output.snapshots.items()},
-        max_l2=output.max_l2[sample] if output.max_l2 is not None else np.nan,
-        max_l4=output.max_l4[sample] if output.max_l4 is not None else np.nan,
-        max_sup=output.max_sup[sample] if output.max_sup is not None else np.nan,
-    )
-
-
 def run_trajectory(
     cfg: SchemeConfig,
     plan: NoisePlan,
@@ -659,47 +629,18 @@ def run_trajectory(
     The sample id selects the counter-addressed noise, so the same id
     always yields the same path regardless of what else runs.
     """
-    outputs, _ = sweep_ensemble(
+    (out,), _ = sweep_ensemble(
         [cfg], plan, [sample],
         x0=x0,
         snapshot_times=[snapshot_times] if snapshot_times is not None else None,
         track_monitors=track_monitors,
     )
-    return _record(outputs[0], 0)
-
-
-def run_ensemble(
-    cfg: SchemeConfig,
-    plan: NoisePlan,
-    n_samples: int,
-    observable: Callable[[TrajectoryRecord], float],
-    *,
-    threads: int = 1,
-    skip_blowups: bool = False,
-    snapshot_times: Sequence[float] | None = None,
-    track_monitors: bool = False,
-    x0: np.ndarray | None = None,
-) -> EnsembleStats:
-    """Mean and sample std of an observable over counter-addressed samples."""
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    outputs, blown = sweep_ensemble(
-        [cfg], plan, n_samples,
-        x0=x0,
-        snapshot_times=[snapshot_times] if snapshot_times is not None else None,
-        track_monitors=track_monitors,
-        skip_blowups=skip_blowups,
-        threads=threads,
+    record = TrajectoryRecord(
+        endpoint=out.endpoints[0],
+        snapshots={t: arr[0] for t, arr in out.snapshots.items()},
     )
-    values = np.array([
-        observable(_record(outputs[0], s))
-        for s in range(n_samples) if not blown[s]
-    ])
-    if len(values) < 2:
-        raise BlowUpError(-1)
-    return EnsembleStats(
-        mean=float(values.mean()),
-        std=float(values.std(ddof=1)),
-        n=len(values),
-        n_skipped=int(blown.sum()),
-    )
+    if track_monitors:
+        record.max_l2, record.max_l4, record.max_sup = (
+            out.max_l2[0], out.max_l4[0], out.max_sup[0])
+    return record
+

@@ -51,7 +51,6 @@ __all__ = [
     "conv_variance",
     "conv_dw_covariance",
     "standard_pairs",
-    "standard_pairs_batch",
     "increment_pairs",
     "sample_increment_pair",
     "coarse_convolution_increment",
@@ -176,28 +175,6 @@ def standard_pairs(
         _raw_words(plan, sample, step_start, n_steps, n_modes),
         np.empty((n_steps, 2 * n_modes)), z1, z2,
     )
-    return z1, z2
-
-
-def standard_pairs_batch(
-    plan: NoisePlan,
-    samples: np.ndarray,
-    step_start: int,
-    n_steps: int,
-    n_modes: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair arrays (z1, z2), each (len(samples), n_steps, n_modes).
-
-    Identical values to per-sample ``standard_pairs`` calls, by the same
-    per-sample kernel.
-    """
-    z1 = np.empty((len(samples), n_steps, n_modes))
-    z2 = np.empty((len(samples), n_steps, n_modes))
-    u = np.empty((n_steps, 2 * n_modes))
-    for c, s in enumerate(samples):
-        _box_muller_into(
-            _raw_words(plan, int(s), step_start, n_steps, n_modes), u, z1[c], z2[c]
-        )
     return z1, z2
 
 

@@ -20,7 +20,7 @@ from tamedspde import (
     moment_sup_estimate,
     property_suite,
     sweep_ensemble,
-    weak_error_estimate,
+    weak_errors_shared_reference,
 )
 from tamedspde import drift as drift_mod
 
@@ -118,37 +118,37 @@ def _reference(basis, level, epsilon=0.05, horizon=1.0):
 class TestWeakError:
     def test_scheme_against_itself_zero(self, basis64):
         cfg = _tamed(basis64, 5)
-        err, hw = weak_error_estimate(
-            cfg, cfg, NoisePlan(3, 5), 40, StepTestFunction()
+        errs, hws = weak_errors_shared_reference(
+            [cfg], cfg, NoisePlan(3, 5), 40, StepTestFunction()
         )
-        assert err == 0.0
-        assert hw == 0.0
+        assert errs == [0.0]
+        assert hws == [0.0]
 
     def test_constant_observable_zero(self, basis64):
         cfg = _tamed(basis64, 5)
         ref = _reference(basis64, 6)
-        err, hw = weak_error_estimate(
-            cfg, ref, NoisePlan(3, 6), 40, lambda basis, coeffs: np.ones(len(coeffs))
+        errs, _ = weak_errors_shared_reference(
+            [cfg], ref, NoisePlan(3, 6), 40,
+            lambda basis, coeffs: np.ones(len(coeffs)),
         )
-        assert err == 0.0
+        assert errs == [0.0]
 
     def test_coupled_halfwidth_smaller_than_uncoupled(self, basis64):
         cfg = _tamed(basis64, 5)
         ref = _reference(basis64, 7)
         plan = NoisePlan(3, 7)
-        _, hw_coupled = weak_error_estimate(cfg, ref, plan, 100,
-                                            StepTestFunction())
-        _, hw_uncoupled = weak_error_estimate(cfg, ref, plan, 100,
-                                              StepTestFunction(),
-                                              coupled=False)
+        _, [hw_coupled] = weak_errors_shared_reference(
+            [cfg], ref, plan, 100, StepTestFunction())
+        _, [hw_uncoupled] = weak_errors_shared_reference(
+            [cfg], ref, plan, 100, StepTestFunction(), coupled=False)
         assert hw_coupled < hw_uncoupled
 
     def test_horizon_mismatch_rejected(self, basis64):
         cfg = _tamed(basis64, 5)
         ref = _reference(basis64, 5, horizon=2.0)
         with pytest.raises(ValueError):
-            weak_error_estimate(cfg, ref, NoisePlan(3, 5), 10,
-                                StepTestFunction())
+            weak_errors_shared_reference([cfg], ref, NoisePlan(3, 5), 10,
+                                         StepTestFunction())
 
 
 class TestErrorTable:

@@ -316,6 +316,22 @@ class TestMomentsCommand:
         for name in names:
             assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
 
+    def test_fine_level_above_14_exits_one(self, tmp_path, capsys):
+        # tau = 2^-14 over the default horizons 1 and 2: T = 2 needs 2^15
+        # fine steps
+        code = run_cli("moments", "--set", "moments.tau_level=14",
+                       "--out-dir", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "moments.tau_level" in err
+        assert "fine level 15" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_fine_level_14_accepted(self):
+        cfg = replace(ExperimentConfig(), moments_tau_level=13)
+        assert cfg.moments_horizons == (1.0, 2.0)
+        assert cfg.validate() is cfg
+
 
 class TestFlagsAndHelp:
     def test_unknown_preset_rejected(self):

@@ -18,7 +18,6 @@ from tamedspde import (
     TamingParams,
     default_initial,
     f_tau_eval,
-    run_ensemble,
     run_trajectory,
     semi_implicit_reference_step,
     sweep_ensemble,
@@ -472,24 +471,8 @@ def test_sweep_memory_is_window_sized(basis64):
 
 
 class TestRunEnsemble:
-    def test_constant_observable(self, basis64):
-        cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
-        stats = run_ensemble(cfg, NoisePlan(2, 4), 16, lambda rec: 2.5)
-        assert stats.mean == 2.5
-        assert stats.std == 0.0
-        assert stats.n == 16
-
-    def test_requires_two_samples(self, basis64):
-        cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
-        with pytest.raises(ValueError):
-            run_ensemble(cfg, NoisePlan(2, 4), 1, lambda rec: 0.0)
-
-    def test_threads_do_not_change_stats(self, basis64):
-        cfg = tamed_cfg(basis64, level=5, epsilon=0.5)
-        obs = lambda rec: float(np.linalg.norm(rec.endpoint))
-        a = run_ensemble(cfg, NoisePlan(2, 5), 600, obs, threads=1)
-        b = run_ensemble(cfg, NoisePlan(2, 5), 600, obs, threads=8)
-        assert a == b
+    """Whole ensembles through ``sweep_ensemble``: the law of an exact OU
+    chain, and blow-ups raised or skipped."""
 
     def test_ou_stationary_variance_mode1(self, basis64):
         # drift off: each mode is an exact OU chain; mode 1 variance at
@@ -629,6 +612,13 @@ class TestThreading:
                          (a.max_l4, b.max_l4), (a.max_sup, b.max_sup)] + [
                     (a.snapshots[t], b.snapshots[t]) for t in (0.5, 1.0)]:
                 assert x.tobytes() == y.tobytes()
+
+    def test_more_workers_than_chunks_changes_no_byte(self, basis64):
+        # 600 samples are three chunks, fewer than the eight workers
+        cfg = tamed_cfg(basis64, level=5, epsilon=0.5)
+        one, _ = sweep_ensemble([cfg], NoisePlan(2, 5), 600, threads=1)
+        eight, _ = sweep_ensemble([cfg], NoisePlan(2, 5), 600, threads=8)
+        assert one[0].endpoints.tobytes() == eight[0].endpoints.tobytes()
 
     def test_one_thread_inside_restored_after_return(self, basis64, blas_seen):
         blas, seen, _ = blas_seen

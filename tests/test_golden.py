@@ -1,4 +1,6 @@
-"""Golden bytes: the sha256 of every CSV from four tiny CLI runs.
+"""Golden bytes: the sha256 of every CSV and JSON side output from four
+tiny CLI runs, and of the admissibility list in the manifests of the two
+runs that write one.
 
 The sizes cover the noise layout's edge cases: a fine level of 10
 (sixty-four 16-step noise windows, coarse ratios 512, 16 and 4, so one
@@ -14,6 +16,7 @@ bits moved.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -26,7 +29,9 @@ GOLDEN = {
          "--set", "discretization.fine_level=10",
          "--set", "discretization.tau_levels=1 6 8"],
         {"errors.csv":
-            "7d4e9070b76c638312ee0b9e401bc4670194a7c2e03a8eb691348fbc01ef1331"},
+            "7d4e9070b76c638312ee0b9e401bc4670194a7c2e03a8eb691348fbc01ef1331",
+         "rate_fit.json":
+            "fec8086ad03fcfbb6307a3cb7c91b1d130d50be3cc39f43571d1e8d9a0b1b4bf"},
     ),
     "table1": (
         ["table1", "--preset", "paper7-beta5-ci",
@@ -34,7 +39,9 @@ GOLDEN = {
          "--set", "discretization.fine_level=7",
          "--set", "discretization.tau_levels=4 5 6"],
         {"table1.csv":
-            "49062874c3a1052240ec67d9ce026d4ca6e6c68490a65e6c51eb8b1bf7e1e09e"},
+            "49062874c3a1052240ec67d9ce026d4ca6e6c68490a65e6c51eb8b1bf7e1e09e",
+         "table1_fits.json":
+            "d013368da294a60a58d57dbd59f4dd8d994f85460306775bb0a2f76683b7a725"},
     ),
     "interface": (
         ["interface", "--preset", "interface-eps2", "--threads", "2",
@@ -54,6 +61,14 @@ GOLDEN = {
     ),
 }
 
+#: sha256 of ``json.dumps(manifest["admissibility"], sort_keys=True)``
+ADMISSIBILITY = {
+    "converge":
+        "fa759684573112addf282a1e2df07adced4f484b407acc77830c8089ef08cf6c",
+    "table1":
+        "cfadf60f1585b9b3213642dba4258b795959829391e88e96905b6100254b387c",
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -64,4 +79,9 @@ def test_csv_bytes_pinned(command, tmp_path, fingerprint):
     argv, pinned = GOLDEN[command]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     got = {name: sha256(tmp_path / name) for name in pinned}
-    assert got == pinned, f"CSV bytes moved on this machine:\n{fingerprint}"
+    assert got == pinned, f"output bytes moved on this machine:\n{fingerprint}"
+    if command in ADMISSIBILITY:
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        entries = json.dumps(manifest["admissibility"], sort_keys=True)
+        assert (hashlib.sha256(entries.encode()).hexdigest()
+                == ADMISSIBILITY[command])

@@ -18,8 +18,17 @@ from tamedspde.noise import (
     IncrementStream,
     increment_factors,
     standard_pairs,
-    standard_pairs_batch,
 )
+
+
+def pairs_per_sample(plan, n, n_steps, n_modes):
+    """``standard_pairs`` from step 0 of samples 0..n-1, stacked into
+    (z1, z2), each (n, n_steps, n_modes)."""
+    z1 = np.empty((n, n_steps, n_modes))
+    z2 = np.empty((n, n_steps, n_modes))
+    for s in range(n):
+        z1[s], z2[s] = standard_pairs(plan, s, 0, n_steps, n_modes)
+    return z1, z2
 
 
 def quad_conv_variance(lam, h):
@@ -47,14 +56,6 @@ class TestAddressing:
             )
             assert pair.dW == dw[step, mode - 1]
             assert pair.conv == conv[step, mode - 1]
-
-    def test_batch_helper_equals_per_sample(self):
-        plan = NoisePlan(7, 8)
-        z1b, z2b = standard_pairs_batch(plan, np.array([3, 11, 200]), 4, 6, 32)
-        for c, s in enumerate([3, 11, 200]):
-            z1, z2 = standard_pairs(plan, s, 4, 6, 32)
-            assert np.array_equal(z1b[c], z1)
-            assert np.array_equal(z2b[c], z2)
 
     def test_deterministic_given_plan(self, basis64):
         a = NoisePlan(123, 12)
@@ -134,7 +135,7 @@ class TestJointLaw:
         plan = NoisePlan(2024, 10)
         h = 2.0**-10
         n = 20_000
-        z1, z2 = standard_pairs_batch(plan, np.arange(n), 0, 1, 64)
+        z1, z2 = pairs_per_sample(plan, n, 1, 64)
         sqrt_h, l21, l22 = increment_factors(basis64.eigenvalues, h)
         dw = sqrt_h * z1[:, 0, 0]
         conv = l21[0] * z1[:, 0, 0] + l22[0] * z2[:, 0, 0]
@@ -192,7 +193,7 @@ class TestCoarseAggregation:
         ratio = 4
         lam = basis64.eigenvalue(1)
         n = 20_000
-        z1, z2 = standard_pairs_batch(plan, np.arange(n), 0, ratio, 64)
+        z1, z2 = pairs_per_sample(plan, n, ratio, 64)
         sqrt_h, l21, l22 = increment_factors(basis64.eigenvalues, h)
         conv = l21[0] * z1[:, :, 0] + l22[0] * z2[:, :, 0]
         decay = np.exp(-lam * h)

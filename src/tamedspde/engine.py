@@ -25,14 +25,15 @@ as two rows.  Snapshots can be reduced as the sweep goes
 time does not hold the states.
 
 Each chunk streams its noise: a ``noise.IncrementStream`` keeps one live
-Philox generator per sample and fills reused window buffers of 16 fine
-steps laid out (step, sample, mode), 16 x 256 x 64 x 8 B = 2 MB per kind
-for a full chunk at N = 64.  At every fine step, each (ratio, scheme
-kind) in use adds the step's increments to one running (samples, modes)
-coarse sum by the fine-step recursion, restarted at each coarse step;
-runs sharing a ratio and a kind share the sum.  The runs then advance
-fine-step-major, in run order, so blow-up reporting and ``skip_blowups``
-see the steps in the same order whatever the window length.  A step
+Philox generator per sample and fills reused 4-step window buffers laid
+out (sample, step, mode), 0.5 MB per kind for a 256-sample chunk at
+N = 64; the sweep reads step k in place as the strided view ``[:, k]``.
+At every fine step, each (ratio, scheme kind) in use adds the step's
+increments to one running (samples, modes) coarse sum by the fine-step
+recursion, restarted at each coarse step; runs sharing a ratio and a
+kind share the sum.  The runs then advance fine-step-major, in run
+order, so blow-up reporting and ``skip_blowups`` see the steps in the
+same order whatever the window length.  A step
 writes its new state, both transforms, the drift polynomial, the taming
 and its finiteness check into buffers allocated once per chunk: it fills
 a spare state buffer and hands the run's old one on as the next spare,
@@ -83,7 +84,7 @@ __all__ = [
 ]
 
 _CHUNK_SAMPLES = 256
-_WINDOW_STEPS = 16
+_WINDOW_STEPS = 4
 
 
 class SchemeKind(enum.Enum):
@@ -283,14 +284,18 @@ def _one_step(state, cfg: SchemeConfig, noise, step_index: int) -> np.ndarray:
 
 class _OpenBLAS(NamedTuple):
     library: str                      # file name of the shared library
+    core: str                         # the kernel it picked for this CPU
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
 
 
-# (get, set) symbol pairs: numpy's wheel first, then a plain OpenBLAS
+# (get threads, set threads, core name) symbols: numpy's wheel first,
+# then a plain OpenBLAS
 _OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
+     "scipy_openblas_get_corename64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads",
+     "openblas_get_corename"),
 )
 
 
@@ -312,14 +317,15 @@ def _openblas() -> _OpenBLAS | None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
+        for names in _OPENBLAS_SYMBOLS:
             try:
-                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get, put, core = (getattr(lib, name) for name in names)
             except AttributeError:
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
-            return _OpenBLAS(os.path.basename(path), get, put)
+            core.argtypes, core.restype = [], ctypes.c_char_p
+            return _OpenBLAS(os.path.basename(path), core().decode(), get, put)
     return None
 
 
@@ -353,16 +359,17 @@ def _single_threaded_blas():
 
 
 def _blas_threads() -> dict:
-    """The BLAS library sweeps pin and its thread count outside and
-    inside a sweep (all None when no OpenBLAS was found)."""
+    """The BLAS library sweeps pin, its kernel and its thread count
+    outside and inside a sweep (all None when no OpenBLAS was found)."""
     blas = _openblas()
     if blas is None:
-        return {"library": None, "threads_outside": None, "threads_inside": None}
+        return {"library": None, "core": None, "threads_outside": None,
+                "threads_inside": None}
     outside = blas.get_threads()
     with _single_threaded_blas():
         inside = blas.get_threads()
-    return {"library": blas.library, "threads_outside": outside,
-            "threads_inside": inside}
+    return {"library": blas.library, "core": blas.core,
+            "threads_outside": outside, "threads_inside": inside}
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +534,8 @@ def sweep_ensemble(
         accs = {(ratio, t): np.empty((count, n_mode))
                 for r, ratio, t in zip(runs, ratios, tamed)
                 if r.with_noise and ratio > 1}
-        decay = np.tile(decay_fine, (count, 1))
+        decay = (np.tile(decay_fine, (count, 1))
+                 if any(t for _, t in accs) else None)
         # update factors tiled to the chunk, one per (kind, tau) in use
         tiles = {(r.kind, r.tau): np.tile(pre.factor, (count, 1))
                  for r, pre in zip(runs, pres)}
@@ -543,14 +551,14 @@ def sweep_ensemble(
                         acc.fill(0.0)
                     if t:
                         acc *= decay
-                    acc += fine[t][kl]
+                    acc += fine[t][:, kl]
                 for i, (r, pre, ratio, t, factor) in enumerate(
                         zip(runs, pres, ratios, tamed, factors)):
                     if (k + 1) % ratio:
                         continue
                     m = (k + 1) // ratio
                     inc = (no_noise if not r.with_noise
-                           else fine[t][kl] if ratio == 1 else accs[ratio, t])
+                           else fine[t][:, kl] if ratio == 1 else accs[ratio, t])
                     new = pre.advance(states[i], inc, spare, phys, fv, factor)
                     spare, states[i] = states[i], new
                     np.all(np.isfinite(new, out=finite), axis=1, out=ok)

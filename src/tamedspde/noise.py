@@ -22,11 +22,14 @@ Pointwise access (``standard_pairs`` and the helpers built on it) builds a
 generator at the requested step.  The ensemble sweep instead streams:
 ``IncrementStream`` builds each sample's generator once at step 0 and
 draws window after window from it, which yields the same words because
-consecutive steps occupy consecutive counter blocks.  Both paths run the
-same elementwise Box-Muller kernel, the stream on blocks of 32 samples at
-a time, with the same operations in the same order, so their bits agree.
-The floor of that kernel is libm's scalar cos and sin; any faster normal
-map would change the output bits.
+consecutive steps occupy consecutive counter blocks.  Its uniforms go
+straight into a (128 samples, 4 steps, words) block, Box-Muller and the
+Cholesky mix run in place there and in the window buffers, laid out
+(sample, step, mode): 256 x 4 x 64 x 8 B = 0.5 MB per kind for a
+256-sample chunk at N = 64, plus the 0.5 MB uniform block.  Both paths
+run the one elementwise Box-Muller kernel with the same operations in
+the same order, so their bits agree.  The floor of that kernel is libm's
+scalar cos and sin; any faster normal map would change the output bits.
 
 A coarse step of ratio R covers R fine steps; its convolution increment
 
@@ -38,6 +41,7 @@ is exact in distribution and exactly coupled to the fine path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,9 +65,17 @@ PATH_STREAM = 0
 
 _U64 = np.uint64
 _PHILOX_WORDS_PER_BLOCK = 4
-_INV_2_53 = 2.0**-53
-_SHIFT = _U64(11)
-_BLOCK_SAMPLES = 32         # samples per Box-Muller call in IncrementStream
+# numpy's Philox doubles are (w >> 11) * 2**-53, exact; adding 2**-54
+# rounds like (k + 0.5) * 2**-53, so the uniforms lie in (0, 1]
+_HALF_ULP = 2.0**-54
+_BLOCK_SAMPLES = 128        # samples per Box-Muller call in IncrementStream
+
+
+@functools.lru_cache(maxsize=64)
+def _philox_key(master_seed: int) -> np.ndarray:
+    key = np.random.SeedSequence(master_seed).generate_state(2, _U64)
+    key.flags.writeable = False
+    return key
 
 
 @dataclass(frozen=True)
@@ -91,8 +103,9 @@ class NoisePlan:
         return horizon / self.fine_steps
 
     def philox_key(self) -> np.ndarray:
-        """Two-word Philox key derived from the master seed."""
-        return np.random.SeedSequence(self.master_seed).generate_state(2, _U64)
+        """Two-word Philox key derived from the master seed (read-only,
+        derived once per seed)."""
+        return _philox_key(self.master_seed)
 
     def spawn(self, index: int) -> "NoisePlan":
         """Plan with an independent seed (for uncoupled runs)."""
@@ -117,48 +130,39 @@ def _words_per_step(n_modes: int) -> int:
     return blocks * _PHILOX_WORDS_PER_BLOCK
 
 
-def _raw_words(
-    plan: NoisePlan, sample: int, step_start: int, n_steps: int, n_modes: int,
-    stream: int = PATH_STREAM,
-) -> np.ndarray:
-    """Raw uniform words for steps [step_start, step_start + n_steps)."""
-    wps = _words_per_step(n_modes)
-    counter = np.array(
-        [step_start * (wps // _PHILOX_WORDS_PER_BLOCK), 0, sample, stream],
-        dtype=_U64,
-    )
-    bitgen = np.random.Philox(key=plan.philox_key(), counter=counter)
-    raw = bitgen.random_raw(n_steps * wps).reshape(n_steps, wps)
-    return raw[:, : 2 * n_modes]
+def _generator(plan: NoisePlan, sample: int, step: int,
+               n_modes: int) -> np.random.Generator:
+    """Generator whose next words are those of fine step ``step``."""
+    blocks = step * (_words_per_step(n_modes) // _PHILOX_WORDS_PER_BLOCK)
+    counter = np.array([blocks, 0, sample, PATH_STREAM], dtype=_U64)
+    return np.random.Generator(
+        np.random.Philox(key=plan.philox_key(), counter=counter))
 
 
-def _box_muller_into(
-    raw: np.ndarray, u: np.ndarray, z1: np.ndarray, z2: np.ndarray,
-) -> None:
-    """Standard normals from raw words, written in place.
+def _box_muller_into(u: np.ndarray, z2: np.ndarray | None,
+                     n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard normals from uniforms, in place.
 
-    ``raw`` is (..., n_steps, >= 2N) and is overwritten; ``u`` is a
-    (..., n_steps, 2N) scratch buffer; ``z1`` and ``z2`` receive the
-    (..., n_steps, N) pairs.  Fixed consumption: words (k, j-1) and
-    (k, N+j-1) become mode j's uniform pair at step k (contiguous halves
-    keep the ufuncs fast).  Every element sees the same operations
-    whatever the leading shape, so one sample or a block of samples
-    gives the same bits.
+    ``u`` is (..., n_steps, >= 2N), in (0, 1]; fixed consumption: words
+    (k, j-1) and (k, N+j-1) are mode j's radius and angle words at step
+    k.  ``z2`` receives the second normal of each pair (None skips it).
+    Returns views of ``u``: the first normals over the angle half and the
+    radius half, now free as scratch.  Every element sees the same
+    operations whatever the leading shape, so one sample or a block of
+    samples gives the same bits.
     """
-    n_modes = z1.shape[-1]
-    raw >>= _SHIFT
-    np.add(raw[..., : 2 * n_modes], 0.5, out=u)
-    u *= _INV_2_53
-    u1 = u[..., :n_modes]
-    u2 = u[..., n_modes:]
-    np.log(u1, out=u1)
-    np.multiply(u1, -2.0, out=u1)
-    np.sqrt(u1, out=u1)                 # u1 is now the radius
-    np.multiply(u2, 2.0 * np.pi, out=u2)
-    np.cos(u2, out=z1)
-    z1 *= u1
-    np.sin(u2, out=z2)
-    z2 *= u1
+    r = u[..., :n_modes]
+    z1 = u[..., n_modes : 2 * n_modes]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    z1 *= 2.0 * np.pi                   # the angle
+    if z2 is not None:
+        np.sin(z1, out=z2)
+        z2 *= r
+    np.cos(z1, out=z1)
+    z1 *= r
+    return z1, r
 
 
 def standard_pairs(
@@ -166,33 +170,28 @@ def standard_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standard-normal pair arrays (z1, z2), each (n_steps, n_modes).
 
-    Box-Muller on the raw words: mode j consumes words j-1 and N+j-1 of
-    its step block.
+    Box-Muller on the step blocks' words: mode j consumes words j-1 and
+    N+j-1 of its step block.
     """
-    z1 = np.empty((n_steps, n_modes))
+    u = _generator(plan, sample, step_start, n_modes).random(
+        (n_steps, _words_per_step(n_modes)))
+    u += _HALF_ULP
     z2 = np.empty((n_steps, n_modes))
-    _box_muller_into(
-        _raw_words(plan, sample, step_start, n_steps, n_modes),
-        np.empty((n_steps, 2 * n_modes)), z1, z2,
-    )
-    return z1, z2
+    z1, _ = _box_muller_into(u, z2, n_modes)
+    return np.ascontiguousarray(z1), z2
 
 
 class IncrementStream:
     """Fine (dW, conv) increments of a batch of samples, window by window.
 
-    Each sample's Philox generator is built once, at fine step 0, and kept
-    alive: the counter layout puts step k+1 right after step k, so drawing
-    the next ``window * words_per_step`` words from it yields exactly the
-    words the layout assigns to those steps.  Box-Muller and the Cholesky
-    mix run once per block of 32 samples on their (32, window, words) raw
-    words, so short windows cost few Python-level numpy calls per sample
-    and step (512 sample-steps per call at the sweep's 16-step windows);
-    each block lands in window buffers laid out (step, sample, mode) by
-    one transposed copy, so each step of a window is one contiguous
-    (samples, modes) block.  Every buffer is reused across windows.
-    ``dw`` or ``conv`` set to False skips that window buffer
-    (it is then returned as None).
+    Each sample's generator is built once, at fine step 0, and kept alive:
+    the counter layout puts step k+1 right after step k, so its next draw
+    gives exactly the words the layout assigns to the next window.  Each
+    sample's uniforms go straight into its row of a (block, window, words)
+    buffer, and Box-Muller and the mix run once per block of 128 samples
+    (512 sample-steps per call at the sweep's 4-step windows), writing
+    one contiguous slice of each window buffer.  ``dw`` or ``conv`` set to
+    False skips that window buffer (it is then returned as None).
     """
 
     def __init__(
@@ -206,40 +205,33 @@ class IncrementStream:
         dw: bool = True,
         conv: bool = True,
     ):
-        key = plan.philox_key()
-        self._bitgens = [
-            np.random.Philox(
-                key=key, counter=np.array([0, 0, int(s), PATH_STREAM], dtype=_U64)
-            )
-            for s in samples
-        ]
         n_modes = len(eigenvalues)
-        wps = _words_per_step(n_modes)
-        self._words = window * wps
+        self._gens = [_generator(plan, int(s), 0, n_modes) for s in samples]
         self._sqrt_h, self._l21, self._l22 = increment_factors(eigenvalues, h)
-        block = (min(_BLOCK_SAMPLES, len(samples)), window)
-        self._block = (                 # raw words, u, z1, z2, mix scratch
-            np.empty((*block, wps), dtype=_U64), np.empty((*block, 2 * n_modes)),
-            *(np.empty((*block, n_modes)) for _ in range(3)))
-        shape = (window, len(samples), n_modes)
+        self._u = np.empty((min(_BLOCK_SAMPLES, len(samples)), window,
+                            _words_per_step(n_modes)))
+        shape = (len(samples), window, n_modes)
         self._dw = np.empty(shape) if dw else None
         self._conv = np.empty(shape) if conv else None
 
     def next_window(self):
         """(dW, conv) of the next window of fine steps, each
-        (window, samples, modes) or None; valid until the next call."""
-        for b0 in range(0, len(self._bitgens), _BLOCK_SAMPLES):
-            gens = self._bitgens[b0 : b0 + _BLOCK_SAMPLES]
-            raw, u, z1, z2, mix = (a[: len(gens)] for a in self._block)
-            np.stack([g.random_raw(self._words) for g in gens],
-                     out=raw.reshape(len(gens), -1))
-            _box_muller_into(raw, u, z1, z2)
-            z2 *= self._l22
-            z2 += np.multiply(self._l21, z1, out=mix)   # z2 is now conv
-            z1 *= self._sqrt_h                          # z1 is now dW
-            for buf, z in ((self._dw, z1), (self._conv, z2)):
-                if buf is not None:
-                    buf[:, b0 : b0 + len(gens)] = z.swapaxes(0, 1)
+        (samples, window, modes) or None; valid until the next call."""
+        n_modes = len(self._l21)
+        for b0 in range(0, len(self._gens), _BLOCK_SAMPLES):
+            gens = self._gens[b0 : b0 + _BLOCK_SAMPLES]
+            u = self._u[: len(gens)]
+            for gen, row in zip(gens, u):
+                gen.random(out=row)
+            u += _HALF_ULP
+            rows = slice(b0, b0 + len(gens))
+            conv = None if self._conv is None else self._conv[rows]
+            z1, scratch = _box_muller_into(u, conv, n_modes)
+            if conv is not None:
+                conv *= self._l22
+                conv += np.multiply(self._l21, z1, out=scratch)
+            if self._dw is not None:
+                np.multiply(z1, self._sqrt_h, out=self._dw[rows])
         return self._dw, self._conv
 
 

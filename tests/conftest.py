@@ -28,7 +28,8 @@ def fingerprint():
     pinned = _blas_threads()
     lines = [f"python {platform.python_version()}, numpy {np.__version__}, "
              f"machine {platform.machine()}",
-             f"blas pinned in sweeps: {pinned['library']}, threads "
+             f"blas pinned in sweeps: {pinned['library']} "
+             f"(core {pinned['core']}), threads "
              f"{pinned['threads_outside']} outside, "
              f"{pinned['threads_inside']} inside"]
     try:

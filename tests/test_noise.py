@@ -1,6 +1,7 @@
 """Noise plan: addressing, joint law of increment pairs, coarse coupling."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tamedspde import (
     increment_pairs,
     sample_increment_pair,
 )
+from tamedspde import noise
 from tamedspde.noise import (
     IncrementStream,
     increment_factors,
@@ -227,25 +229,25 @@ class TestIncrementStream:
         plan = NoisePlan(99, level)
         h = 2.0**-level
         eig = SineBasis(n_modes).eigenvalues
-        checks = [k for k in (0, 15, 16, 63, 64, 65, 255, 256, 257,
+        checks = [k for k in (0, 3, 4, 15, 16, 63, 64, 65, 255, 256, 257,
                               plan.fine_steps - 1)
                   if k < plan.fine_steps]
         sample_sets = [
             [400, 3, 17, 258],                      # explicit, non-contiguous
             [5, 900, 1, 2, 3, 64, 4, 7, 255, 256, 11, 0, 6],  # one partial block
-            [3 * s + 1 for s in range(40)],         # blocks of 32 and 8
+            [3 * s + 1 for s in range(136)],        # blocks of 128 and 8
         ]
-        for window, samples in itertools.product((16, 64, 256), sample_sets):
+        for window, samples in itertools.product((4, 16, 64, 256), sample_sets):
             window = min(window, plan.fine_steps)
             stream = IncrementStream(plan, np.array(samples), eig, h, window)
             for w0 in range(0, plan.fine_steps, window):
                 dw, conv = stream.next_window()
-                assert dw.shape == conv.shape == (window, len(samples), n_modes)
+                assert dw.shape == conv.shape == (len(samples), window, n_modes)
                 for k in (k for k in checks if w0 <= k < w0 + window):
                     for c, s in enumerate(samples):
                         ref_dw, ref_conv = increment_pairs(plan, eig, h, s, k, 1)
-                        assert np.array_equal(dw[k - w0, c], ref_dw[0])
-                        assert np.array_equal(conv[k - w0, c], ref_conv[0])
+                        assert np.array_equal(dw[c, k - w0], ref_dw[0])
+                        assert np.array_equal(conv[c, k - w0], ref_conv[0])
 
     def test_skipped_buffer_leaves_other_bits(self, basis64):
         plan = NoisePlan(4, 9)
@@ -254,8 +256,72 @@ class TestIncrementStream:
         both = IncrementStream(plan, samples, basis64.eigenvalues, h, 256)
         conv_only = IncrementStream(plan, samples, basis64.eigenvalues, h, 256,
                                     dw=False)
+        dw_only = IncrementStream(plan, samples, basis64.eigenvalues, h, 256,
+                                  conv=False)
         for _ in range(2):
-            _, conv = both.next_window()
-            dw, conv2 = conv_only.next_window()
-            assert dw is None
+            dw, conv = both.next_window()
+            no_dw, conv2 = conv_only.next_window()
+            dw2, no_conv = dw_only.next_window()
+            assert no_dw is None and no_conv is None
             assert np.array_equal(conv, conv2)
+            assert np.array_equal(dw, dw2)
+
+    def test_next_window_allocates_no_arrays(self, basis64):
+        # uniforms, normals and the mix go into the stream's own buffers;
+        # one sample's 16-step words alone would be 16 kB.  numpy's ufunc
+        # iterator takes a buffer per strided operand (64 kB each at its
+        # default size) and frees it at once, so it is shrunk here
+        stream = IncrementStream(NoisePlan(5, 10), np.arange(200),
+                                 basis64.eigenvalues, 2.0**-10, 16)
+        stream.next_window()
+        old = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            stream.next_window()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(old)
+        assert peak < 16_000, f"traced peak {peak} B"
+
+
+class TestUniformMap:
+    """The stream's uniforms are numpy's Philox doubles plus 2**-54, which
+    is the map (k + 0.5) * 2**-53 of a word's top 53 bits k."""
+
+    def test_edge_words(self):
+        words = np.array([0, 2**11 - 1, 2**52 << 11, (2**52 + 1) << 11,
+                          2**63, 2**64 - 1], dtype=np.uint64)
+        k = (words >> np.uint64(11)).astype(np.float64)
+        fast = k * 2.0**-53 + noise._HALF_ULP
+        exact = (k + 0.5) * 2.0**-53
+        assert fast.tobytes() == exact.tobytes()
+        # never 0, so the log is finite; the top word rounds to even, 1.0
+        assert np.all(fast > 0.0) and fast.max() == fast[-1] == 1.0
+
+    def test_philox_doubles_are_top_53_bits(self):
+        key = NoisePlan(8, 4).philox_key()
+        counter = np.array([6, 0, 3, 0], dtype=np.uint64)
+        words = np.random.Philox(key=key, counter=counter).random_raw(1001)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        doubles = np.concatenate([gen.random(1000), gen.random(1)])
+        want = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert doubles.tobytes() == want.tobytes()
+
+
+def test_philox_key_derived_once_per_seed(monkeypatch):
+    made = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    noise._philox_key.cache_clear()
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    plan = NoisePlan(31, 4)
+    standard_pairs(plan, 0, 0, 1, 8)
+    standard_pairs(plan, 1, 3, 2, 8)
+    assert len(made) == 1
+    assert plan.philox_key().tolist() == (
+        seed_sequence(31).generate_state(2, np.uint64).tolist())

@@ -47,7 +47,6 @@ table = weak_error_table(
     n_samples=200,
     phi=StepTestFunction(),
     constants=derive_growth_constants(ALLEN_CAHN),
-    epsilon=epsilon,
 )
 
 print("level  tau       weak error   95% halfwidth  admissible")

@@ -188,16 +188,15 @@ def _error_table(
     halfwidths: Sequence[float],
     n_samples: int,
     constants: DriftConstants | None,
-    epsilon: float | None,
 ) -> ErrorTable:
     """One row per scheme: its level log2(n_steps) and its step-size
-    admissibility verdict from ``constants`` (admissible with a NaN ratio
-    without them or for an untamed scheme)."""
+    admissibility verdict from ``constants`` at the scheme's own epsilon
+    (admissible with a NaN ratio without them or for an untamed scheme)."""
     rows = []
     for cfg, err, hw in zip(schemes, errors, halfwidths):
         if constants is not None and cfg.taming is not None:
-            eps = epsilon if epsilon is not None else cfg.epsilon
-            verdict = drift_mod.step_size_condition(constants, cfg.taming, eps)
+            verdict = drift_mod.step_size_condition(constants, cfg.taming,
+                                                    cfg.epsilon)
         else:
             verdict = StepSizeVerdict(True, np.nan)
         rows.append(ErrorRow(
@@ -219,7 +218,6 @@ def weak_error_table(
     n_samples: int,
     phi: StepTestFunction,
     constants: DriftConstants | None = None,
-    epsilon: float | None = None,
     *,
     coupled: bool = True,
     threads: int = 1,
@@ -233,8 +231,7 @@ def weak_error_table(
         schemes, reference, plan, n_samples, phi, coupled=coupled,
         threads=threads,
     )
-    return _error_table(schemes, errors, halfwidths, n_samples, constants,
-                        epsilon)
+    return _error_table(schemes, errors, halfwidths, n_samples, constants)
 
 
 def fit_convergence_rate(table: ErrorTable) -> RateFit:

@@ -146,7 +146,7 @@ def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
     table = weak_error_table(
         schemes, reference, plan, cfg.n_samples,
         StepTestFunction(norm_kind=cfg.phi_norm),
-        constants, cfg.epsilon, coupled=cfg.coupled, threads=threads,
+        constants, coupled=cfg.coupled, threads=threads,
     )
     header = ("level", "tau", "weak_error", "mc_halfwidth", "n_samples",
               "admissible", "admissibility_ratio")
@@ -190,8 +190,7 @@ def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
     n_tau = len(cfg.tau_levels)
     tables = [
         _error_table(schemes[a:a + n_tau], errors[a:a + n_tau],
-                     halfwidths[a:a + n_tau], cfg.n_samples, constants,
-                     cfg.epsilon)
+                     halfwidths[a:a + n_tau], cfg.n_samples, constants)
         for a in range(0, len(schemes), n_tau)
     ]
     header = ("level", "tau") + _TABLE1_COLUMNS

@@ -102,6 +102,10 @@ class ExperimentConfig:
         if self.phi_norm not in ("nodal", "l2", "sup"):
             bad("sampling.phi_norm",
                 f"must be one of nodal, l2, sup; got {self.phi_norm!r}")
+        for eps in self.interface_epsilons:
+            if not 0 < eps <= 1:
+                bad("interface.epsilons",
+                    f"each must lie in (0, 1], got {eps}")
         if self.moments_n_samples < 2:
             bad("moments.n_samples",
                 f"must be >= 2, got {self.moments_n_samples}")

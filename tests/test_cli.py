@@ -259,6 +259,19 @@ class TestInterfaceCommand:
         assert (tmp_path / "profiles_eps_0.01.csv").exists()
         assert (tmp_path / "profiles_eps_0.001.csv").exists()
 
+    def test_out_of_range_epsilon_rejected_before_any_sweep(self, tmp_path,
+                                                           capsys):
+        # the valid first entry must not be swept and written either
+        code = run_cli(
+            "interface", "--preset", "interface-eps2",
+            "--set", "sampling.n_samples=6",
+            "--set", "interface.epsilons=0.01 2",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "interface.epsilons" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_blowup_exits_two(self, tmp_path, capsys):
         code = run_cli(
             "interface", "--preset", "interface-eps3",

@@ -1,5 +1,6 @@
 """Steppers, trajectory drivers, coupling, determinism, blow-up handling."""
 
+import functools
 import hashlib
 import threading
 import tracemalloc
@@ -60,6 +61,13 @@ class TestConfigValidation:
                 drift=ALLEN_CAHN,
                 taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=0.2),
             )
+
+    def test_zero_steps_rejected(self, basis16):
+        # a run takes at least one step, so the sweep has no zero-step case
+        for n_steps in (0, -1):
+            with pytest.raises(ValueError, match="n_steps"):
+                SchemeConfig(epsilon=0.5, tau=0.1, n_steps=n_steps,
+                             basis=basis16, drift=None)
 
     def test_tamed_drift_needs_taming(self, basis16):
         with pytest.raises(ValueError):
@@ -162,10 +170,15 @@ class TestReferenceStep:
 
 class TestRunTrajectory:
     def test_zero_steps_returns_initial(self, basis64):
-        cfg = SchemeConfig(epsilon=0.01, tau=2.0**-4, n_steps=0, basis=basis64,
+        # a zero-step run cannot be built; the initial state is what a
+        # run returns at t = 0
+        with pytest.raises(ValueError, match="n_steps"):
+            SchemeConfig(epsilon=0.01, tau=2.0**-4, n_steps=0, basis=basis64,
+                         drift=None)
+        cfg = SchemeConfig(epsilon=0.01, tau=2.0**-4, n_steps=1, basis=basis64,
                            drift=None)
-        rec = run_trajectory(cfg, NoisePlan(1, 4), 0)
-        assert np.array_equal(rec.endpoint, default_initial(basis64))
+        rec = run_trajectory(cfg, NoisePlan(1, 4), 0, snapshot_times=[0.0])
+        assert np.array_equal(rec.snapshots[0.0], default_initial(basis64))
 
     def test_zero_noise_heat_decay(self, basis64):
         cfg = tamed_cfg(basis64, level=5, drift=None, with_noise=False)
@@ -189,6 +202,27 @@ class TestRunTrajectory:
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         with pytest.raises(ValueError):
             run_trajectory(cfg, NoisePlan(11, 4), 0, snapshot_times=[0.3])
+
+    @pytest.mark.parametrize("track_monitors", [False, True])
+    def test_memory_at_2_14_steps(self, basis64, track_monitors):
+        # the monitors keep the state at every step: 16,385 states of 64
+        # modes are 8.4 MB, and the norms take three such temporaries.
+        # Traced peaks were 0.6 MB without monitors and 26.1 MB with them
+        cfg = tamed_cfg(basis64, level=14, epsilon=0.5, drift=None)
+        plan = NoisePlan(5, 14)
+        tracemalloc.start()
+        try:
+            rec = run_trajectory(cfg, plan, 3, snapshot_times=[0.5, 1.0],
+                                 track_monitors=track_monitors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 32e6 if track_monitors else 3e6
+        assert peak <= bound, f"traced peak {peak / 1e6:.1f} MB"
+        if track_monitors:
+            (mons,), _ = norm_monitors([cfg], plan, [3])
+            assert (rec.max_l2, rec.max_l4, rec.max_sup) == tuple(
+                m[0] for m in mons)
 
     def test_sample_id_selects_path(self, basis64):
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
@@ -250,16 +284,18 @@ class TestSweep:
                 for q in (0, 2, 4, 6, 8)]
         runs += [reference_cfg(basis64, level=level, epsilon=0.5)
                  for level in (9, 3)]
-        kwargs = dict(snapshot_times=[[0.5, 1.0]] * len(runs),
-                      track_monitors=True)
+        times = [[0.5, 1.0]] * len(runs)
         plan = NoisePlan(23, 9)
-        default, _ = sweep_ensemble(runs, plan, 13, **kwargs)
+        default, _ = sweep_ensemble(runs, plan, 13, snapshot_times=times)
+        default_mons, _ = norm_monitors(runs, plan, 13)
         for window in (16, 64, 256):
             monkeypatch.setattr(engine, "_WINDOW_STEPS", window)
-            outs, _ = sweep_ensemble(runs, plan, 13, **kwargs)
+            outs, _ = sweep_ensemble(runs, plan, 13, snapshot_times=times)
             for a, b in zip(default, outs):
                 assert _output_arrays(a, (0.5, 1.0)) == _output_arrays(
                     b, (0.5, 1.0))
+            mons, _ = norm_monitors(runs, plan, 13)
+            assert _monitor_bytes(mons) == _monitor_bytes(default_mons)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5, 1.0 / 3.0, 0.25])
@@ -301,9 +337,31 @@ def test_step_allocates_no_arrays(basis64, alpha):
 
 def _output_arrays(out, times, rows=slice(None)):
     """The bytes of every output array of one run, per array."""
-    arrays = [out.endpoints, out.max_l2, out.max_l4, out.max_sup] + [
-        out.snapshots[t] for t in times]
+    arrays = [out.endpoints] + [out.snapshots[t] for t in times]
     return [a[rows].tobytes() for a in arrays]
+
+
+def norm_monitors(runs, plan, samples, **kwargs):
+    """Each run's running norm monitors, from a sweep with a norm snapshot
+    at every step: per run, the (L2, L4, sup) maxima of every sample over
+    all steps, t = 0 included, and the sweep's blown-sample mask."""
+    outs, blown = sweep_ensemble(
+        runs, plan, samples,
+        snapshot_times=[[m * r.tau for m in range(r.n_steps + 1)]
+                        for r in runs],
+        snapshot_fn=functools.partial(engine._state_norms, runs[0].basis),
+        **kwargs)
+    monitors = []
+    for out in outs:
+        norms = np.stack(list(out.snapshots.values()))    # (steps + 1, S, 3)
+        monitors.append((np.sqrt(norms[..., 0]).max(axis=0),
+                         (norms[..., 1]**0.25).max(axis=0),
+                         norms[..., 2].max(axis=0)))
+    return monitors, blown
+
+
+def _monitor_bytes(monitors, rows=slice(None)):
+    return [m[rows].tobytes() for run in monitors for m in run]
 
 
 class TestSampleBits:
@@ -319,10 +377,18 @@ class TestSampleBits:
                 reference_cfg(basis, level=6, epsilon=0.5)]
 
     def sweep(self, basis, samples):
-        outs, _ = sweep_ensemble(
-            self.runs(basis), NoisePlan(41, 6), samples, track_monitors=True,
-            snapshot_times=[self.TIMES, self.TIMES])
-        return outs
+        """Per run, the output arrays' bytes and the monitors."""
+        runs, plan = self.runs(basis), NoisePlan(41, 6)
+        outs, _ = sweep_ensemble(runs, plan, samples,
+                                 snapshot_times=[self.TIMES, self.TIMES])
+        monitors, _ = norm_monitors(runs, plan, samples)
+        return outs, monitors
+
+    @staticmethod
+    def as_bytes(sweep, times, rows=slice(None)):
+        outs, monitors = sweep
+        return ([_output_arrays(out, times, rows) for out in outs],
+                _monitor_bytes(monitors, rows))
 
     @pytest.fixture(scope="class")
     def full(self, basis64):
@@ -331,16 +397,15 @@ class TestSampleBits:
     @pytest.mark.parametrize("sample", [0, 5, 255, 256, 299])
     def test_single_sample_equals_batch_row(self, basis64, full, sample):
         one = self.sweep(basis64, [sample])
-        for a, b in zip(one, full):
-            assert _output_arrays(a, self.TIMES) == _output_arrays(
-                b, self.TIMES, [sample])
-        for i, cfg in enumerate(self.runs(basis64)):
+        assert self.as_bytes(one, self.TIMES) == self.as_bytes(
+            full, self.TIMES, [sample])
+        outs, monitors = full
+        for cfg, row, mons in zip(self.runs(basis64), outs, monitors):
             rec = run_trajectory(cfg, NoisePlan(41, 6), sample,
                                  snapshot_times=self.TIMES)
-            row = full[i]
             assert rec.endpoint.tobytes() == row.endpoints[sample].tobytes()
-            assert (rec.max_l2, rec.max_l4, rec.max_sup) == (
-                row.max_l2[sample], row.max_l4[sample], row.max_sup[sample])
+            assert (rec.max_l2, rec.max_l4, rec.max_sup) == tuple(
+                m[sample] for m in mons)
             for t in self.TIMES:
                 assert rec.snapshots[t].tobytes() == row.snapshots[t][
                     sample].tobytes()
@@ -348,15 +413,13 @@ class TestSampleBits:
     @pytest.mark.parametrize("count", [255, 256, 257])
     def test_chunk_edges(self, basis64, full, count):
         # 257 samples end in a one-row chunk
-        for a, b in zip(self.sweep(basis64, count), full):
-            assert _output_arrays(a, self.TIMES) == _output_arrays(
-                b, self.TIMES, slice(0, count))
+        assert self.as_bytes(self.sweep(basis64, count), self.TIMES) == (
+            self.as_bytes(full, self.TIMES, slice(0, count)))
 
     def test_explicit_ids_equal_count(self, basis64, full):
         ids = [299, 0, 5, 256, 255]
-        for a, b in zip(self.sweep(basis64, ids), full):
-            assert _output_arrays(a, self.TIMES) == _output_arrays(
-                b, self.TIMES, ids)
+        assert self.as_bytes(self.sweep(basis64, ids), self.TIMES) == (
+            self.as_bytes(full, self.TIMES, ids))
 
 
 class TestStepHelperBits:
@@ -413,17 +476,17 @@ class TestStepHelperBits:
 
 
 def test_monitor_bytes_pinned(basis64, fingerprint):
-    # 257 samples end in a one-row chunk; the digest was recorded before
-    # the monitors and the moments shared one norm helper
+    # 257 samples end in a one-row chunk; the digest was recorded while
+    # the sweep still kept running maxima of its own, before the monitors
+    # and the moments shared one norm helper
     runs = [tamed_cfg(basis64, level=4, epsilon=0.5),
             reference_cfg(basis64, level=6, epsilon=0.5)]
     for threads in (1, 2):
-        outs, _ = sweep_ensemble(runs, NoisePlan(41, 6), 257,
-                                 track_monitors=True, threads=threads)
+        monitors, _ = norm_monitors(runs, NoisePlan(41, 6), 257,
+                                    threads=threads)
         h = hashlib.sha256()
-        for out in outs:
-            for a in (out.max_l2, out.max_l4, out.max_sup):
-                h.update(a.tobytes())
+        for a in _monitor_bytes(monitors):
+            h.update(a)
         assert h.hexdigest() == (
             "288d8fcc467ae5c5c47f59252d3cc8bdcb2899e56d1715a94c22974e6747a1dd"
         ), f"monitor bytes moved at threads={threads}:\n{fingerprint}"
@@ -448,7 +511,12 @@ class TestSnapshotFn:
         assert small[0].endpoints.tobytes() == full[0].endpoints.tobytes()
 
     def test_zero_horizon(self, basis64):
-        cfg = SchemeConfig(epsilon=0.5, tau=2.0**-4, n_steps=0, basis=basis64,
+        # no zero-horizon sweep exists; the t = 0 snapshot of a one-step
+        # run is the callable applied to the initial state
+        with pytest.raises(ValueError, match="n_steps"):
+            SchemeConfig(epsilon=0.5, tau=2.0**-4, n_steps=0, basis=basis64,
+                         drift=None)
+        cfg = SchemeConfig(epsilon=0.5, tau=2.0**-4, n_steps=1, basis=basis64,
                            drift=None)
         outs, _ = sweep_ensemble([cfg], NoisePlan(1, 4), 3, snapshot_times=[[0.0]],
                                  snapshot_fn=lambda s: s[:, :1] * 2.0)
@@ -505,11 +573,12 @@ class TestRunEnsemble:
 
 
 class TestBlowUpOrdering:
-    """Runs of ratio 1 and 4 over sixty-four 16-step noise windows; of
-    twelve samples, sample 2 blows up in the ratio-4 run at coarse step 169
-    (fine step 676, inside the 43rd window).  The error pin was recorded with the
-    per-fine-step sweep that streamed noise replaced; the digest carries
-    the float bytes, so it depends on the machine like the golden CSVs.
+    """Runs of ratio 1 and 4 over 256 4-step noise windows; of twelve
+    samples, sample 2 blows up in the ratio-4 run at coarse step 169
+    (fine step 676, which ends inside the 169th window).  The error pin
+    was recorded with the per-fine-step sweep that streamed noise
+    replaced; the digest carries the float bytes, so it depends on the
+    machine like the golden CSVs.
     """
 
     TIMES = [0.25, 0.5, 0.75, 1.0]
@@ -534,18 +603,21 @@ class TestBlowUpOrdering:
                 err.value.run_index) == (169, 2, 1)
 
     def test_skip_blowups_outputs_pinned(self, fingerprint):
-        with np.errstate(over="ignore"):      # monitors of the exploding path
-            outs, blown = sweep_ensemble(
-                self.runs(), NoisePlan(6, 10), 12, skip_blowups=True,
-                snapshot_times=[self.TIMES, self.TIMES], track_monitors=True,
-            )
+        outs, blown = sweep_ensemble(
+            self.runs(), NoisePlan(6, 10), 12, skip_blowups=True,
+            snapshot_times=[self.TIMES, self.TIMES],
+        )
+        with np.errstate(over="ignore"):      # norms of the exploding path
+            monitors, mon_blown = norm_monitors(
+                self.runs(), NoisePlan(6, 10), 12, skip_blowups=True)
         assert np.nonzero(blown)[0].tolist() == [2]
+        assert mon_blown.tolist() == blown.tolist()
         # the blown sample is NaN in every run, snapshots and monitors too
         survivors = np.arange(12) != 2
         h = hashlib.sha256()
-        for out in outs:
+        for out, mons in zip(outs, monitors):
             arrays = ([out.endpoints] + [out.snapshots[t] for t in self.TIMES]
-                      + [out.max_l2, out.max_l4, out.max_sup])
+                      + list(mons))
             for a in arrays:
                 assert np.isnan(a[2]).all()
                 assert np.isfinite(a[survivors]).all()
@@ -613,16 +685,14 @@ class TestThreading:
     def test_600_samples_bytes_equal_at_one_and_two_threads(self, basis64):
         runs = [tamed_cfg(basis64, level=4, epsilon=0.5),
                 reference_cfg(basis64, level=6, epsilon=0.5)]
-        kwargs = dict(snapshot_times=[[0.5, 1.0], [0.5, 1.0]],
-                      track_monitors=True)
+        times = [[0.5, 1.0], [0.5, 1.0]]
         plan = NoisePlan(17, 6)
-        one, _ = sweep_ensemble(runs, plan, 600, threads=1, **kwargs)
-        two, _ = sweep_ensemble(runs, plan, 600, threads=2, **kwargs)
+        one, _ = sweep_ensemble(runs, plan, 600, threads=1, snapshot_times=times)
+        two, _ = sweep_ensemble(runs, plan, 600, threads=2, snapshot_times=times)
         for a, b in zip(one, two):
-            for x, y in [(a.endpoints, b.endpoints), (a.max_l2, b.max_l2),
-                         (a.max_l4, b.max_l4), (a.max_sup, b.max_sup)] + [
-                    (a.snapshots[t], b.snapshots[t]) for t in (0.5, 1.0)]:
-                assert x.tobytes() == y.tobytes()
+            assert _output_arrays(a, (0.5, 1.0)) == _output_arrays(b, (0.5, 1.0))
+        assert _monitor_bytes(norm_monitors(runs, plan, 600, threads=1)[0]) == (
+            _monitor_bytes(norm_monitors(runs, plan, 600, threads=2)[0]))
 
     def test_more_workers_than_chunks_changes_no_byte(self, basis64):
         # 600 samples are three chunks, fewer than the eight workers

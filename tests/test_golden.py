@@ -3,10 +3,10 @@ tiny CLI runs, and of the admissibility list in the manifests of the two
 runs that write one.
 
 The sizes cover the noise layout's edge cases: a fine level of 10
-(sixty-four 16-step noise windows, coarse ratios 512, 16 and 4, so one
-coarse step spans 32 windows), fine levels of 7 and 6 (eight windows and
-four), and a 300-sample run at two threads (two sample chunks in the
-thread pool; the second, of 44 samples, ends in a Box-Muller block of 12).
+(256 4-step noise windows, coarse ratios 512, 16 and 4, so one coarse
+step spans 128 windows), fine levels of 7 and 6 (32 windows and 16), and
+a 300-sample run at two threads (two sample chunks in the thread pool;
+the second, of 44 samples, is one Box-Muller block of 44).
 
 The hashes were recorded with numpy 2.4 and OpenBLAS 0.3.31 on an x86-64
 CPU with AVX-512.  libm and the SIMD kernels may differ in the last bit on

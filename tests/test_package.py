@@ -18,7 +18,7 @@ MODULES = ["tamedspde"] + [
 ]
 #: entry points folded into the API that remains
 DELETED = {"weak_error_estimate", "run_ensemble", "EnsembleStats",
-           "standard_pairs_batch"}
+           "standard_pairs_batch", "_write_monitors"}
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -225,8 +225,17 @@ def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
 
 
 def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
-    outdir, basis, drift = _setup(cfg)
+    # the profiles step at tau_levels[0] only, so its grid must hold every
+    # time; validate cannot ask this of the other commands' configs
     level = cfg.tau_levels[0]
+    tau = cfg.horizon / 2**level
+    for t in cfg.interface_times:
+        m = round(t / tau) if 0 <= t <= cfg.horizon else -1
+        if m < 0 or abs(m * tau - t) > 1e-9 * max(1.0, tau):
+            raise ConfigError(
+                f"interface.times: time {t} must lie on the step grid of "
+                f"tau = {tau} in [0, {cfg.horizon}]")
+    outdir, basis, drift = _setup(cfg)
     epsilons = cfg.interface_epsilons or (cfg.epsilon,)
     outputs = []
     for eps in epsilons:

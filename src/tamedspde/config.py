@@ -8,14 +8,16 @@ from __future__ import annotations
 import configparser
 import io
 import json
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 __all__ = ["ExperimentConfig", "ConfigError", "format_float"]
 
 
 class ConfigError(ValueError):
-    """Configuration validation failure; the message names the field path."""
+    """Configuration validation failure; the message names its section.key."""
 
 
 def format_float(x: float) -> str:
@@ -64,76 +66,43 @@ class ExperimentConfig:
     moments_tau_level: int = 10
 
     def validate(self) -> "ExperimentConfig":
+        """Check each row of ``_FIELDS``, then the cross-field conditions."""
+        for name, (section, key, _, requirement, check) in _FIELDS.items():
+            value = getattr(self, name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ConfigError(f"{section}.{key}: must be finite, got {value!r}")
+            if check is not None and not check(value):
+                raise ConfigError(f"{section}.{key}: {requirement}, got {value!r}")
+
         def bad(path, msg):
             raise ConfigError(f"{path}: {msg}")
 
-        if not 0 < self.epsilon <= 1:
-            bad("model.epsilon", f"must lie in (0, 1], got {self.epsilon}")
-        if self.q < 2 or int(self.q) != self.q:
-            bad("model.q", f"must be an integer >= 2, got {self.q}")
-        if not self.leading > 0:
-            bad("model.leading", f"must be > 0, got {self.leading}")
         if len(self.f0_coeffs) > 2 * self.q - 1:
             bad("model.f0_coeffs", f"degree must be <= 2q-2 = {2 * self.q - 2}")
-        if self.n_modes < 1:
-            bad("discretization.n_modes", f"must be >= 1, got {self.n_modes}")
-        if not self.horizon > 0:
-            bad("discretization.horizon", f"must be > 0, got {self.horizon}")
-        # the paper7 presets' reference grid, 2^14 fine steps, is the
-        # finest one supported
-        if not 0 <= self.fine_level <= 14:
-            bad("discretization.fine_level",
-                f"must lie in 0..14, got {self.fine_level}")
-        if not self.tau_levels:
-            bad("discretization.tau_levels", "must list at least one level")
-        if any(k < 0 or k > self.fine_level for k in self.tau_levels):
+        if self.tau_levels[-1] > self.fine_level:
             bad("discretization.tau_levels",
                 f"levels must lie in 0..fine_level={self.fine_level}, "
                 f"got {self.tau_levels}")
-        if list(self.tau_levels) != sorted(set(self.tau_levels)):
-            bad("discretization.tau_levels", "levels must be strictly increasing")
-        if not (self.alpha > 0 and self.beta > 0 and self.theta > 0):
-            bad("taming", "alpha, beta, theta must all be > 0")
         if not self.alpha * self.theta < 1:
             bad("taming.alpha",
                 f"need alpha * theta < 1, got {self.alpha * self.theta}")
-        if self.n_samples < 2:
-            bad("sampling.n_samples", f"must be >= 2, got {self.n_samples}")
-        if self.phi_norm not in ("nodal", "l2", "sup"):
-            bad("sampling.phi_norm",
-                f"must be one of nodal, l2, sup; got {self.phi_norm!r}")
-        for eps in self.interface_epsilons:
-            if not 0 < eps <= 1:
-                bad("interface.epsilons",
-                    f"each must lie in (0, 1], got {eps}")
-        if self.moments_n_samples < 2:
-            bad("moments.n_samples",
-                f"must be >= 2, got {self.moments_n_samples}")
         for t in self.moments_horizons:
-            steps = t * 2**self.moments_tau_level
-            n = int(round(steps))
-            if abs(steps - n) > 1e-9 or n < 1 or (n & (n - 1)):
+            steps = t * 2.0**self.moments_tau_level
+            mantissa, exponent = math.frexp(steps)
+            if mantissa != 0.5 or steps < 1:
                 bad("moments.horizons",
                     f"horizon {t} must give a power-of-two number of steps "
                     f"of tau = 2^-{self.moments_tau_level}, got {steps}")
-            # each horizon's sweep runs its own fine grid of n steps
-            if n > 2**14:
+            # each horizon's sweep runs its own fine grid of 2^(exponent-1)
+            # steps
+            if exponent - 1 > 14:
                 bad("moments.tau_level",
                     f"horizon {t} at tau = 2^-{self.moments_tau_level} needs "
-                    f"fine level {n.bit_length() - 1}, above the supported 14")
+                    f"fine level {exponent - 1}, above the supported 14")
         return self
 
     # -- serialization ------------------------------------------------------
-
-    _SECTIONS = {
-        "model": ("epsilon", "q", "leading", "f0_coeffs"),
-        "discretization": ("n_modes", "horizon", "tau_levels", "fine_level"),
-        "taming": ("alpha", "beta", "theta"),
-        "sampling": ("n_samples", "master_seed", "coupled", "phi_norm"),
-        "outputs": ("directory",),
-        "interface": ("interface_times", "interface_epsilons"),
-        "moments": ("moments_horizons", "moments_n_samples", "moments_tau_level"),
-    }
 
     def _encode(self, name: str) -> str:
         val = getattr(self, name)
@@ -149,10 +118,10 @@ class ExperimentConfig:
 
     def to_ini(self) -> str:
         buf = io.StringIO()
-        for section, names in self._SECTIONS.items():
+        for section, rows in groupby(_FIELDS.items(), lambda row: row[1][0]):
             buf.write(f"[{section}]\n")
-            for name in names:
-                buf.write(f"{_key_of(name)} = {self._encode(name)}\n")
+            for name, (_, key, *_) in rows:
+                buf.write(f"{key} = {self._encode(name)}\n")
             buf.write("\n")
         return buf.getvalue()
 
@@ -160,18 +129,15 @@ class ExperimentConfig:
     def from_ini(cls, text: str) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
         parser.read_string(text)
-        values: dict = {}
-        for section, names in cls._SECTIONS.items():
-            if not parser.has_section(section):
-                continue
-            for name in names:
-                if parser.has_option(section, _key_of(name)):
-                    values[name] = _decode(name, parser.get(section, _key_of(name)))
-        unknown = []
-        for section in parser.sections():
-            known = {_key_of(n) for n in cls._SECTIONS.get(section, ())}
-            unknown += [f"{section}.{k}" for k in parser.options(section)
-                        if k not in known]
+        values = {
+            name: _parse(name, parser.get(section, key))
+            for name, (section, key, *_) in _FIELDS.items()
+            if parser.has_option(section, key)
+        }
+        known = {(section, key) for section, key, *_ in _FIELDS.values()}
+        unknown = [f"{section}.{key}" for section in parser.sections()
+                   for key in parser.options(section)
+                   if (section, key) not in known]
         if unknown:
             raise ConfigError(f"unknown option(s): {', '.join(unknown)}")
         return cls(**values).validate()
@@ -190,51 +156,87 @@ class ExperimentConfig:
 
     def with_override(self, path: str, value: str) -> "ExperimentConfig":
         """Apply one 'section.key' = value command-line override."""
-        parts = path.split(".")
-        if len(parts) != 2:
+        if path.count(".") != 1:
             raise ConfigError(f"override path {path!r} must look like section.key")
-        section, key = parts
-        for name in self._SECTIONS.get(section, ()):
-            if _key_of(name) == key:
-                return replace(self, **{name: _decode(name, value)})
-        raise ConfigError(f"unknown option {section}.{key}")
+        for name, (section, key, *_) in _FIELDS.items():
+            if path == f"{section}.{key}":
+                return replace(self, **{name: _parse(name, value)})
+        raise ConfigError(f"unknown option {path}")
 
 
-# field name -> key name inside its section (strip the section prefix)
-_KEY_BY_FIELD = {
-    "interface_times": "times",
-    "interface_epsilons": "epsilons",
-    "moments_horizons": "horizons",
-    "moments_n_samples": "n_samples",
-    "moments_tau_level": "tau_level",
+def _bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split())
+
+
+def _positive(v) -> bool:
+    return v > 0
+
+
+#: one row per field, in file order: field -> (section, key, parser,
+#: requirement, check).  ``validate`` first requires every float, alone or
+#: in a tuple, to be finite, then ``check(value)`` to hold; the cross-field
+#: conditions stay in ``validate``.
+_FIELDS = {
+    "epsilon": ("model", "epsilon", float, "must lie in (0, 1]",
+                lambda v: 0 < v <= 1),
+    "q": ("model", "q", int, "must be an integer >= 2",
+          lambda v: int(v) == v >= 2),
+    "leading": ("model", "leading", float, "must be > 0", _positive),
+    "f0_coeffs": ("model", "f0_coeffs", _floats, "", None),
+    # the dense N x N sine transform is 128 MB at N = 4096
+    "n_modes": ("discretization", "n_modes", int, "must lie in 1..4096",
+                lambda v: 1 <= v <= 4096),
+    "horizon": ("discretization", "horizon", float, "must be > 0", _positive),
+    "tau_levels": ("discretization", "tau_levels", _ints,
+                   "must list strictly increasing levels >= 0",
+                   lambda v: v and v[0] >= 0 and list(v) == sorted(set(v))),
+    # the paper7 presets' reference grid, 2^14 fine steps, is the finest
+    # one supported
+    "fine_level": ("discretization", "fine_level", int, "must lie in 0..14",
+                   lambda v: 0 <= v <= 14),
+    "alpha": ("taming", "alpha", float, "must be > 0", _positive),
+    "beta": ("taming", "beta", float, "must be > 0", _positive),
+    "theta": ("taming", "theta", float, "must be > 0", _positive),
+    "n_samples": ("sampling", "n_samples", int, "must be >= 2",
+                  lambda v: v >= 2),
+    "master_seed": ("sampling", "master_seed", int, "must be >= 0",
+                    lambda v: v >= 0),
+    "coupled": ("sampling", "coupled", _bool, "", None),
+    "phi_norm": ("sampling", "phi_norm", str, "must be one of nodal, l2, sup",
+                 lambda v: v in ("nodal", "l2", "sup")),
+    "directory": ("outputs", "directory", str, "", None),
+    "interface_times": ("interface", "times", _floats,
+                        "must list at least one time", bool),
+    "interface_epsilons": ("interface", "epsilons", _floats,
+                           "each must lie in (0, 1]",
+                           lambda v: all(0 < e <= 1 for e in v)),
+    "moments_horizons": ("moments", "horizons", _floats,
+                         "must list at least one horizon, each > 0",
+                         lambda v: v and min(v) > 0),
+    "moments_n_samples": ("moments", "n_samples", int, "must be >= 2",
+                          lambda v: v >= 2),
+    # tau = 2^-tau_level, no finer than the finest fine grid
+    "moments_tau_level": ("moments", "tau_level", int, "must lie in 0..14",
+                          lambda v: 0 <= v <= 14),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
-
-def _key_of(name: str) -> str:
-    return _KEY_BY_FIELD.get(name, name)
-
-
-def _decode(name: str, text: str):
-    text = text.strip()
-    kind = _FIELD_TYPES[name]
+def _parse(name: str, text: str):
+    section, key, parser, *_ = _FIELDS[name]
     try:
-        if kind == "bool":
-            low = text.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"expected true/false, got {text!r}")
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "tuple[int, ...]":
-            return tuple(int(tok) for tok in text.split())
-        if kind == "tuple[float, ...]":
-            return tuple(float(tok) for tok in text.split())
-        return text
+        return parser(text.strip())
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+        raise ConfigError(f"{section}.{key}: {exc}") from None

@@ -18,7 +18,8 @@ MODULES = ["tamedspde"] + [
 ]
 #: entry points folded into the API that remains
 DELETED = {"weak_error_estimate", "run_ensemble", "EnsembleStats",
-           "standard_pairs_batch", "_write_monitors"}
+           "standard_pairs_batch", "_write_monitors",
+           "_decode", "_FIELD_TYPES", "_KEY_BY_FIELD", "_key_of"}
 
 
 @pytest.mark.parametrize("module", MODULES)

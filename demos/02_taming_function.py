@@ -27,16 +27,18 @@ print("certified drift constants:")
 print(f"  L_f={dc.L_f:.3f}  c0={dc.c0}  c1={dc.c1}  c2={dc.c2:.4f}  "
       f"c3={dc.c3}  c4={dc.c4}  c5={dc.c5}")
 
+# the taming triple; the step size tau is the scheme's and is passed in
+params = TamingParams(alpha=1.0, beta=5.0, theta=0.5)
+
 print("\ntaming at v = 2 (f(2) = -6) for shrinking step sizes:")
 for level in (4, 6, 8, 10, 12):
-    tau = 2.0**-level
-    params = TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=tau)
-    print(f"  tau=2^-{level:<2d}  f_tau(2) = {f_tau_eval(ALLEN_CAHN, params, 2.0):9.5f}")
+    ftau = f_tau_eval(ALLEN_CAHN, params, 2.0**-level, 2.0)
+    print(f"  tau=2^-{level:<2d}  f_tau(2) = {ftau:9.5f}")
 
 v = np.linspace(-3, 3, 7)
-params = TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=2.0**-10)
-print("\n  v        f(v)      f_tau(v)")
-for vi, fi, ti in zip(v, f_eval(ALLEN_CAHN, v), f_tau_eval(ALLEN_CAHN, params, v)):
+print("\n  v        f(v)      f_tau(v) at tau = 2^-10")
+for vi, fi, ti in zip(v, f_eval(ALLEN_CAHN, v),
+                      f_tau_eval(ALLEN_CAHN, params, 2.0**-10, v)):
     print(f"  {vi:5.1f} {fi:10.3f} {ti:10.3f}")
 
 print("\nadmissibility of the step-size condition at epsilon = 0.01:")
@@ -45,7 +47,7 @@ for beta in (5.0, 100.0):
     for level in (5, 8, 10, 12):
         tau = 2.0**-level
         verdict = step_size_condition(
-            dc, TamingParams(alpha=1.0, beta=beta, theta=0.5, tau=tau), 0.01
+            dc, TamingParams(alpha=1.0, beta=beta, theta=0.5), tau, 0.01
         )
         word = "admissible" if verdict.admissible else "violated"
         print(f"  {beta:5.0f}  2^-{level:<6d} {word:12s} {verdict.ratio:8.3f}")

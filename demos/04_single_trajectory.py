@@ -19,14 +19,14 @@ from tamedspde import (
 
 basis = SineBasis(64)
 level = 10
-tau = 2.0**-level
 cfg = SchemeConfig(
     epsilon=0.01,
-    tau=tau,
+    tau=2.0**-level,
     n_steps=2**level,
     basis=basis,
     drift=ALLEN_CAHN,
-    taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=tau),
+    # tamed at the scheme's own step size tau
+    taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5),
 )
 plan = NoisePlan(master_seed=7, fine_level=level)
 

@@ -28,12 +28,13 @@ horizon = 1.0
 fine_level = 12
 levels = (8, 9, 10, 11)
 
+# one taming triple serves every level: each run tames at its own tau
+taming = TamingParams(alpha=1.0, beta=5.0, theta=0.5)
+
 def tamed(level):
-    tau = horizon / 2**level
     return SchemeConfig(
-        epsilon=epsilon, tau=tau, n_steps=2**level, basis=basis,
-        drift=ALLEN_CAHN,
-        taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=tau),
+        epsilon=epsilon, tau=horizon / 2**level, n_steps=2**level, basis=basis,
+        drift=ALLEN_CAHN, taming=taming,
     )
 
 reference = SchemeConfig(

@@ -23,16 +23,20 @@ times = [0.0, 0.25, 1.0]
 
 # the sharper interface needs the smaller step: at epsilon = 0.001 the
 # tamed map only contracts the +-1 plateaus for tau <= ~2^-10
-for epsilon, level in ((0.01, 8), (0.001, 10)):
-    tau = 2.0**-level
-    cfg = SchemeConfig(
-        epsilon=epsilon, tau=tau, n_steps=2**level, basis=basis,
+runs = ((0.01, 8), (0.001, 10))
+schemes = [
+    SchemeConfig(
+        epsilon=epsilon, tau=2.0**-level, n_steps=2**level, basis=basis,
         drift=ALLEN_CAHN,
-        taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=tau),
+        taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5),
     )
-    plan = NoisePlan(master_seed=11, fine_level=level)
-    profile = interface_profile(cfg, plan, n_samples=100, times=times)
+    for epsilon, level in runs
+]
+# one sweep over one noise path on the finest grid drives both runs
+plan = NoisePlan(master_seed=11, fine_level=10)
+profiles = interface_profile(schemes, plan, n_samples=100, times=times)
 
+for (epsilon, _), profile in zip(runs, profiles):
     print(f"\nepsilon = {epsilon}")
     print("x:      " + " ".join(f"{x:5.2f}" for x in profile.node_x[::8]))
     for ti, t in enumerate(profile.times):

@@ -196,7 +196,7 @@ def _error_table(
     for cfg, err, hw in zip(schemes, errors, halfwidths):
         if constants is not None and cfg.taming is not None:
             verdict = drift_mod.step_size_condition(constants, cfg.taming,
-                                                    cfg.epsilon)
+                                                    cfg.tau, cfg.epsilon)
         else:
             verdict = StepSizeVerdict(True, np.nan)
         rows.append(ErrorRow(
@@ -282,27 +282,31 @@ def moment_sup_estimate(
 
 
 def interface_profile(
-    cfg: SchemeConfig,
+    schemes: Sequence[SchemeConfig],
     plan: NoisePlan,
     n_samples: int,
     times: Sequence[float],
     *,
     threads: int = 1,
     x0: np.ndarray | None = None,
-) -> ProfileSet:
-    """Nodewise ensemble mean of the physical solution at each time."""
+) -> list[ProfileSet]:
+    """Nodewise ensemble mean of the physical solution at each time, one
+    profile set per scheme, all from one sweep over the shared noise."""
     times_arr = np.asarray(sorted(times), dtype=np.float64)
     outputs, _ = sweep_ensemble(
-        [cfg], plan, n_samples, snapshot_times=[list(times_arr)],
+        schemes, plan, n_samples,
+        snapshot_times=[list(times_arr)] * len(schemes),
         threads=threads, x0=x0,
     )
-    basis = cfg.basis
-    mean_values = np.empty((len(times_arr), basis.n_modes))
-    for i, t in enumerate(times_arr):
-        phys = basis.to_physical(outputs[0].snapshots[float(t)])
-        mean_values[i] = phys.mean(axis=0)
-    return ProfileSet(times=times_arr, node_x=basis.grid.copy(),
-                      mean_values=mean_values)
+    basis = schemes[0].basis
+    profiles = []
+    for out in outputs:
+        mean_values = np.empty((len(times_arr), basis.n_modes))
+        for i, t in enumerate(times_arr):
+            mean_values[i] = basis.to_physical(out.snapshots[float(t)]).mean(axis=0)
+        profiles.append(ProfileSet(times=times_arr, node_x=basis.grid.copy(),
+                                   mean_values=mean_values))
+    return profiles
 
 
 @dataclass

@@ -35,7 +35,8 @@ from .analysis import (
     weak_errors_shared_reference,
 )
 from .config import ConfigError, ExperimentConfig, format_float
-from .drift import DriftSpec, TamingParams, derive_growth_constants
+from .drift import (DriftConstants, DriftDerivationError, DriftSpec,
+                    TamingParams, derive_growth_constants)
 from .engine import BlowUpError, SchemeConfig, SchemeKind, _blas_threads
 from .noise import NoisePlan
 from .presets import PRESETS, preset
@@ -87,6 +88,15 @@ def _drift(cfg: ExperimentConfig) -> DriftSpec:
     return DriftSpec(q=cfg.q, leading=cfg.leading, lower=cfg.f0_coeffs)
 
 
+def _constants(cfg: ExperimentConfig) -> DriftConstants:
+    """The drift's certified growth constants; none is a config error."""
+    try:
+        return derive_growth_constants(_drift(cfg))
+    except DriftDerivationError as exc:
+        raise ConfigError(f"model.leading: the drift of model.leading and "
+                          f"model.f0_coeffs certifies no constants: {exc}") from None
+
+
 def _setup(cfg: ExperimentConfig) -> tuple[Path, SineBasis, DriftSpec]:
     """The output directory, made if missing, the basis and the drift."""
     outdir = Path(cfg.directory)
@@ -97,17 +107,14 @@ def _setup(cfg: ExperimentConfig) -> tuple[Path, SineBasis, DriftSpec]:
 def _scheme(cfg: ExperimentConfig, level: int, *, alpha: float | None = None,
             epsilon: float | None = None, basis: SineBasis,
             drift: DriftSpec) -> SchemeConfig:
-    tau = cfg.horizon / 2**level
     return SchemeConfig(
         epsilon=cfg.epsilon if epsilon is None else epsilon,
-        tau=tau,
+        tau=cfg.horizon / 2**level,
         n_steps=2**level,
         basis=basis,
         drift=drift,
-        taming=TamingParams(
-            alpha=cfg.alpha if alpha is None else alpha,
-            beta=cfg.beta, theta=cfg.theta, tau=tau,
-        ),
+        taming=TamingParams(alpha=cfg.alpha if alpha is None else alpha,
+                            beta=cfg.beta, theta=cfg.theta),
         kind=SchemeKind.TAMED_EXP_EULER,
     )
 
@@ -138,9 +145,9 @@ def _admissibility_entries(table: ErrorTable) -> list[dict]:
 
 
 def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
+    constants = _constants(cfg)
     outdir, basis, drift = _setup(cfg)
     plan = NoisePlan(cfg.master_seed, cfg.fine_level)
-    constants = derive_growth_constants(drift)
     schemes = [_scheme(cfg, k, basis=basis, drift=drift) for k in cfg.tau_levels]
     reference = _reference(cfg, basis=basis, drift=drift)
     table = weak_error_table(
@@ -174,9 +181,9 @@ def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
 
 
 def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
+    constants = _constants(cfg)
     outdir, basis, drift = _setup(cfg)
     plan = NoisePlan(cfg.master_seed, cfg.fine_level)
-    constants = derive_growth_constants(drift)
     schemes = [
         _scheme(cfg, k, alpha=alpha, basis=basis, drift=drift)
         for alpha in _TABLE1_ALPHAS for k in cfg.tau_levels
@@ -237,13 +244,15 @@ def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
                 f"tau = {tau} in [0, {cfg.horizon}]")
     outdir, basis, drift = _setup(cfg)
     epsilons = cfg.interface_epsilons or (cfg.epsilon,)
+    # one sweep over the shared noise path gives every epsilon its profiles
+    profiles = interface_profile(
+        [_scheme(cfg, level, epsilon=eps, basis=basis, drift=drift)
+         for eps in epsilons],
+        NoisePlan(cfg.master_seed, cfg.fine_level), cfg.n_samples,
+        cfg.interface_times, threads=threads,
+    )
     outputs = []
-    for eps in epsilons:
-        plan = NoisePlan(cfg.master_seed, cfg.fine_level)
-        scheme = _scheme(cfg, level, epsilon=eps, basis=basis, drift=drift)
-        profile = interface_profile(
-            scheme, plan, cfg.n_samples, cfg.interface_times, threads=threads,
-        )
+    for eps, profile in zip(epsilons, profiles):
         name = f"profiles_eps_{format(eps, 'g')}.csv"
         rows = (
             (t, i + 1, profile.node_x[i], profile.mean_values[ti, i])

@@ -78,6 +78,9 @@ class ExperimentConfig:
         def bad(path, msg):
             raise ConfigError(f"{path}: {msg}")
 
+        if not math.isfinite(2 * (self.n_modes * math.pi) ** 2 * self.horizon):
+            bad("discretization.horizon",
+                f"2 (n_modes pi)^2 horizon must be finite, got {self.horizon}")
         if len(self.f0_coeffs) > 2 * self.q - 1:
             bad("model.f0_coeffs", f"degree must be <= 2q-2 = {2 * self.q - 2}")
         if self.tau_levels[-1] > self.fine_level:

@@ -98,15 +98,14 @@ ALLEN_CAHN = DriftSpec(q=2, leading=1.0, lower=(0.0, 1.0))
 
 @dataclass(frozen=True)
 class TamingParams:
-    """Taming triple (alpha, beta, theta) with the step size tau it serves."""
+    """Taming triple (alpha, beta, theta); the scheme supplies the step tau."""
 
     alpha: float
     beta: float
     theta: float
-    tau: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "theta", "tau"):
+        for name in ("alpha", "beta", "theta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not self.alpha * self.theta < 1:
@@ -191,10 +190,10 @@ def _taming_denominator(x: np.ndarray, alpha,
     return np.exp(np.multiply(alpha, np.log1p(x, out=out), out=out), out=out)
 
 
-def f_tau_eval(d: DriftSpec, p: TamingParams, v) -> np.ndarray:
+def f_tau_eval(d: DriftSpec, p: TamingParams, tau: float, v) -> np.ndarray:
     """Tamed drift ``f(v) / (1 + beta tau^theta |v|^((2q-2)/alpha))^alpha``."""
     v = np.asarray(v, dtype=np.float64)
-    x = p.beta * p.tau**p.theta * _abs_power(v, (2 * d.q - 2) / p.alpha)
+    x = p.beta * tau**p.theta * _abs_power(v, (2 * d.q - 2) / p.alpha)
     return f_eval(d, v) / _taming_denominator(x, p.alpha)
 
 
@@ -333,14 +332,12 @@ def derive_growth_constants(
 
 
 def step_size_condition(
-    dc: DriftConstants, p: TamingParams, epsilon: float
+    dc: DriftConstants, p: TamingParams, tau: float, epsilon: float
 ) -> StepSizeVerdict:
     """Check ``2 c3^2 tau^(1 - theta alpha) <= c0 beta^alpha epsilon``."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if not p.theta * p.alpha < 1:
-        raise ValueError("invalid TamingParams: theta * alpha must be < 1")
-    lhs = 2.0 * dc.c3**2 * p.tau ** (1.0 - p.theta * p.alpha)
+    lhs = 2.0 * dc.c3**2 * tau ** (1.0 - p.theta * p.alpha)
     rhs = dc.c0 * p.beta**p.alpha * epsilon
     ratio = lhs / rhs
     return StepSizeVerdict(admissible=bool(ratio <= 1.0), ratio=float(ratio))

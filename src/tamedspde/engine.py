@@ -114,8 +114,7 @@ class BlowUpError(RuntimeError):
 class SchemeConfig:
     """One integrator run: step size, horizon, model, and method.
 
-    ``with_noise=False`` drops the stochastic term entirely (deterministic
-    reaction-diffusion stepping), which the zero-noise sanity checks use.
+    A tamed run with a drift is tamed by ``taming`` at its own step ``tau``.
     """
 
     epsilon: float
@@ -125,7 +124,6 @@ class SchemeConfig:
     drift: DriftSpec | None = None
     taming: TamingParams | None = None
     kind: SchemeKind = SchemeKind.TAMED_EXP_EULER
-    with_noise: bool = True
 
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
@@ -137,11 +135,6 @@ class SchemeConfig:
         if self.kind is SchemeKind.TAMED_EXP_EULER and self.drift is not None:
             if self.taming is None:
                 raise ValueError("tamed scheme with a drift needs TamingParams")
-            if self.taming.tau != self.tau:
-                raise ValueError(
-                    f"taming.tau ({self.taming.tau}) must equal the scheme "
-                    f"step size ({self.tau})"
-                )
 
     @property
     def horizon(self) -> float:
@@ -189,7 +182,7 @@ class _RunPre:
             self.factor = 1.0 / (1.0 + cfg.tau * basis.eigenvalues)
         if cfg.drift is not None and cfg.kind is SchemeKind.TAMED_EXP_EULER:
             t = cfg.taming
-            self.tame_coef = t.beta * t.tau**t.theta
+            self.tame_coef = t.beta * cfg.tau**t.theta
             self.tame_power = (2 * cfg.drift.q - 2) / t.alpha
             self.tame_alpha = t.alpha
 
@@ -478,8 +471,6 @@ def sweep_ensemble(
 
     pres = [_RunPre(r) for r in runs]
     tamed = [r.kind is SchemeKind.TAMED_EXP_EULER for r in runs]
-    need_dw = any(r.with_noise and not t for r, t in zip(runs, tamed))
-    need_conv = any(r.with_noise and t for r, t in zip(runs, tamed))
     decay_fine = np.exp(-basis.eigenvalues * h)
     window = min(_WINDOW_STEPS, fine_steps)
 
@@ -511,25 +502,21 @@ def sweep_ensemble(
         for i, sm in enumerate(snap_map):
             if 0 in sm:
                 outputs[i].snapshots[sm[0]][lo:hi] = snap0
-        stream = noise_mod.IncrementStream(
-            plan, ids, basis.eigenvalues, h, window, dw=need_dw, conv=need_conv,
-        ) if need_dw or need_conv else None
+        stream = noise_mod.IncrementStream(plan, ids, basis.eigenvalues, h, window,
+                                           dw=not all(tamed), conv=any(tamed))
         # one running coarse sum per (ratio, kind), shared by the runs
         # with both: acc <- e^{-lambda h} acc + fine increment for tamed
         # runs, a plain sum for the reference, restarted at each coarse step
         accs = {(ratio, t): np.empty((count, n_mode))
-                for r, ratio, t in zip(runs, ratios, tamed)
-                if r.with_noise and ratio > 1}
+                for ratio, t in zip(ratios, tamed) if ratio > 1}
         decay = (np.tile(decay_fine, (count, 1))
                  if any(t for _, t in accs) else None)
         # update factors tiled to the chunk, one per (kind, tau) in use
         tiles = {(r.kind, r.tau): np.tile(pre.factor, (count, 1))
                  for r, pre in zip(runs, pres)}
         factors = [tiles[r.kind, r.tau] for r in runs]
-        no_noise = np.zeros((count, n_mode))
         for w0 in range(0, fine_steps, window):
-            if stream is not None:
-                fine = stream.next_window()     # (dW, conv), indexed by "tamed"
+            fine = stream.next_window()     # (dW, conv), indexed by "tamed"
             for kl in range(window):
                 k = w0 + kl
                 for (ratio, t), acc in accs.items():
@@ -538,13 +525,12 @@ def sweep_ensemble(
                     if t:
                         acc *= decay
                     acc += fine[t][:, kl]
-                for i, (r, pre, ratio, t, factor) in enumerate(
-                        zip(runs, pres, ratios, tamed, factors)):
+                for i, (pre, ratio, t, factor) in enumerate(
+                        zip(pres, ratios, tamed, factors)):
                     if (k + 1) % ratio:
                         continue
                     m = (k + 1) // ratio
-                    inc = (no_noise if not r.with_noise
-                           else fine[t][:, kl] if ratio == 1 else accs[ratio, t])
+                    inc = fine[t][:, kl] if ratio == 1 else accs[ratio, t]
                     new = pre.advance(states[i], inc, spare, phys, fv, factor)
                     spare, states[i] = states[i], new
                     np.all(np.isfinite(new, out=finite), axis=1, out=ok)

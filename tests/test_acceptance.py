@@ -231,7 +231,7 @@ def test_criterion_7_moment_stability(tmp_path, basis64):
         cfg = SchemeConfig(
             epsilon=0.01, tau=tau, n_steps=2**level, basis=basis64,
             drift=ALLEN_CAHN,
-            taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=tau),
+            taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5),
         )
         ((max_l2, _, _),), _ = norm_monitors(
             [cfg], NoisePlan(20250811, level), 100)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tamedspde import ConfigError, ExperimentConfig, PRESETS
+from tamedspde import analysis
 from tamedspde import drift as drift_mod
 from tamedspde.cli import main
 from tamedspde.config import format_float
@@ -112,6 +113,16 @@ class TestVerifyCommand:
         assert len(report["checks"]) == 5
         assert all(c["n_samples"] > 0 for c in report["checks"])
         assert "property suite passed" in capsys.readouterr().out
+
+    def test_uncertified_drift_reported(self, tmp_path):
+        # converge and table1 reject this drift as a config error; verify
+        # reports it
+        code = run_cli("verify", "--set", "model.leading=1e308",
+                       "--out-dir", str(tmp_path))
+        assert code == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["constants"]["certified"] is False
+        assert not report["all_passed"]
 
     def test_broken_taming_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
@@ -258,6 +269,28 @@ class TestInterfaceCommand:
         assert code == 0
         assert (tmp_path / "profiles_eps_0.01.csv").exists()
         assert (tmp_path / "profiles_eps_0.001.csv").exists()
+
+    def test_two_epsilons_one_sweep_same_bytes(self, tmp_path, monkeypatch):
+        # both epsilons step in one sweep over the shared noise, and each
+        # CSV equals the one a run of that epsilon alone writes
+        sweeps = []
+        sweep = analysis.sweep_ensemble
+        monkeypatch.setattr(analysis, "sweep_ensemble",
+                            lambda *a, **k: sweeps.append(a[0]) or sweep(*a, **k))
+        base = ["interface", "--preset", "interface-eps2",
+                "--set", "sampling.n_samples=6",
+                "--set", "interface.times=0.0 0.5 1.0"]
+        both = tmp_path / "both"
+        assert run_cli(*base, "--set", "interface.epsilons=0.01 0.05",
+                       "--out-dir", str(both)) == 0
+        assert [len(runs) for runs in sweeps] == [2]
+        for eps in ("0.01", "0.05"):
+            alone = tmp_path / eps
+            assert run_cli(*base, "--set", f"interface.epsilons={eps}",
+                           "--out-dir", str(alone)) == 0
+            name = f"profiles_eps_{eps}.csv"
+            assert (both / name).read_bytes() == (alone / name).read_bytes()
+        assert [len(runs) for runs in sweeps] == [2, 1, 1]
 
     def test_out_of_range_epsilon_rejected_before_any_sweep(self, tmp_path,
                                                            capsys):

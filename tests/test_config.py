@@ -54,6 +54,14 @@ PROBES = {
     "beta-inf": (["converge", "--set", "taming.beta=inf"], "taming.beta"),
     "horizon-inf": (["converge", "--set", "discretization.horizon=inf"],
                     "discretization.horizon"),
+    # finite, but 2 lambda_N h overflows in the noise factors
+    "horizon-huge": (["converge", "--set", "discretization.horizon=1e308"],
+                     "discretization.horizon"),
+    # valid fields, but the drift certifies no growth constants
+    "leading-huge": (["converge", "--set", "model.leading=1e308"],
+                     "model.leading"),
+    "leading-huge-table1": (["table1", "--set", "model.leading=1e308"],
+                            "model.leading"),
     "times-empty": (["interface", "--set", "interface.times="],
                     "interface.times"),
     "horizons-empty": (["moments", "--set", "moments.horizons="],

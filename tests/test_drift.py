@@ -12,6 +12,8 @@ from numpy.polynomial import polynomial as npoly
 from tamedspde import (
     ALLEN_CAHN,
     DriftSpec,
+    SchemeConfig,
+    SineBasis,
     TamingParams,
     derive_growth_constants,
     f_delta_eval,
@@ -88,36 +90,40 @@ class TestDriftSpec:
 
 class TestTamedDrift:
     def setup_method(self):
-        self.params = TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=2.0**-10)
+        self.params = TamingParams(alpha=1.0, beta=5.0, theta=0.5)
+        self.tau = 2.0**-10
 
     def test_zeros_preserved(self):
-        assert f_tau_eval(ALLEN_CAHN, self.params, 0.0) == 0.0
-        assert f_tau_eval(ALLEN_CAHN, self.params, 1.0) == 0.0
+        assert f_tau_eval(ALLEN_CAHN, self.params, self.tau, 0.0) == 0.0
+        assert f_tau_eval(ALLEN_CAHN, self.params, self.tau, 1.0) == 0.0
 
     def test_direct_arithmetic(self):
         # f(2) = -6 over 1 + 5 * 2^-5 * 4 = 1.625
-        got = f_tau_eval(ALLEN_CAHN, self.params, 2.0)
+        got = f_tau_eval(ALLEN_CAHN, self.params, self.tau, 2.0)
         assert got == pytest.approx(-6.0 / 1.625, rel=1e-15)
         assert got == pytest.approx(-3.6923077, abs=1e-7)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 1.0 / 3.0, 0.25])
     def test_fast_power_paths_match_reference(self, alpha):
-        params = TamingParams(alpha=alpha, beta=5.0, theta=0.5, tau=2.0**-8)
+        params = TamingParams(alpha=alpha, beta=5.0, theta=0.5)
         v = np.linspace(-30, 30, 1001)
         x = 5.0 * (2.0**-8) ** 0.5 * np.abs(v) ** ((2 * 2 - 2) / alpha)
         expected = f_eval(ALLEN_CAHN, v) / (1.0 + x) ** alpha
-        assert np.allclose(f_tau_eval(ALLEN_CAHN, params, v), expected,
+        assert np.allclose(f_tau_eval(ALLEN_CAHN, params, 2.0**-8, v), expected,
                            rtol=1e-12, atol=1e-300)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            TamingParams(alpha=0.0, beta=5.0, theta=0.5, tau=1e-3)
+            TamingParams(alpha=0.0, beta=5.0, theta=0.5)
         with pytest.raises(ValueError):
-            TamingParams(alpha=2.5, beta=5.0, theta=0.5, tau=1e-3)
+            TamingParams(alpha=2.5, beta=5.0, theta=0.5)
         with pytest.raises(ValueError):
-            TamingParams(alpha=1.0, beta=-5.0, theta=0.5, tau=1e-3)
-        with pytest.raises(ValueError):
-            TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=0.0)
+            TamingParams(alpha=1.0, beta=-5.0, theta=0.5)
+        # the step size is the scheme's, and the scheme rejects tau <= 0
+        with pytest.raises(ValueError, match="tau"):
+            SchemeConfig(epsilon=0.5, tau=0.0, n_steps=1, basis=SineBasis(4),
+                         drift=ALLEN_CAHN,
+                         taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5))
 
     @given(
         v=st.floats(-1e3, 1e3),
@@ -128,8 +134,8 @@ class TestTamedDrift:
     @settings(max_examples=200, deadline=None)
     def test_domination_property(self, v, beta, tau, theta):
         params = TamingParams(alpha=min(1.0, 0.99 / theta), beta=beta,
-                              theta=theta, tau=tau)
-        assert abs(f_tau_eval(ALLEN_CAHN, params, v)) <= abs(
+                              theta=theta)
+        assert abs(f_tau_eval(ALLEN_CAHN, params, tau, v)) <= abs(
             f_eval(ALLEN_CAHN, v)
         ) * (1 + 1e-12) + 1e-300
 
@@ -369,26 +375,26 @@ class TestStepSizeCondition:
         self.dc = derive_growth_constants(ALLEN_CAHN)
 
     def test_admissible_beta100(self):
-        params = TamingParams(alpha=1.0, beta=100.0, theta=0.5, tau=2.0**-10)
-        verdict = step_size_condition(self.dc, params, 0.01)
+        params = TamingParams(alpha=1.0, beta=100.0, theta=0.5)
+        verdict = step_size_condition(self.dc, params, 2.0**-10, 0.01)
         assert verdict.admissible
         # LHS = 2 * 2^-5 = 0.0625, RHS = 0.5 * 100 * 0.01 = 0.5
         assert verdict.ratio == pytest.approx(0.125, rel=1e-12)
 
     def test_violated_beta5(self):
-        params = TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=2.0**-10)
-        verdict = step_size_condition(self.dc, params, 0.01)
+        params = TamingParams(alpha=1.0, beta=5.0, theta=0.5)
+        verdict = step_size_condition(self.dc, params, 2.0**-10, 0.01)
         assert not verdict.admissible
         assert verdict.ratio == pytest.approx(2.5, rel=1e-12)
 
     def test_vanishing_tau_admissible(self):
-        params = TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=2.0**-40)
-        assert step_size_condition(self.dc, params, 0.01).admissible
+        params = TamingParams(alpha=1.0, beta=5.0, theta=0.5)
+        assert step_size_condition(self.dc, params, 2.0**-40, 0.01).admissible
 
     def test_bad_epsilon(self):
-        params = TamingParams(alpha=1.0, beta=5.0, theta=0.5, tau=1e-3)
+        params = TamingParams(alpha=1.0, beta=5.0, theta=0.5)
         with pytest.raises(ValueError):
-            step_size_condition(self.dc, params, 0.0)
+            step_size_condition(self.dc, params, 1e-3, 0.0)
 
 
 class TestInvariantChecks:

@@ -1,6 +1,7 @@
 """The package surface: every public name resolves, deleted names stay
 gone, and every demo script runs."""
 
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -28,6 +29,17 @@ def test_public_names_resolve(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
     assert DELETED.isdisjoint(vars(mod))
+
+
+@pytest.mark.parametrize("cls, names", [
+    # the step size is the scheme's alone, and every run is driven by the
+    # noise: no setting duplicates tau or switches the noise off
+    (tamedspde.SchemeConfig,
+     ("epsilon", "tau", "n_steps", "basis", "drift", "taming", "kind")),
+    (tamedspde.TamingParams, ("alpha", "beta", "theta")),
+], ids=["SchemeConfig", "TamingParams"])
+def test_config_object_fields(cls, names):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("0*.py")),

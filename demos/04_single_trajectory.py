@@ -14,7 +14,7 @@ from tamedspde import (
     SchemeConfig,
     SineBasis,
     TamingParams,
-    run_trajectory,
+    sweep_ensemble,
 )
 
 basis = SineBasis(64)
@@ -30,19 +30,21 @@ cfg = SchemeConfig(
 )
 plan = NoisePlan(master_seed=7, fine_level=level)
 
-record = run_trajectory(cfg, plan, sample=0,
-                        snapshot_times=[0.0, 0.0625, 0.25, 1.0])
+# one sample of the ensemble, with a snapshot at every step, t = 0 included
+times = [m * cfg.tau for m in range(cfg.n_steps + 1)]
+(out,), _ = sweep_ensemble([cfg], plan, [0], snapshot_times=[times])
+path = np.stack([out.snapshots[t][0] for t in times])    # (steps + 1, modes)
 
 print("L2 norm of the state along the path:")
-for t, coeffs in sorted(record.snapshots.items()):
-    print(f"  t={t:5.2f}  |X|_L2 = {np.linalg.norm(coeffs):.4f}")
+for t in (0.0, 0.0625, 0.25, 1.0):
+    print(f"  t={t:5.2f}  |X|_L2 = {basis.norm(out.snapshots[t][0]):.4f}")
 
 print(f"\nrunning monitors over all steps:")
-print(f"  max |X|_L2  = {record.max_l2:.4f}")
-print(f"  max |X|_L4  = {record.max_l4:.4f}")
-print(f"  max sup|X|  = {record.max_sup:.4f}")
+print(f"  max |X|_L2  = {basis.norm(path).max():.4f}")
+print(f"  max |X|_L4  = {basis.norm(path, 'lp', 4).max():.4f}")
+print(f"  max sup|X|  = {basis.norm(path, 'sup').max():.4f}")
 
-profile = basis.to_physical(record.endpoint)
+profile = basis.to_physical(out.endpoints[0])
 mid = slice(24, 40)
 print(f"\nendpoint values at the middle nodes (phase +1 plateau):")
 print("  " + " ".join(f"{v:+.2f}" for v in profile[mid]))

@@ -41,11 +41,7 @@ from .engine import (
     RunOutput,
     SchemeConfig,
     SchemeKind,
-    TrajectoryRecord,
-    run_trajectory,
-    semi_implicit_reference_step,
     sweep_ensemble,
-    tamed_exponential_step,
 )
 from .noise import (
     NoiseIncrementPair,
@@ -84,7 +80,6 @@ __all__ = [
     "StepSizeVerdict",
     "StepTestFunction",
     "TamingParams",
-    "TrajectoryRecord",
     "coarse_convolution_increment",
     "conv_dw_covariance",
     "conv_variance",
@@ -101,12 +96,9 @@ __all__ = [
     "moment_sup_estimate",
     "preset",
     "property_suite",
-    "run_trajectory",
     "sample_increment_pair",
-    "semi_implicit_reference_step",
     "step_size_condition",
     "sweep_ensemble",
-    "tamed_exponential_step",
     "weak_error_table",
     "weak_errors_shared_reference",
 ]

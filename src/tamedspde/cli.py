@@ -37,7 +37,8 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, format_float
 from .drift import (DriftConstants, DriftDerivationError, DriftSpec,
                     TamingParams, derive_growth_constants)
-from .engine import BlowUpError, SchemeConfig, SchemeKind, _blas_threads
+from .engine import (BlowUpError, SchemeConfig, SchemeKind, _blas_threads,
+                     _snapshot_steps)
 from .noise import NoisePlan
 from .presets import PRESETS, preset
 from .spectral import SineBasis
@@ -97,11 +98,16 @@ def _constants(cfg: ExperimentConfig) -> DriftConstants:
                           f"model.f0_coeffs certifies no constants: {exc}") from None
 
 
-def _setup(cfg: ExperimentConfig) -> tuple[Path, SineBasis, DriftSpec]:
-    """The output directory, made if missing, the basis and the drift."""
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, made if missing."""
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    return outdir, SineBasis(cfg.n_modes), _drift(cfg)
+    return outdir
+
+
+def _setup(cfg: ExperimentConfig) -> tuple[Path, SineBasis, DriftSpec]:
+    """The output directory, made if missing, the basis and the drift."""
+    return _output_dir(cfg), SineBasis(cfg.n_modes), _drift(cfg)
 
 
 def _scheme(cfg: ExperimentConfig, level: int, *, alpha: float | None = None,
@@ -232,23 +238,20 @@ def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
 
 
 def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
+    basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
+    epsilons = cfg.interface_epsilons or (cfg.epsilon,)
+    schemes = [_scheme(cfg, cfg.tau_levels[0], epsilon=eps, basis=basis,
+                       drift=drift) for eps in epsilons]
     # the profiles step at tau_levels[0] only, so its grid must hold every
     # time; validate cannot ask this of the other commands' configs
-    level = cfg.tau_levels[0]
-    tau = cfg.horizon / 2**level
-    for t in cfg.interface_times:
-        m = round(t / tau) if 0 <= t <= cfg.horizon else -1
-        if m < 0 or abs(m * tau - t) > 1e-9 * max(1.0, tau):
-            raise ConfigError(
-                f"interface.times: time {t} must lie on the step grid of "
-                f"tau = {tau} in [0, {cfg.horizon}]")
-    outdir, basis, drift = _setup(cfg)
-    epsilons = cfg.interface_epsilons or (cfg.epsilon,)
+    try:
+        _snapshot_steps(schemes[0], cfg.interface_times)
+    except ValueError as exc:
+        raise ConfigError(f"interface.times: {exc}") from None
+    outdir = _output_dir(cfg)
     # one sweep over the shared noise path gives every epsilon its profiles
     profiles = interface_profile(
-        [_scheme(cfg, level, epsilon=eps, basis=basis, drift=drift)
-         for eps in epsilons],
-        NoisePlan(cfg.master_seed, cfg.fine_level), cfg.n_samples,
+        schemes, NoisePlan(cfg.master_seed, cfg.fine_level), cfg.n_samples,
         cfg.interface_times, threads=threads,
     )
     outputs = []

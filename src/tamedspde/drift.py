@@ -254,6 +254,9 @@ def verification_grid(bound: float = 1e3, n: int = 100_000) -> np.ndarray:
     return np.concatenate([-mags[::-1], [0.0], mags])
 
 
+# an extreme drift overflows on the grid; the NaN-first maximum below
+# already handles the non-finite cells, so numpy need not warn of them
+@np.errstate(over="ignore", invalid="ignore")
 def derive_growth_constants(
     d: DriftSpec, bound: float = 1e3, pair_grid: int = 401
 ) -> DriftConstants:

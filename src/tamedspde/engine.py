@@ -1,5 +1,6 @@
-"""Time-stepping engine: tamed exponential Euler, semi-implicit reference,
-and the sweep that keeps several step sizes coupled on one noise path.
+"""Time-stepping engine: the sweep that advances tamed exponential Euler
+and semi-implicit reference runs, several step sizes coupled on one
+noise path.
 
 The tamed exponential step advances
 
@@ -19,8 +20,7 @@ reductions happen on per-sample arrays in index order, so a sample's
 results are bit-identical for any thread count, chunk size or entry
 point.  A one-row matmul takes BLAS's matrix-vector path, whose last bit
 can differ from a row of a matrix product, so a chunk of one sample is
-swept as two copies of it, and the single-step helpers step a lone state
-as two rows.  Snapshots can be reduced as the sweep goes
+swept as two copies of it.  Snapshots can be reduced as the sweep goes
 (``snapshot_fn``), so a caller that reads a few numbers per sample and
 time does not hold the states.  Snapshots are the sweep's only per-step
 output: the running norm monitors are the maxima over time of norm
@@ -62,7 +62,7 @@ import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -77,12 +77,8 @@ __all__ = [
     "SchemeKind",
     "SchemeConfig",
     "BlowUpError",
-    "TrajectoryRecord",
     "RunOutput",
-    "tamed_exponential_step",
-    "semi_implicit_reference_step",
     "sweep_ensemble",
-    "run_trajectory",
 ]
 
 _CHUNK_SAMPLES = 256
@@ -97,17 +93,12 @@ class SchemeKind(enum.Enum):
 class BlowUpError(RuntimeError):
     """A trajectory produced a non-finite state."""
 
-    def __init__(self, step_index: int, sample: int | None = None,
-                 run_index: int | None = None):
+    def __init__(self, step_index: int, sample: int, run_index: int):
         self.step_index = step_index
         self.sample = sample
         self.run_index = run_index
-        where = f"step {step_index}"
-        if sample is not None:
-            where += f", sample {sample}"
-        if run_index is not None:
-            where += f", run {run_index}"
-        super().__init__(f"non-finite state at {where}")
+        super().__init__(f"non-finite state at step {step_index}, "
+                         f"sample {sample}, run {run_index}")
 
 
 @dataclass(frozen=True)
@@ -142,17 +133,6 @@ class SchemeConfig:
 
 
 @dataclass
-class TrajectoryRecord:
-    """Endpoint, optional snapshots, and running norm monitors of one path."""
-
-    endpoint: np.ndarray
-    snapshots: dict[float, np.ndarray] = field(default_factory=dict)
-    max_l2: float = np.nan
-    max_l4: float = np.nan
-    max_sup: float = np.nan
-
-
-@dataclass
 class RunOutput:
     """Per-sample results of one run inside a sweep (sample-major arrays)."""
 
@@ -161,12 +141,12 @@ class RunOutput:
 
 
 # ---------------------------------------------------------------------------
-# single steps (public contract; the sweep uses the same helpers)
+# one step of a run, on a batch of states
 # ---------------------------------------------------------------------------
 
 
 class _RunPre:
-    """Precomputed per-run quantities used by the steppers."""
+    """Precomputed per-run quantities of the step the sweep takes."""
 
     def __init__(self, cfg: SchemeConfig):
         self.cfg = cfg
@@ -227,46 +207,6 @@ class _RunPre:
             np.add(base, noise, out=out)
             out *= factor
         return out
-
-
-def tamed_exponential_step(
-    state: np.ndarray, cfg: SchemeConfig, noise: np.ndarray,
-    step_index: int = 0,
-) -> np.ndarray:
-    """One tamed exponential Euler step; ``noise`` is the coarse
-    convolution increment in spectral coordinates."""
-    if cfg.kind is not SchemeKind.TAMED_EXP_EULER:
-        raise ValueError("config kind must be TAMED_EXP_EULER")
-    return _one_step(state, cfg, noise, step_index)
-
-
-def semi_implicit_reference_step(
-    state: np.ndarray, cfg: SchemeConfig, dW: np.ndarray,
-    step_index: int = 0,
-) -> np.ndarray:
-    """One linear-implicit reference step; ``dW`` holds plain Brownian
-    increments in spectral coordinates."""
-    if cfg.kind is not SchemeKind.SEMI_IMPLICIT_REFERENCE:
-        raise ValueError("config kind must be SEMI_IMPLICIT_REFERENCE")
-    return _one_step(state, cfg, dW, step_index)
-
-
-def _one_step(state, cfg: SchemeConfig, noise, step_index: int) -> np.ndarray:
-    state = np.asarray(state, dtype=np.float64)
-    # a lone state is stepped as two rows and one dropped, so its bits
-    # equal a sweep row's (see the module docstring)
-    batch = np.atleast_2d(state)
-    lone = len(batch) == 1
-    if lone:
-        batch = batch.repeat(2, axis=0)
-    out, phys, fv = (np.empty_like(batch) for _ in range(3))
-    pre = _RunPre(cfg)
-    pre.advance(batch, np.asarray(noise, dtype=np.float64), out, phys, fv,
-                pre.factor)
-    out = out[:1].reshape(state.shape) if lone else out
-    if not np.isfinite(out).all():
-        raise BlowUpError(step_index)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +315,8 @@ def _snapshot_steps(cfg: SchemeConfig, times: Sequence[float]) -> dict[int, floa
         m = int(round(t / cfg.tau))
         if not 0 <= m <= cfg.n_steps or abs(m * cfg.tau - t) > 1e-9 * max(1.0, cfg.tau):
             raise ValueError(
-                f"snapshot time {t} is not on the step grid of tau={cfg.tau}"
+                f"snapshot time {t} is not on the step grid of tau={cfg.tau} "
+                f"in [0, {cfg.horizon}]"
             )
         table[m] = float(t)
     return table
@@ -574,47 +515,3 @@ def _state_norms(basis: SineBasis, states: np.ndarray) -> np.ndarray:
         np.sum(phys**4, axis=-1) / (basis.n_modes + 1),
         np.max(np.abs(phys), axis=-1),
     ], axis=-1)
-
-
-def _monitor_values(basis: SineBasis, states: np.ndarray):
-    """(L2, L4, sup) norms of a (B, N) batch of states."""
-    l2_sq, l4_4, sup = _state_norms(basis, states).T
-    return np.sqrt(l2_sq), l4_4**0.25, sup
-
-
-def run_trajectory(
-    cfg: SchemeConfig,
-    plan: NoisePlan,
-    sample: int,
-    *,
-    snapshot_times: Sequence[float] | None = None,
-    track_monitors: bool = True,
-    x0: np.ndarray | None = None,
-) -> TrajectoryRecord:
-    """Integrate one sample path and return its record.
-
-    The sample id selects the counter-addressed noise, so the same id
-    always yields the same path regardless of what else runs.
-
-    The monitors are the maxima over every step, t = 0 included, of the
-    L2, L4 and sup norms.  For them the sweep keeps the state at every
-    step and the norms are taken over the stacked states: a traced peak
-    of 26 MB at 2^14 steps and N = 64, against under 1 MB without them.
-    """
-    wanted = _snapshot_steps(cfg, snapshot_times or ())
-    every = [m * cfg.tau for m in range(cfg.n_steps + 1)]
-    (out,), _ = sweep_ensemble(
-        [cfg], plan, [sample], x0=x0,
-        snapshot_times=[every if track_monitors else [every[m] for m in wanted]],
-    )
-    record = TrajectoryRecord(
-        endpoint=out.endpoints[0],
-        snapshots={t: out.snapshots[every[m]][0] for m, t in wanted.items()},
-    )
-    if track_monitors:
-        states = np.stack([out.snapshots[t][0] for t in every])
-        del out             # the per-step arrays go before the norms run
-        record.max_l2, record.max_l4, record.max_sup = (
-            v.max() for v in _monitor_values(cfg.basis, states))
-    return record
-

@@ -6,6 +6,7 @@ import hashlib
 import io
 import re
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -95,6 +96,19 @@ def test_bad_config_exits_one_naming_its_key(probe, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {key}: "), err
     assert not out.exists()
+
+
+def test_uncertifiable_drift_fails_without_numpy_warnings(tmp_path, capsys):
+    # the certification grid overflows for this drift; the named error is
+    # the only report
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["converge", "--set", "model.leading=1e308",
+                     "--out-dir", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith(
+        "configuration error: model.leading: ")
 
 
 def test_empty_epsilons_and_f0_coeffs_stay_legal():

@@ -1,4 +1,5 @@
-"""Steppers, trajectory drivers, coupling, determinism, blow-up handling."""
+"""The step, one-sample and ensemble sweeps, coupling, determinism,
+blow-up handling."""
 
 import functools
 import hashlib
@@ -19,10 +20,7 @@ from tamedspde import (
     TamingParams,
     default_initial,
     f_tau_eval,
-    run_trajectory,
-    semi_implicit_reference_step,
     sweep_ensemble,
-    tamed_exponential_step,
 )
 
 
@@ -45,6 +43,17 @@ def reference_cfg(basis, *, epsilon=0.01, level=6, horizon=1.0,
     )
 
 
+def step(state, cfg, noise):
+    """One step of ``cfg`` from a (N,) state: the sweep's own advance on a
+    two-row batch, one row kept.  A one-row batch would take BLAS's
+    matrix-vector path, whose bits differ from a sweep row's."""
+    pre = engine._RunPre(cfg)
+    batch = np.tile(state, (2, 1))
+    out, phys, fv = (np.empty_like(batch) for _ in range(3))
+    pre.advance(batch, np.tile(noise, (2, 1)), out, phys, fv, pre.factor)
+    return out[0]
+
+
 class TestConfigValidation:
     def test_epsilon_range(self, basis16):
         with pytest.raises(ValueError):
@@ -64,20 +73,11 @@ class TestConfigValidation:
             SchemeConfig(epsilon=0.5, tau=0.1, n_steps=10, basis=basis16,
                          drift=ALLEN_CAHN)
 
-    def test_kind_mismatch_in_steps(self, basis16):
-        tamed = tamed_cfg(basis16)
-        ref = reference_cfg(basis16)
-        state = np.zeros(16)
-        with pytest.raises(ValueError):
-            tamed_exponential_step(state, ref, state)
-        with pytest.raises(ValueError):
-            semi_implicit_reference_step(state, tamed, state)
-
 
 class TestTamedStep:
     def test_fixed_point_zero(self, basis64):
         cfg = tamed_cfg(basis64)
-        out = tamed_exponential_step(np.zeros(64), cfg, np.zeros(64))
+        out = step(np.zeros(64), cfg, np.zeros(64))
         assert np.all(out == 0)
 
     def test_single_mode_against_quadrature_oracle(self, basis64):
@@ -90,7 +90,7 @@ class TestTamedStep:
             taming=TamingParams(alpha=1.0, beta=1e-12, theta=0.5),
         )
         state = default_initial(basis64)
-        out = tamed_exponential_step(state, cfg, np.zeros(64))
+        out = step(state, cfg, np.zeros(64))
 
         x, w = np.polynomial.legendre.leggauss(120)
         xs = 0.5 * (x + 1)
@@ -111,7 +111,7 @@ class TestTamedStep:
     def test_tamed_drift_applied_nodewise(self, basis64, rng):
         cfg = tamed_cfg(basis64, level=4)
         state = rng.standard_normal(64) * 0.2
-        out = tamed_exponential_step(state, cfg, np.zeros(64))
+        out = step(state, cfg, np.zeros(64))
         phys = basis64.to_physical(state)
         drift = basis64.to_spectral(
             f_tau_eval(ALLEN_CAHN, cfg.taming, cfg.tau, phys))
@@ -124,28 +124,21 @@ class TestTamedStep:
         cfg = tamed_cfg(basis64)
         state = rng.standard_normal(64)
         noise = rng.standard_normal(64) * 0.01
-        a = tamed_exponential_step(state, cfg, noise)
-        b = tamed_exponential_step(state.copy(), cfg, noise.copy())
+        a = step(state, cfg, noise)
+        b = step(state.copy(), cfg, noise.copy())
         assert np.array_equal(a, b)
-
-    def test_blowup_detected(self, basis64):
-        cfg = tamed_cfg(basis64)
-        state = np.full(64, 1e160)
-        with pytest.raises(BlowUpError) as err:
-            tamed_exponential_step(state, cfg, np.zeros(64), step_index=17)
-        assert err.value.step_index == 17
 
 
 class TestReferenceStep:
     def test_fixed_point_zero(self, basis64):
         cfg = reference_cfg(basis64)
-        out = semi_implicit_reference_step(np.zeros(64), cfg, np.zeros(64))
+        out = step(np.zeros(64), cfg, np.zeros(64))
         assert np.all(out == 0)
 
     def test_linear_damping_factor(self, basis64):
         cfg = reference_cfg(basis64, level=14, drift=None)
         state = default_initial(basis64)
-        out = semi_implicit_reference_step(state, cfg, np.zeros(64))
+        out = step(state, cfg, np.zeros(64))
         factor = out[0] / state[0]
         assert factor == pytest.approx(1.0 / (1.0 + 2.0**-14 * np.pi**2),
                                        rel=1e-14)
@@ -154,12 +147,14 @@ class TestReferenceStep:
     def test_monotone_damping(self, basis64, rng):
         cfg = reference_cfg(basis64, drift=None)
         state = rng.standard_normal(64)
-        out = semi_implicit_reference_step(state, cfg, np.zeros(64))
+        out = step(state, cfg, np.zeros(64))
         assert np.all(np.abs(out) <= np.abs(state))
         assert np.all(np.abs(out[-8:]) < np.abs(state[-8:]) * 0.05)
 
 
 class TestRunTrajectory:
+    """One path at a time: a one-sample sweep."""
+
     def test_zero_steps_returns_initial(self, basis64):
         # a zero-step run cannot be built; the initial state is what a
         # run returns at t = 0
@@ -168,16 +163,17 @@ class TestRunTrajectory:
                          drift=None)
         cfg = SchemeConfig(epsilon=0.01, tau=2.0**-4, n_steps=1, basis=basis64,
                            drift=None)
-        rec = run_trajectory(cfg, NoisePlan(1, 4), 0, snapshot_times=[0.0])
-        assert np.array_equal(rec.snapshots[0.0], default_initial(basis64))
+        (out,), _ = sweep_ensemble([cfg], NoisePlan(1, 4), [0],
+                                   snapshot_times=[[0.0]])
+        assert np.array_equal(out.snapshots[0.0][0], default_initial(basis64))
 
     def test_zero_noise_heat_decay(self, basis64):
         # every run is driven by the noise, so the noise-free path is 32
         # single steps with zero increments: the heat semigroup at t = 1
         cfg = tamed_cfg(basis64, level=5, drift=None)
         state = default_initial(basis64)
-        for m in range(cfg.n_steps):
-            new = tamed_exponential_step(state, cfg, np.zeros(64), m)
+        for _ in range(cfg.n_steps):
+            new = step(state, cfg, np.zeros(64))
             assert np.linalg.norm(new) < np.linalg.norm(state)
             state = new
         expected = basis64.semigroup_apply(default_initial(basis64), 1.0)
@@ -187,47 +183,38 @@ class TestRunTrajectory:
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         plan = NoisePlan(11, 4)
         times = [m / 16 for m in range(17)]
-        rec = run_trajectory(cfg, plan, 3, snapshot_times=times)
-        assert len(rec.snapshots) == 17
+        (out,), _ = sweep_ensemble([cfg], plan, [3], snapshot_times=[times])
+        assert len(out.snapshots) == 17
         recomputed = max(
-            float(np.linalg.norm(rec.snapshots[t])) for t in times
+            float(np.linalg.norm(out.snapshots[t][0])) for t in times
         )
-        assert rec.max_l2 == pytest.approx(recomputed, rel=1e-12)
+        ((max_l2, _, _),), _ = norm_monitors([cfg], plan, [3])
+        assert max_l2[0] == pytest.approx(recomputed, rel=1e-12)
 
     def test_snapshot_off_grid_rejected(self, basis64):
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
-        with pytest.raises(ValueError):
-            run_trajectory(cfg, NoisePlan(11, 4), 0, snapshot_times=[0.3])
+        with pytest.raises(ValueError, match="not on the step grid"):
+            sweep_ensemble([cfg], NoisePlan(11, 4), [0], snapshot_times=[[0.3]])
 
-    @pytest.mark.parametrize("track_monitors", [False, True])
-    def test_memory_at_2_14_steps(self, basis64, track_monitors):
-        # the monitors keep the state at every step: 16,385 states of 64
-        # modes are 8.4 MB, and the norms take three such temporaries.
-        # Traced peaks were 0.6 MB without monitors and 26.1 MB with them
+    def test_memory_at_2_14_steps(self, basis64):
+        # the lone sample sweeps as two rows; the traced peak was 0.6 MB
         cfg = tamed_cfg(basis64, level=14, epsilon=0.5, drift=None)
         plan = NoisePlan(5, 14)
         tracemalloc.start()
         try:
-            rec = run_trajectory(cfg, plan, 3, snapshot_times=[0.5, 1.0],
-                                 track_monitors=track_monitors)
+            sweep_ensemble([cfg], plan, [3], snapshot_times=[[0.5, 1.0]])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 32e6 if track_monitors else 3e6
-        assert peak <= bound, f"traced peak {peak / 1e6:.1f} MB"
-        if track_monitors:
-            (mons,), _ = norm_monitors([cfg], plan, [3])
-            assert (rec.max_l2, rec.max_l4, rec.max_sup) == tuple(
-                m[0] for m in mons)
+        assert peak <= 3e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_sample_id_selects_path(self, basis64):
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         plan = NoisePlan(11, 4)
-        a = run_trajectory(cfg, plan, 7)
-        b = run_trajectory(cfg, plan, 8)
-        assert not np.array_equal(a.endpoint, b.endpoint)
-        again = run_trajectory(cfg, plan, 7)
-        assert np.array_equal(a.endpoint, again.endpoint)
+        a, b, again = (sweep_ensemble([cfg], plan, [sample])[0][0].endpoints
+                       for sample in (7, 8, 7))
+        assert not np.array_equal(a, b)
+        assert np.array_equal(a, again)
 
 
 class TestSweep:
@@ -270,7 +257,7 @@ class TestSweep:
                 )
                 for j in range(1, 65)
             ])
-            state = tamed_exponential_step(state, cfg, agg)
+            state = step(state, cfg, agg)
         assert np.allclose(outs[0].endpoints[0], state, rtol=1e-12, atol=1e-15)
 
 
@@ -395,16 +382,6 @@ class TestSampleBits:
         one = self.sweep(basis64, [sample])
         assert self.as_bytes(one, self.TIMES) == self.as_bytes(
             full, self.TIMES, [sample])
-        outs, monitors = full
-        for cfg, row, mons in zip(self.runs(basis64), outs, monitors):
-            rec = run_trajectory(cfg, NoisePlan(41, 6), sample,
-                                 snapshot_times=self.TIMES)
-            assert rec.endpoint.tobytes() == row.endpoints[sample].tobytes()
-            assert (rec.max_l2, rec.max_l4, rec.max_sup) == tuple(
-                m[sample] for m in mons)
-            for t in self.TIMES:
-                assert rec.snapshots[t].tobytes() == row.snapshots[t][
-                    sample].tobytes()
 
     @pytest.mark.parametrize("count", [255, 256, 257])
     def test_chunk_edges(self, basis64, full, count):
@@ -419,10 +396,10 @@ class TestSampleBits:
 
 
 class TestStepHelperBits:
-    """The public single-step helpers, composed with a sample's coarse
-    increments, give the bits of that sample's sweep endpoint: a lone
-    state steps as a batch row does.  Ratio 8 at fine level 6, samples
-    256-299 of a 300-sample sweep (the second chunk)."""
+    """The sweep's step, composed by hand with a sample's coarse
+    increments, gives the bits of that sample's sweep endpoint.  Ratio 8
+    at fine level 6, samples 256-299 of a 300-sample sweep (the second
+    chunk)."""
 
     @staticmethod
     def cfg(basis, kind):
@@ -435,8 +412,6 @@ class TestStepHelperBits:
         from tamedspde import increment_pairs
 
         cfg = self.cfg(basis64, kind)
-        step = (tamed_exponential_step if kind == "tamed"
-                else semi_implicit_reference_step)
         plan = NoisePlan(41, 6)
         outs, _ = sweep_ensemble([cfg], plan, 300)
         lam = basis64.eigenvalues
@@ -453,22 +428,9 @@ class TestStepHelperBits:
                         acc = acc * decay + conv[k]
                     else:
                         acc = acc + dw[k]
-                state = step(state, cfg, acc, m + 1)
-            assert state.shape == (64,)
+                state = step(state, cfg, acc)
             assert state.tobytes() == outs[0].endpoints[sample].tobytes(), (
                 f"sample {sample}")
-
-    def test_batch_steps_row_by_row(self, basis64, rng):
-        cfg = self.cfg(basis64, "tamed")
-        states = rng.standard_normal((3, 64)) * 0.2
-        noise = rng.standard_normal((3, 64)) * 0.01
-        batch = tamed_exponential_step(states, cfg, noise)
-        assert batch.shape == (3, 64)
-        for i in range(3):
-            for one in (states[i], states[i:i + 1]):
-                out = tamed_exponential_step(one, cfg, noise[i])
-                assert out.shape == one.shape
-                assert out.tobytes() == batch[i].tobytes()
 
 
 def test_monitor_bytes_pinned(basis64, fingerprint):

@@ -371,6 +371,12 @@ class CheckResult:
         }
 
 
+def _passes(worst: float) -> bool:
+    """A check passes on a finite, non-negative worst margin; a margin
+    that overflowed to inf or NaN fails it."""
+    return bool(np.isfinite(worst) and worst >= 0)
+
+
 def _random_taming(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
     # valid parameter tuples: theta in [0.1, 0.9], alpha in [1/4, 0.99/theta],
     # beta in [0.1, 100], tau in [2^-14, 2^-2]
@@ -395,7 +401,7 @@ def check_taming_domination(
     margin = np.abs(fu) + slack - np.abs(ftau)
     worst = float(np.min(margin))
     i = int(np.argmin(margin))
-    passed = bool(worst >= 0)
+    passed = _passes(worst)
     return CheckResult(
         "taming_domination",
         passed,
@@ -422,7 +428,7 @@ def check_taming_gap(
     margin = bound * (1.0 + 1e-9) - gap
     worst = float(np.min(margin))
     i = int(np.argmin(margin))
-    passed = bool(worst >= 0)
+    passed = _passes(worst)
     return CheckResult(
         "taming_gap",
         passed,
@@ -446,7 +452,7 @@ def check_one_sided_delta_derivative(
     sups = {dl: float(np.max(f_delta_prime_eval(d, dl, grid))) for dl in deltas}
     cap = sups[min(deltas)] * (1.0 + headroom) + 1e-12
     worst = float(min(cap - s for s in sups.values()))
-    passed = bool(all(s <= cap for s in sups.values()))
+    passed = _passes(worst)
     return CheckResult(
         "one_sided_delta_derivative",
         passed,
@@ -476,18 +482,16 @@ def check_delta_derivative_growth(
     fitted = float(np.max(np.abs(f_delta_prime_eval(d, fit_delta, grid))
                           / envelope(fit_delta)))
     c = fitted * (1.0 + 1e-9)
-    worst = np.inf
-    bad = {}
+    margins, ratios = [], []
     for dl in deltas:
-        ratio = np.abs(f_delta_prime_eval(d, dl, grid)) / envelope(dl)
-        margin = float(np.min(c - ratio))
-        if margin < worst:
-            worst = margin
-            if margin < 0:
-                i = int(np.argmax(ratio))
-                bad = {"delta": dl, "u": float(grid[i]), "C": c,
-                       "ratio": float(ratio[i])}
-    passed = bool(worst >= 0)
+        ratios.append(np.abs(f_delta_prime_eval(d, dl, grid)) / envelope(dl))
+        margins.append(float(np.min(c - ratios[-1])))
+    k = int(np.argmin(margins))         # the first NaN, if any
+    worst = margins[k]
+    passed = _passes(worst)
+    i = int(np.argmax(ratios[k]))
+    bad = {"delta": deltas[k], "u": float(grid[i]), "C": c,
+           "ratio": float(ratios[k][i])}
     return CheckResult(
         "delta_derivative_growth", passed, len(grid) * len(deltas), worst,
         {} if passed else bad,
@@ -520,7 +524,7 @@ def check_power_mean_inequality(n: int = 100_000, seed: int = 2) -> CheckResult:
     margin = rhs * (1.0 + 1e-9) - lhs
     worst = float(np.min(margin))
     i = int(np.argmin(margin))
-    passed = bool(worst >= 0)
+    passed = _passes(worst)
     return CheckResult(
         "power_mean_inequality",
         passed,

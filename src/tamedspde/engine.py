@@ -27,9 +27,10 @@ output: the running norm monitors are the maxima over time of norm
 snapshots taken at every step.
 
 Each chunk streams its noise: a ``noise.IncrementStream`` keeps one live
-Philox generator per sample and fills reused 4-step window buffers laid
-out (sample, step, mode), 0.5 MB per kind for a 256-sample chunk at
-N = 64; the sweep reads step k in place as the strided view ``[:, k]``.
+Philox generator per sample and fills reused 8-step window buffers laid
+out (step, sample, mode), 1 MB per kind for a 256-sample chunk at
+N = 64; the sweep reads step k in place as the contiguous (samples,
+modes) slice ``[k]``.
 At every fine step, each (ratio, scheme kind) in use adds the step's
 increments to one running (samples, modes) coarse sum by the fine-step
 recursion, restarted at each coarse step; runs sharing a ratio and a
@@ -82,7 +83,7 @@ __all__ = [
 ]
 
 _CHUNK_SAMPLES = 256
-_WINDOW_STEPS = 4
+_WINDOW_STEPS = 8
 
 
 class SchemeKind(enum.Enum):
@@ -465,13 +466,13 @@ def sweep_ensemble(
                         acc.fill(0.0)
                     if t:
                         acc *= decay
-                    acc += fine[t][:, kl]
+                    acc += fine[t][kl]
                 for i, (pre, ratio, t, factor) in enumerate(
                         zip(pres, ratios, tamed, factors)):
                     if (k + 1) % ratio:
                         continue
                     m = (k + 1) // ratio
-                    inc = fine[t][:, kl] if ratio == 1 else accs[ratio, t]
+                    inc = fine[t][kl] if ratio == 1 else accs[ratio, t]
                     new = pre.advance(states[i], inc, spare, phys, fv, factor)
                     spare, states[i] = states[i], new
                     np.all(np.isfinite(new, out=finite), axis=1, out=ok)

@@ -23,13 +23,17 @@ generator at the requested step.  The ensemble sweep instead streams:
 ``IncrementStream`` builds each sample's generator once at step 0 and
 draws window after window from it, which yields the same words because
 consecutive steps occupy consecutive counter blocks.  Its uniforms go
-straight into a (128 samples, 4 steps, words) block, Box-Muller and the
-Cholesky mix run in place there and in the window buffers, laid out
-(sample, step, mode): 256 x 4 x 64 x 8 B = 0.5 MB per kind for a
-256-sample chunk at N = 64, plus the 0.5 MB uniform block.  Both paths
-run the one elementwise Box-Muller kernel with the same operations in
-the same order, so their bits agree.  The floor of that kernel is libm's
-scalar cos and sin; any faster normal map would change the output bits.
+straight into a (32 samples, 8 steps, words) block; Box-Muller splits
+the radius and angle words into contiguous (step, sample, mode) scratch
+in its first operations and writes the normals and the Cholesky mix into
+the window buffers, laid out (step, sample, mode) so that one step of
+the batch is one contiguous (samples, modes) slice: 8 x 256 x 64 x 8 B
+= 1 MB per kind for a 256-sample chunk at N = 64, plus the 0.25 MB
+uniform block and 0.25 MB of scratch.  Both paths draw through
+``_draw_uniforms`` and run the one elementwise kernel
+``_box_muller_into`` with the same operations in the same order, so
+their bits agree.  The floor of that kernel is libm's scalar cos and
+sin; any faster normal map would change the output bits.
 
 A coarse step of ratio R covers R fine steps; its convolution increment
 
@@ -68,7 +72,7 @@ _PHILOX_WORDS_PER_BLOCK = 4
 # numpy's Philox doubles are (w >> 11) * 2**-53, exact; adding 2**-54
 # rounds like (k + 0.5) * 2**-53, so the uniforms lie in (0, 1]
 _HALF_ULP = 2.0**-54
-_BLOCK_SAMPLES = 128        # samples per Box-Muller call in IncrementStream
+_BLOCK_SAMPLES = 32         # samples per Box-Muller call in IncrementStream
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,30 +143,40 @@ def _generator(plan: NoisePlan, sample: int, step: int,
         np.random.Philox(key=plan.philox_key(), counter=counter))
 
 
-def _box_muller_into(u: np.ndarray, z2: np.ndarray | None,
-                     n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard normals from uniforms, in place.
+def _draw_uniforms(gens: list[np.random.Generator], u: np.ndarray) -> None:
+    """Fill row i of ``u`` with the next words of ``gens[i]`` as uniforms
+    in (0, 1]: one Philox fill per sample."""
+    for gen, row in zip(gens, u):
+        gen.random(out=row)
+    u += _HALF_ULP
 
-    ``u`` is (..., n_steps, >= 2N), in (0, 1]; fixed consumption: words
-    (k, j-1) and (k, N+j-1) are mode j's radius and angle words at step
-    k.  ``z2`` receives the second normal of each pair (None skips it).
-    Returns views of ``u``: the first normals over the angle half and the
-    radius half, now free as scratch.  Every element sees the same
-    operations whatever the leading shape, so one sample or a block of
-    samples gives the same bits.
+
+def _box_muller_into(u: np.ndarray, r: np.ndarray, z1: np.ndarray,
+                     z2: np.ndarray | None) -> None:
+    """Standard normals from uniforms.
+
+    ``u`` is (block, n_steps, >= 2N), in (0, 1]; fixed consumption: words
+    (k, j-1) and (k, N+j-1) of a sample's row are mode j's radius and
+    angle words at step k.  ``r`` and ``z1`` are contiguous (n_steps,
+    block, N) scratch: the first two operations split the radius and
+    angle words into them, so every later one runs on contiguous
+    operands.  ``z1`` receives the first normal of each pair and ``z2``,
+    of the same shape, the second (None skips it); ``r`` is left as free
+    scratch.  Every element sees the same operations whatever the block
+    and step counts, so one sample or a block of samples gives the same
+    bits.
     """
-    r = u[..., :n_modes]
-    z1 = u[..., n_modes : 2 * n_modes]
-    np.log(r, out=r)
+    n_modes = r.shape[-1]
+    np.log(u[..., :n_modes].transpose(1, 0, 2), out=r)
+    np.multiply(u[..., n_modes : 2 * n_modes].transpose(1, 0, 2), 2.0 * np.pi,
+                out=z1)                 # the angle
     r *= -2.0
     np.sqrt(r, out=r)
-    z1 *= 2.0 * np.pi                   # the angle
     if z2 is not None:
         np.sin(z1, out=z2)
         z2 *= r
     np.cos(z1, out=z1)
     z1 *= r
-    return z1, r
 
 
 def standard_pairs(
@@ -173,12 +187,11 @@ def standard_pairs(
     Box-Muller on the step blocks' words: mode j consumes words j-1 and
     N+j-1 of its step block.
     """
-    u = _generator(plan, sample, step_start, n_modes).random(
-        (n_steps, _words_per_step(n_modes)))
-    u += _HALF_ULP
-    z2 = np.empty((n_steps, n_modes))
-    z1, _ = _box_muller_into(u, z2, n_modes)
-    return np.ascontiguousarray(z1), z2
+    u = np.empty((1, n_steps, _words_per_step(n_modes)))
+    _draw_uniforms([_generator(plan, sample, step_start, n_modes)], u)
+    r, z1, z2 = (np.empty((n_steps, 1, n_modes)) for _ in range(3))
+    _box_muller_into(u, r, z1, z2)
+    return z1.reshape(n_steps, n_modes), z2.reshape(n_steps, n_modes)
 
 
 class IncrementStream:
@@ -188,10 +201,12 @@ class IncrementStream:
     the counter layout puts step k+1 right after step k, so its next draw
     gives exactly the words the layout assigns to the next window.  Each
     sample's uniforms go straight into its row of a (block, window, words)
-    buffer, and Box-Muller and the mix run once per block of 128 samples
-    (512 sample-steps per call at the sweep's 4-step windows), writing
-    one contiguous slice of each window buffer.  ``dw`` or ``conv`` set to
-    False skips that window buffer (it is then returned as None).
+    buffer, and Box-Muller and the mix run once per block of 32 samples
+    (256 sample-steps per call at the sweep's 8-step windows), writing
+    one (window, block, modes) slice of each window buffer.  The mix
+    factors are tiled to (block, modes) once, so no multiply broadcasts a
+    (modes,) row.  ``dw`` or ``conv`` set to False skips that window
+    buffer (it is then returned as None).
     """
 
     def __init__(
@@ -206,32 +221,36 @@ class IncrementStream:
         conv: bool = True,
     ):
         n_modes = len(eigenvalues)
+        block = min(_BLOCK_SAMPLES, len(samples))
         self._gens = [_generator(plan, int(s), 0, n_modes) for s in samples]
-        self._sqrt_h, self._l21, self._l22 = increment_factors(eigenvalues, h)
-        self._u = np.empty((min(_BLOCK_SAMPLES, len(samples)), window,
-                            _words_per_step(n_modes)))
-        shape = (len(samples), window, n_modes)
+        self._sqrt_h, l21, l22 = increment_factors(eigenvalues, h)
+        self._l21, self._l22 = (np.tile(f, (block, 1)) for f in (l21, l22))
+        self._u = np.empty((block, window, _words_per_step(n_modes)))
+        # flat, so that a short last block still gets contiguous scratch
+        self._scratch = np.empty((2, window * block * n_modes))
+        shape = (window, len(samples), n_modes)
         self._dw = np.empty(shape) if dw else None
         self._conv = np.empty(shape) if conv else None
 
     def next_window(self):
         """(dW, conv) of the next window of fine steps, each
-        (samples, window, modes) or None; valid until the next call."""
-        n_modes = len(self._l21)
+        (window, samples, modes) or None; valid until the next call."""
+        window, n_modes = self._u.shape[1], self._l21.shape[1]
         for b0 in range(0, len(self._gens), _BLOCK_SAMPLES):
             gens = self._gens[b0 : b0 + _BLOCK_SAMPLES]
             u = self._u[: len(gens)]
-            for gen, row in zip(gens, u):
-                gen.random(out=row)
-            u += _HALF_ULP
+            _draw_uniforms(gens, u)
+            size = window * len(gens) * n_modes
+            r, z1 = (a[:size].reshape(window, len(gens), n_modes)
+                     for a in self._scratch)
             rows = slice(b0, b0 + len(gens))
-            conv = None if self._conv is None else self._conv[rows]
-            z1, scratch = _box_muller_into(u, conv, n_modes)
+            conv = None if self._conv is None else self._conv[:, rows]
+            _box_muller_into(u, r, z1, conv)
             if conv is not None:
-                conv *= self._l22
-                conv += np.multiply(self._l21, z1, out=scratch)
+                conv *= self._l22[: len(gens)]
+                conv += np.multiply(self._l21[: len(gens)], z1, out=r)
             if self._dw is not None:
-                np.multiply(z1, self._sqrt_h, out=self._dw[rows])
+                np.multiply(z1, self._sqrt_h, out=self._dw[:, rows])
         return self._dw, self._conv
 
 

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,28 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["constants"]["certified"] is False
         assert not report["all_passed"]
+
+    def test_overflowing_drift_fails_every_drift_check_silently(
+            self, tmp_path, capsys):
+        # the fitted growth constant overflows to inf and the margins to
+        # NaN; none may read as a pass, and numpy may not warn about it.
+        # The power-mean inequality does not involve the drift
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("verify", "--set", "model.leading=1e308",
+                           "--out-dir", str(tmp_path))
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        status = {c["name"]: c["passed"] for c in report["checks"]}
+        assert status == {
+            "taming_domination": False, "taming_gap": False,
+            "one_sided_delta_derivative": False,
+            "delta_derivative_growth": False, "power_mean_inequality": True,
+        }
+        out = capsys.readouterr().out
+        assert "delta_derivative_growth: FAIL" in out
+        assert "RuntimeWarning" not in out
 
     def test_broken_taming_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
@@ -398,7 +421,7 @@ class TestFlagsAndHelp:
 
 class TestWorkingSet:
     """Traced peak memory of whole CLI runs: the certification grid is
-    swept in row blocks and the noise in 4-step windows, so neither the
+    swept in row blocks and the noise in 8-step windows, so neither the
     (803, 803) grid nor long windows are ever held."""
 
     @staticmethod
@@ -422,7 +445,7 @@ class TestWorkingSet:
 
     def test_interface_two_threads_peak(self, tmp_path):
         # two 256-sample chunks streaming at once; the traced peak was
-        # 5.8 MB
+        # 6.6 MB
         peak = self.traced_peak([
             "interface", "--preset", "interface-eps2", "--threads", "2",
             "--set", "sampling.n_samples=512",

@@ -262,16 +262,16 @@ class TestSweep:
 
 
     def test_window_length_changes_no_byte(self, basis64, monkeypatch):
-        # coarse ratios below, at and above the default 4-step window
+        # coarse ratios below, at and above the default 8-step window
         runs = [tamed_cfg(basis64, level=9 - q, epsilon=0.5)
-                for q in (0, 2, 4, 6, 8)]
+                for q in (0, 2, 3, 4, 6, 8)]
         runs += [reference_cfg(basis64, level=level, epsilon=0.5)
                  for level in (9, 3)]
         times = [[0.5, 1.0]] * len(runs)
         plan = NoisePlan(23, 9)
         default, _ = sweep_ensemble(runs, plan, 13, snapshot_times=times)
         default_mons, _ = norm_monitors(runs, plan, 13)
-        for window in (16, 64, 256):
+        for window in (4, 16, 64, 256):
             monkeypatch.setattr(engine, "_WINDOW_STEPS", window)
             outs, _ = sweep_ensemble(runs, plan, 13, snapshot_times=times)
             for a, b in zip(default, outs):
@@ -492,8 +492,8 @@ def test_sweep_memory_is_window_sized(basis64):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 4-step dW and conv windows are 0.4 MB each at 200 samples; the
-    # traced peak was 4.8 MB
+    # 8-step dW and conv windows are 0.8 MB each at 200 samples; the
+    # traced peak was 5.6 MB
     assert peak <= 6e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
@@ -531,9 +531,9 @@ class TestRunEnsemble:
 
 
 class TestBlowUpOrdering:
-    """Runs of ratio 1 and 4 over 256 4-step noise windows; of twelve
+    """Runs of ratio 1 and 4 over 128 8-step noise windows; of twelve
     samples, sample 2 blows up in the ratio-4 run at coarse step 169
-    (fine step 676, which ends inside the 169th window).  The error pin
+    (fine step 676, which ends inside the 85th window).  The error pin
     was recorded with the per-fine-step sweep that streamed noise
     replaced; the digest carries the float bytes, so it depends on the
     machine like the golden CSVs.

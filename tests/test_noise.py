@@ -235,19 +235,23 @@ class TestIncrementStream:
         sample_sets = [
             [400, 3, 17, 258],                      # explicit, non-contiguous
             [5, 900, 1, 2, 3, 64, 4, 7, 255, 256, 11, 0, 6],  # one partial block
-            [3 * s + 1 for s in range(136)],        # blocks of 128 and 8
+            [3 * s + 1 for s in range(136)],        # blocks of 32 and 8
         ]
-        for window, samples in itertools.product((4, 16, 64, 256), sample_sets):
+        for window, samples in itertools.product((4, 8, 16, 64, 256),
+                                                 sample_sets):
             window = min(window, plan.fine_steps)
             stream = IncrementStream(plan, np.array(samples), eig, h, window)
             for w0 in range(0, plan.fine_steps, window):
                 dw, conv = stream.next_window()
-                assert dw.shape == conv.shape == (len(samples), window, n_modes)
+                assert dw.shape == conv.shape == (window, len(samples), n_modes)
                 for k in (k for k in checks if w0 <= k < w0 + window):
+                    # the sweep reads a step as one contiguous slice
+                    assert dw[k - w0].flags.c_contiguous
+                    assert conv[k - w0].flags.c_contiguous
                     for c, s in enumerate(samples):
                         ref_dw, ref_conv = increment_pairs(plan, eig, h, s, k, 1)
-                        assert np.array_equal(dw[c, k - w0], ref_dw[0])
-                        assert np.array_equal(conv[c, k - w0], ref_conv[0])
+                        assert np.array_equal(dw[k - w0, c], ref_dw[0])
+                        assert np.array_equal(conv[k - w0, c], ref_conv[0])
 
     def test_skipped_buffer_leaves_other_bits(self, basis64):
         plan = NoisePlan(4, 9)
@@ -283,6 +287,24 @@ class TestIncrementStream:
             tracemalloc.stop()
             np.setbufsize(old)
         assert peak < 16_000, f"traced peak {peak} B"
+
+
+    def test_layers_run_once_per_block_and_window(self, basis64, monkeypatch):
+        # the Philox fill and Box-Muller are named layers: one call of each
+        # per 32-sample block per window, and one per pointwise request
+        calls = {"_draw_uniforms": 0, "_box_muller_into": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(noise, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(noise, name, counting)
+        stream = IncrementStream(NoisePlan(5, 6), np.arange(70),
+                                 basis64.eigenvalues, 2.0**-6, 8)
+        for _ in range(3):
+            stream.next_window()            # blocks of 32, 32 and 6
+        assert calls == {"_draw_uniforms": 9, "_box_muller_into": 9}
+        standard_pairs(NoisePlan(5, 6), 3, 0, 8, 64)
+        assert calls == {"_draw_uniforms": 10, "_box_muller_into": 10}
 
 
 class TestUniformMap:

@@ -11,24 +11,26 @@ sizes to one underlying path.
 
 import numpy as np
 
-from tamedspde import (
-    NoisePlan,
-    SineBasis,
-    coarse_convolution_increment,
-    conv_dw_covariance,
-    conv_variance,
-    sample_increment_pair,
-)
-from tamedspde.noise import increment_factors, standard_pairs
+from tamedspde import NoisePlan, SineBasis, conv_dw_covariance, conv_variance
+from tamedspde.noise import IncrementStream
 
 basis = SineBasis(64)
 plan = NoisePlan(master_seed=2025, fine_level=10)
 h = plan.fine_step_size(1.0)
 
-pair = sample_increment_pair(plan, basis.eigenvalues, h, sample=0, mode=1, step=0)
-again = sample_increment_pair(plan, basis.eigenvalues, h, sample=0, mode=1, step=0)
-print(f"pair at (sample 0, mode 1, step 0): dW={pair.dW:+.6f} conv={pair.conv:+.6f}")
-print(f"same indices, second call:          dW={again.dW:+.6f} conv={again.conv:+.6f}")
+
+def first_steps(samples, n_steps):
+    """(dW, conv) of fine steps 0..n_steps-1, each (steps, samples, modes)."""
+    return IncrementStream(plan, np.asarray(samples), basis.eigenvalues, h,
+                           n_steps).next_window()
+
+
+dw, conv = first_steps([0, 1], 2)
+alone_dw, alone_conv = first_steps([0], 2)
+print(f"pair at (sample 0, mode 1, step 0): dW={dw[0, 0, 0]:+.6f} "
+      f"conv={conv[0, 0, 0]:+.6f}")
+print(f"sample 0 drawn on its own:          dW={alone_dw[0, 0, 0]:+.6f} "
+      f"conv={alone_conv[0, 0, 0]:+.6f}")
 
 lam = basis.eigenvalue(1)
 print(f"\nclosed-form law at mode 1, h = 2^-10:")
@@ -37,22 +39,22 @@ print(f"  Var(conv) = {conv_variance(lam, h):.6e}")
 print(f"  Cov       = {conv_dw_covariance(lam, h):.6e}")
 
 n = 50_000
-# the standard-normal pair of mode 1 at step 0, sample by sample
-z1, z2 = np.array([[z[0, 0] for z in standard_pairs(plan, s, 0, 1, 64)]
-                   for s in range(n)]).T
-sqrt_h, l21, l22 = increment_factors(basis.eigenvalues, h)
-dw = sqrt_h * z1
-conv = l21[0] * z1 + l22[0] * z2
+# mode 1 at step 0, over n samples drawn in batches of 1000
+pairs = [first_steps(range(lo, lo + 1000), 1) for lo in range(0, n, 1000)]
+dw1 = np.concatenate([d[0, :, 0] for d, _ in pairs])
+conv1 = np.concatenate([c[0, :, 0] for _, c in pairs])
 print(f"\nsample law over {n} draws:")
-print(f"  Var(dW)   = {np.var(dw):.6e}")
-print(f"  Var(conv) = {np.var(conv):.6e}")
-print(f"  Cov       = {np.mean(dw * conv) - dw.mean() * conv.mean():.6e}")
+print(f"  Var(dW)   = {np.var(dw1):.6e}")
+print(f"  Var(conv) = {np.var(conv1):.6e}")
+print(f"  Cov       = {np.mean(dw1 * conv1) - dw1.mean() * conv1.mean():.6e}")
 
-# a coarse step of ratio 2 consumes exactly its two fine increments
-fine0 = sample_increment_pair(plan, basis.eigenvalues, h, 0, 1, 0).conv
-fine1 = sample_increment_pair(plan, basis.eigenvalues, h, 0, 1, 1).conv
-coarse = coarse_convolution_increment(plan, basis.eigenvalues, h, 0, 1, 0, 2)
-manual = np.exp(-lam * h) * fine0 + fine1
+# a coarse step of ratio 2 consumes exactly its two fine increments, by
+# the recursion acc <- e^{-lambda h} acc + conv_k the sweep runs
+decay = np.exp(-lam * h)
+coarse = 0.0
+for k in range(2):
+    coarse = decay * coarse + conv[k, 0, 0]
+manual = decay * conv[0, 0, 0] + conv[1, 0, 0]
 print(f"\ncoarse increment (ratio 2):  {coarse:+.8f}")
 print(f"weighted fine composition:   {manual:+.8f}")
 print(f"identical: {coarse == manual}")

@@ -44,13 +44,9 @@ from .engine import (
     sweep_ensemble,
 )
 from .noise import (
-    NoiseIncrementPair,
     NoisePlan,
-    coarse_convolution_increment,
     conv_dw_covariance,
     conv_variance,
-    increment_pairs,
-    sample_increment_pair,
 )
 from .presets import PRESETS, preset
 from .spectral import SineBasis, default_initial
@@ -67,7 +63,6 @@ __all__ = [
     "ErrorTable",
     "ExperimentConfig",
     "MomentReport",
-    "NoiseIncrementPair",
     "NoisePlan",
     "PRESETS",
     "ProfileSet",
@@ -80,7 +75,6 @@ __all__ = [
     "StepSizeVerdict",
     "StepTestFunction",
     "TamingParams",
-    "coarse_convolution_increment",
     "conv_dw_covariance",
     "conv_variance",
     "default_initial",
@@ -91,12 +85,10 @@ __all__ = [
     "f_prime_eval",
     "f_tau_eval",
     "fit_convergence_rate",
-    "increment_pairs",
     "interface_profile",
     "moment_sup_estimate",
     "preset",
     "property_suite",
-    "sample_increment_pair",
     "step_size_condition",
     "sweep_ensemble",
     "weak_error_table",

@@ -5,7 +5,8 @@ Subcommands: ``converge`` (weak-error table and rate fit), ``table1``
 profiles), ``moments`` (norm monitors over time), ``verify`` (numerical
 property suite).  Every run writes its CSV artifacts, the resolved
 configuration, and a manifest sufficient to replay the run; replays are
-byte-identical for a fixed master seed, whatever ``--threads`` says.
+byte-identical for a fixed (config, master seed, BLAS kernel, numpy SIMD
+dispatch), whatever ``--threads`` says.
 
 Exit codes: 0 success, 1 validation or property failure, 2 trajectory
 blow-up, 3 I/O failure.

@@ -15,12 +15,13 @@ explicit in the untamed reaction term,
 
 ``sweep_ensemble`` advances any number of runs through one pass over the
 fine noise grid.  Every random number is counter-addressed per (sample,
-mode, fine step), samples are processed in fixed-size chunks, and all
-reductions happen on per-sample arrays in index order, so a sample's
-results are bit-identical for any thread count, chunk size or entry
-point.  A one-row matmul takes BLAS's matrix-vector path, whose last bit
-can differ from a row of a matrix product, so a chunk of one sample is
-swept as two copies of it.  Snapshots can be reduced as the sweep goes
+mode, fine step), samples are processed in chunks of min(256,
+ceil(samples / threads)) rows, at least two, and all reductions happen
+on per-sample arrays in index order, so for one (config, seed, BLAS
+kernel, SIMD dispatch) a sample's results are bit-identical for any
+thread count or chunk size.  A one-row matmul takes BLAS's matrix-vector
+path, whose last bit can differ from a row of a matrix product, so a
+chunk of one sample is swept as two copies of it.  Snapshots can be reduced as the sweep goes
 (``snapshot_fn``), so a caller that reads a few numbers per sample and
 time does not hold the states.  Snapshots are the sweep's only per-step
 output: the running norm monitors are the maxima over time of norm
@@ -323,6 +324,18 @@ def _snapshot_steps(cfg: SchemeConfig, times: Sequence[float]) -> dict[int, floa
     return table
 
 
+def _sample_id(s) -> int:
+    """``s`` as a sample id: an integer in [0, 2**63), the ids an int64
+    array holds (the Philox counter word is unsigned)."""
+    try:
+        ok = int(s) == s and 0 <= s < 2**63
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"sample id {s!r} is not an integer in [0, 2**63)")
+    return int(s)
+
+
 def sweep_ensemble(
     runs: Sequence[SchemeConfig],
     plan: NoisePlan,
@@ -356,10 +369,10 @@ def sweep_ensemble(
     """
     if not runs:
         raise ValueError("need at least one run")
-    sample_ids = (
-        np.arange(samples) if isinstance(samples, (int, np.integer))
-        else np.asarray(samples, dtype=np.int64)
-    )
+    if isinstance(samples, (int, np.integer)):
+        sample_ids = np.arange(samples)
+    else:
+        sample_ids = np.array([_sample_id(s) for s in samples], dtype=np.int64)
     n_samples = len(sample_ids)
     basis = runs[0].basis
     horizon = runs[0].horizon
@@ -416,10 +429,10 @@ def sweep_ensemble(
     decay_fine = np.exp(-basis.eigenvalues * h)
     window = min(_WINDOW_STEPS, fine_steps)
 
-    chunks = [
-        (start, min(start + _CHUNK_SAMPLES, n_samples))
-        for start in range(0, n_samples, _CHUNK_SAMPLES)
-    ]
+    # one chunk per thread up to the cap, so that every thread has work
+    size = max(2, min(_CHUNK_SAMPLES, -(-n_samples // max(1, threads))))
+    chunks = [(start, min(start + size, n_samples))
+              for start in range(0, n_samples, size)]
 
     def work(chunk: tuple[int, int]) -> None:
         lo, hi = chunk

@@ -15,25 +15,25 @@ function of (master seed, sample, mode, step): the 256-bit Philox counter
 is (block-within-step, 0, sample, stream) and each step consumes a fixed,
 block-aligned number of 64-bit words.  Uniform words are mapped to
 normals by Box-Muller, which consumes exactly one word per normal; this
-fixed-consumption map is what makes pointwise, windowed, and whole-path
-generation bit-identical.
+fixed-consumption map is what makes any window length and any batch of
+samples give the same bits.
 
-Pointwise access (``standard_pairs`` and the helpers built on it) builds a
-generator at the requested step.  The ensemble sweep instead streams:
-``IncrementStream`` builds each sample's generator once at step 0 and
-draws window after window from it, which yields the same words because
-consecutive steps occupy consecutive counter blocks.  Its uniforms go
-straight into a (32 samples, 8 steps, words) block; Box-Muller splits
-the radius and angle words into contiguous (step, sample, mode) scratch
-in its first operations and writes the normals and the Cholesky mix into
-the window buffers, laid out (step, sample, mode) so that one step of
-the batch is one contiguous (samples, modes) slice: 8 x 256 x 64 x 8 B
-= 1 MB per kind for a 256-sample chunk at N = 64, plus the 0.25 MB
-uniform block and 0.25 MB of scratch.  Both paths draw through
-``_draw_uniforms`` and run the one elementwise kernel
-``_box_muller_into`` with the same operations in the same order, so
-their bits agree.  The floor of that kernel is libm's scalar cos and
-sin; any faster normal map would change the output bits.
+``IncrementStream`` is the one code path from Philox words to (dW, conv):
+it builds each sample's generator once, at step 0, and draws window
+after window from it, which yields the words the layout assigns to each
+step because consecutive steps occupy consecutive counter blocks.  Its
+uniforms go straight into a (32 samples, 8 steps, words) block;
+Box-Muller splits the radius and angle words into contiguous (step,
+sample, mode) scratch in its first operations and writes the normals
+and the Cholesky mix into the window buffers, laid out (step, sample,
+mode) so that one step of the batch is one contiguous (samples, modes)
+slice: 8 x 256 x 64 x 8 B = 1 MB per kind for a 256-sample chunk at
+N = 64, plus the 0.25 MB uniform block and 0.25 MB of scratch.  The
+uniforms are drawn by ``_draw_uniforms`` and turned into normals by the
+one elementwise kernel ``_box_muller_into``, whose operations are the
+same for every element whatever the block and window sizes.  The floor
+of that kernel is libm's scalar cos and sin; any faster normal map would
+change the output bits.
 
 A coarse step of ratio R covers R fine steps; its convolution increment
 
@@ -47,21 +47,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "NoisePlan",
-    "NoiseIncrementPair",
     "PATH_STREAM",
     "increment_factors",
     "conv_variance",
     "conv_dw_covariance",
-    "standard_pairs",
-    "increment_pairs",
-    "sample_increment_pair",
-    "coarse_convolution_increment",
 ]
 
 #: stream-id word reserved for trajectory path noise
@@ -116,17 +110,6 @@ class NoisePlan:
         child = np.random.SeedSequence((self.master_seed, index + 1))
         return NoisePlan(int(child.generate_state(1, _U64)[0]), self.fine_level)
 
-    def mode_word_offsets(self, mode: int, n_modes: int) -> tuple[int, int]:
-        """Offsets of mode j's two uniform words inside a step block."""
-        return mode - 1, n_modes + mode - 1
-
-
-class NoiseIncrementPair(NamedTuple):
-    """Brownian increment and stochastic-convolution increment of one mode."""
-
-    dW: float
-    conv: float
-
 
 def _words_per_step(n_modes: int) -> int:
     need = 2 * n_modes
@@ -134,11 +117,9 @@ def _words_per_step(n_modes: int) -> int:
     return blocks * _PHILOX_WORDS_PER_BLOCK
 
 
-def _generator(plan: NoisePlan, sample: int, step: int,
-               n_modes: int) -> np.random.Generator:
-    """Generator whose next words are those of fine step ``step``."""
-    blocks = step * (_words_per_step(n_modes) // _PHILOX_WORDS_PER_BLOCK)
-    counter = np.array([blocks, 0, sample, PATH_STREAM], dtype=_U64)
+def _generator(plan: NoisePlan, sample: int) -> np.random.Generator:
+    """Generator whose next words are those of fine step 0 of ``sample``."""
+    counter = np.array([0, 0, sample, PATH_STREAM], dtype=_U64)
     return np.random.Generator(
         np.random.Philox(key=plan.philox_key(), counter=counter))
 
@@ -179,21 +160,6 @@ def _box_muller_into(u: np.ndarray, r: np.ndarray, z1: np.ndarray,
     z1 *= r
 
 
-def standard_pairs(
-    plan: NoisePlan, sample: int, step_start: int, n_steps: int, n_modes: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standard-normal pair arrays (z1, z2), each (n_steps, n_modes).
-
-    Box-Muller on the step blocks' words: mode j consumes words j-1 and
-    N+j-1 of its step block.
-    """
-    u = np.empty((1, n_steps, _words_per_step(n_modes)))
-    _draw_uniforms([_generator(plan, sample, step_start, n_modes)], u)
-    r, z1, z2 = (np.empty((n_steps, 1, n_modes)) for _ in range(3))
-    _box_muller_into(u, r, z1, z2)
-    return z1.reshape(n_steps, n_modes), z2.reshape(n_steps, n_modes)
-
-
 class IncrementStream:
     """Fine (dW, conv) increments of a batch of samples, window by window.
 
@@ -222,7 +188,7 @@ class IncrementStream:
     ):
         n_modes = len(eigenvalues)
         block = min(_BLOCK_SAMPLES, len(samples))
-        self._gens = [_generator(plan, int(s), 0, n_modes) for s in samples]
+        self._gens = [_generator(plan, int(s)) for s in samples]
         self._sqrt_h, l21, l22 = increment_factors(eigenvalues, h)
         self._l21, self._l22 = (np.tile(f, (block, 1)) for f in (l21, l22))
         self._u = np.empty((block, window, _words_per_step(n_modes)))
@@ -286,65 +252,3 @@ def increment_factors(eigenvalues: np.ndarray, h: float):
     l22 = np.sqrt(np.where(degenerate, 0.0, resid))
     l21 = np.where(degenerate, sqrt_h, l21)
     return sqrt_h, l21, l22
-
-
-def increment_pairs(
-    plan: NoisePlan,
-    eigenvalues: np.ndarray,
-    h: float,
-    sample: int,
-    step_start: int,
-    n_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dW, conv) arrays, each (n_steps, n_modes), for one sample."""
-    z1, z2 = standard_pairs(plan, sample, step_start, n_steps, len(eigenvalues))
-    sqrt_h, l21, l22 = increment_factors(np.asarray(eigenvalues), h)
-    return sqrt_h * z1, l21 * z1 + l22 * z2
-
-
-def sample_increment_pair(
-    plan: NoisePlan,
-    eigenvalues: np.ndarray,
-    h: float,
-    sample: int,
-    mode: int,
-    step: int,
-) -> NoiseIncrementPair:
-    """The (dW, conv) pair of one (sample, mode, fine step); O(1) access."""
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    if not 1 <= mode <= len(eigenvalues):
-        raise IndexError(f"mode {mode} outside 1..{len(eigenvalues)}")
-    if step < 0:
-        raise IndexError(f"fine step must be >= 0, got {step}")
-    dw, conv = increment_pairs(plan, eigenvalues, h, sample, step, 1)
-    return NoiseIncrementPair(float(dw[0, mode - 1]), float(conv[0, mode - 1]))
-
-
-def coarse_convolution_increment(
-    plan: NoisePlan,
-    eigenvalues: np.ndarray,
-    h: float,
-    sample: int,
-    mode: int,
-    coarse_step: int,
-    ratio: int,
-) -> float:
-    """Convolution increment over coarse step m of size tau = ratio * h.
-
-    Computed by the same damped recursion the trajectory driver uses, so
-    the coupling to the fine path is exact (not merely in distribution).
-    """
-    if ratio < 1 or int(ratio) != ratio:
-        raise ValueError(f"coarse/fine ratio must be a positive integer, got {ratio}")
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    if not 1 <= mode <= len(eigenvalues):
-        raise IndexError(f"mode {mode} outside 1..{len(eigenvalues)}")
-    ratio = int(ratio)
-    _, conv = increment_pairs(
-        plan, eigenvalues, h, sample, coarse_step * ratio, ratio
-    )
-    decay = float(np.exp(-eigenvalues[mode - 1] * h))
-    acc = 0.0
-    for k in range(ratio):
-        acc = decay * acc + float(conv[k, mode - 1])
-    return acc

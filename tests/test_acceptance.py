@@ -25,8 +25,8 @@ from tamedspde.drift import (
     check_taming_domination,
     check_taming_gap,
 )
-from tamedspde.noise import increment_factors, standard_pairs
 from test_engine import norm_monitors
+from test_noise import stream_increments
 
 #: published weak-error column for the unit taming exponent, by level
 REFERENCE_ERRORS = {8: 0.5982, 9: 0.3533, 10: 0.2131, 11: 0.1319, 12: 0.0853}
@@ -77,26 +77,16 @@ def test_criterion_3_noise_law(basis64):
             failures.append(f"{label}: {sample:.6g} vs {target:.6g} "
                             f"(4se={4 * se:.2g})")
 
-    def pairs(plan, n_samples, n_steps):
-        # (z1, z2) of samples 0..n_samples-1, each (samples, steps, 64)
-        z1 = np.empty((n_samples, n_steps, 64))
-        z2 = np.empty((n_samples, n_steps, 64))
-        for s in range(n_samples):
-            z1[s], z2[s] = standard_pairs(plan, s, 0, n_steps, 64)
-        return z1, z2
-
     var_se = np.sqrt(2.0 / (n - 1))
+    modes = (1, 8, 64)
     for li, level in enumerate((10, 14)):
         h = 2.0**-level
         plan = NoisePlan(7000 + li, level)
-        z1, z2 = pairs(plan, n, 1)
-        sqrt_h, l21, l22 = increment_factors(basis64.eigenvalues, h)
-        for mode in (1, 8, 64):
+        dws, convs = stream_increments(plan, range(n), basis64.eigenvalues, h,
+                                       1, modes)
+        for c, mode in enumerate(modes):
             lam = basis64.eigenvalue(mode)
-            zz1 = z1[:, 0, mode - 1]
-            zz2 = z2[:, 0, mode - 1]
-            dw = sqrt_h * zz1
-            conv = l21[mode - 1] * zz1 + l22[mode - 1] * zz2
+            dw, conv = dws[:, 0, c], convs[:, 0, c]
             v_dw, v_conv = h, conv_variance(lam, h)
             cov = conv_dw_covariance(lam, h)
             within(np.var(dw, ddof=1), v_dw, v_dw * var_se,
@@ -111,17 +101,16 @@ def test_criterion_3_noise_law(basis64):
     plan = NoisePlan(7100, 14)
     n_coarse = 40_000
     coarse_se = np.sqrt(2.0 / (n_coarse - 1))
+    modes = (1, 64)
     for ratio in (2, 16):
-        z1, z2 = pairs(plan, n_coarse, ratio)
-        sqrt_h, l21, l22 = increment_factors(basis64.eigenvalues, h)
-        for mode in (1, 64):
+        _, convs = stream_increments(plan, range(n_coarse),
+                                     basis64.eigenvalues, h, ratio, modes)
+        for c, mode in enumerate(modes):
             lam = basis64.eigenvalue(mode)
-            conv = (l21[mode - 1] * z1[:, :, mode - 1]
-                    + l22[mode - 1] * z2[:, :, mode - 1])
             decay = np.exp(-lam * h)
             agg = np.zeros(n_coarse)
             for k in range(ratio):
-                agg = decay * agg + conv[:, k]
+                agg = decay * agg + convs[:, k, c]
             target = conv_variance(lam, ratio * h)
             within(np.var(agg, ddof=1), target, target * coarse_se,
                    f"coarse Var R={ratio} j={mode}")

@@ -3,6 +3,7 @@ blow-up handling."""
 
 import functools
 import hashlib
+import re
 import threading
 import tracemalloc
 
@@ -22,6 +23,8 @@ from tamedspde import (
     f_tau_eval,
     sweep_ensemble,
 )
+from tamedspde.noise import IncrementStream
+from test_noise import oracle_increments
 
 
 def tamed_cfg(basis, *, epsilon=0.01, level=6, horizon=1.0, beta=5.0,
@@ -243,23 +246,48 @@ class TestSweep:
     def test_coupled_coarse_equals_manual_composition(self, basis64):
         # one coarse step of ratio 2 must consume exactly the two fine
         # convolution increments it covers
-        from tamedspde import coarse_convolution_increment
-
         cfg = tamed_cfg(basis64, level=3, epsilon=0.5)
         plan = NoisePlan(21, 4)
         outs, _ = sweep_ensemble([cfg], plan, 1)
         h = plan.fine_step_size(1.0)
+        _, conv = IncrementStream(plan, np.array([0]), basis64.eigenvalues,
+                                  h, 16).next_window()
+        decay = np.exp(-basis64.eigenvalues * h)
         state = default_initial(basis64)
         for m in range(8):
-            agg = np.array([
-                coarse_convolution_increment(
-                    plan, basis64.eigenvalues, h, 0, j, m, 2
-                )
-                for j in range(1, 65)
-            ])
+            agg = np.zeros(64)
+            for k in (2 * m, 2 * m + 1):
+                agg = decay * agg + conv[k, 0]
             state = step(state, cfg, agg)
         assert np.allclose(outs[0].endpoints[0], state, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("samples, bad", [
+        ([1.7, 2.2], 1.7), ([0, -1, 2], -1), ([3, 2**63, -1], 2**63),
+    ], ids=["non-integral", "negative", "out-of-range"])
+    def test_bad_sample_ids_rejected(self, basis64, samples, bad):
+        with pytest.raises(ValueError, match=re.escape(f"sample id {bad!r} ")):
+            sweep_ensemble([tamed_cfg(basis64, level=2)], NoisePlan(1, 2),
+                           samples)
+
+    @pytest.mark.parametrize("n, threads, sizes", [
+        (300, 1, [44, 256]), (300, 2, [150, 150]), (1000, 2, [232] + [256] * 3),
+        (7, 4, [1, 2, 2, 2]), (3, 2, [1, 2]),
+    ])
+    def test_chunks_sized_by_threads(self, basis64, monkeypatch, n, threads,
+                                     sizes):
+        # at most 256 samples, one chunk per thread below that, >= 2 rows
+        seen = []
+        real = engine.noise_mod.IncrementStream
+
+        def recording(plan, ids, *args, **kwargs):
+            seen.append(len(ids))
+            return real(plan, ids, *args, **kwargs)
+
+        monkeypatch.setattr(engine.noise_mod, "IncrementStream", recording)
+        sweep_ensemble([tamed_cfg(basis64, level=1)], NoisePlan(1, 1), n,
+                       threads=threads)
+        # a one-sample chunk is swept as two copies of its sample
+        assert sorted(seen) == sorted(max(2, s) for s in sizes)
 
     def test_window_length_changes_no_byte(self, basis64, monkeypatch):
         # coarse ratios below, at and above the default 8-step window
@@ -409,16 +437,13 @@ class TestStepHelperBits:
 
     @pytest.mark.parametrize("kind", ["tamed", "reference"])
     def test_composed_steps_equal_sweep_rows(self, basis64, kind):
-        from tamedspde import increment_pairs
-
         cfg = self.cfg(basis64, kind)
         plan = NoisePlan(41, 6)
         outs, _ = sweep_ensemble([cfg], plan, 300)
-        lam = basis64.eigenvalues
-        h = plan.fine_step_size(1.0)
-        decay = np.exp(-lam * h)
+        decay = np.exp(-basis64.eigenvalues * plan.fine_step_size(1.0))
         for sample in range(256, 300):
-            dw, conv = increment_pairs(plan, lam, h, sample, 0, 64)
+            dw, conv = zip(*(oracle_increments(plan, 64, sample, k)
+                             for k in range(64)))
             state = default_initial(basis64)
             for m in range(8):
                 # the sweep's running coarse sum, in its order
@@ -653,11 +678,13 @@ class TestThreading:
             _monitor_bytes(norm_monitors(runs, plan, 600, threads=2)[0]))
 
     def test_more_workers_than_chunks_changes_no_byte(self, basis64):
-        # 600 samples are three chunks, fewer than the eight workers
+        # eight workers: 600 samples are eight chunks of 75, and 13 are
+        # seven chunks, fewer than the workers, the last of one row
         cfg = tamed_cfg(basis64, level=5, epsilon=0.5)
-        one, _ = sweep_ensemble([cfg], NoisePlan(2, 5), 600, threads=1)
-        eight, _ = sweep_ensemble([cfg], NoisePlan(2, 5), 600, threads=8)
-        assert one[0].endpoints.tobytes() == eight[0].endpoints.tobytes()
+        for n in (600, 13):
+            one, _ = sweep_ensemble([cfg], NoisePlan(2, 5), n, threads=1)
+            eight, _ = sweep_ensemble([cfg], NoisePlan(2, 5), n, threads=8)
+            assert one[0].endpoints.tobytes() == eight[0].endpoints.tobytes()
 
     def test_one_thread_inside_restored_after_return(self, basis64, blas_seen):
         blas, seen, _ = blas_seen

@@ -1,5 +1,12 @@
-"""Noise plan: addressing, joint law of increment pairs, coarse coupling."""
+"""Noise plan: addressing, joint law of increment pairs, coarse coupling.
 
+Bits are checked against an oracle built here from numpy's Philox alone:
+the words of (sample, fine step k) are those of a generator keyed by the
+plan's seed at counter (k * B + b, 0, sample, PATH_STREAM) for the step's
+4-word blocks b = 0..B-1, with B = ceil(2N / 4).
+"""
+
+import functools
 import itertools
 import tracemalloc
 
@@ -9,28 +16,65 @@ import pytest
 from tamedspde import (
     NoisePlan,
     SineBasis,
-    coarse_convolution_increment,
     conv_dw_covariance,
     conv_variance,
-    increment_pairs,
-    sample_increment_pair,
 )
 from tamedspde import noise
-from tamedspde.noise import (
-    IncrementStream,
-    increment_factors,
-    standard_pairs,
-)
+from tamedspde.noise import PATH_STREAM, IncrementStream, increment_factors
 
 
-def pairs_per_sample(plan, n, n_steps, n_modes):
-    """``standard_pairs`` from step 0 of samples 0..n-1, stacked into
-    (z1, z2), each (n, n_steps, n_modes)."""
-    z1 = np.empty((n, n_steps, n_modes))
-    z2 = np.empty((n, n_steps, n_modes))
-    for s in range(n):
-        z1[s], z2[s] = standard_pairs(plan, s, 0, n_steps, n_modes)
-    return z1, z2
+def counter_words(plan, sample, counter, n_words):
+    """The first ``n_words`` raw words of a Philox generator keyed by the
+    plan's seed at counter (counter, 0, sample, PATH_STREAM)."""
+    bitgen = np.random.Philox(key=plan.philox_key(), counter=np.array(
+        [counter, 0, sample, PATH_STREAM], dtype=np.uint64))
+    return bitgen.random_raw(n_words)
+
+
+def step_blocks(n_modes):
+    """4-word counter blocks per fine step: 2N words, rounded up."""
+    return -(-2 * n_modes // 4)
+
+
+def box_muller_mix(u_radius, u_angle, sqrt_h, l21, l22):
+    """(dW, conv) from the radius and angle uniforms, with the operations
+    of the stream's normal map and Cholesky mix."""
+    r = np.sqrt(-2.0 * np.log(u_radius))
+    angle = u_angle * (2.0 * np.pi)
+    z1, z2 = r * np.cos(angle), r * np.sin(angle)
+    return z1 * sqrt_h, l22 * z2 + l21 * z1
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def oracle_increments(plan, n_modes, sample, step):
+    """(dW, conv), each (n_modes,), of one (sample, fine step) for the sine
+    basis of ``n_modes`` modes at h = 2**-fine_level, read from the words
+    at counter (step * B, 0, sample, PATH_STREAM): uniform (k + 1/2) 2**-53
+    of a word's top 53 bits k; mode j takes words j-1 and N+j-1."""
+    blocks = step_blocks(n_modes)
+    words = counter_words(plan, sample, step * blocks, 4 * blocks)
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    factors = increment_factors(SineBasis(n_modes).eigenvalues,
+                                plan.fine_step_size(1.0))
+    dw, conv = box_muller_mix(u[:n_modes], u[n_modes:2 * n_modes], *factors)
+    dw.flags.writeable = conv.flags.writeable = False
+    return dw, conv
+
+
+def stream_increments(plan, samples, eigenvalues, h, n_steps, modes):
+    """(dW, conv) of modes ``modes`` (1-based) over fine steps
+    0..n_steps-1, each (samples, n_steps, len(modes)), drawn through
+    streams of at most 1024 samples, so the window buffers stay small."""
+    cols = np.asarray(modes) - 1
+    dw = np.empty((len(samples), n_steps, len(cols)))
+    conv = np.empty_like(dw)
+    for lo in range(0, len(samples), 1024):
+        ids = np.asarray(samples[lo : lo + 1024])
+        stream = IncrementStream(plan, ids, eigenvalues, h, n_steps)
+        w_dw, w_conv = stream.next_window()
+        dw[lo : lo + len(ids)] = w_dw[:, :, cols].transpose(1, 0, 2)
+        conv[lo : lo + len(ids)] = w_conv[:, :, cols].transpose(1, 0, 2)
+    return dw, conv
 
 
 def quad_conv_variance(lam, h):
@@ -49,31 +93,45 @@ def quad_conv_covariance(lam, h):
 
 class TestAddressing:
     def test_pointwise_equals_batch(self, basis64):
+        # one (sample, mode, step) needs only the two counter blocks that
+        # hold its radius and angle words: O(1) access into the path
         plan = NoisePlan(42, 10)
         h = 2.0**-10
-        dw, conv = increment_pairs(plan, basis64.eigenvalues, h, 5, 0, 32)
+        dw, conv = IncrementStream(plan, np.array([7, 5]), basis64.eigenvalues,
+                                   h, 32).next_window()
+        sqrt_h, l21, l22 = increment_factors(basis64.eigenvalues, h)
+        blocks = step_blocks(64)
         for mode, step in [(1, 0), (8, 3), (64, 31)]:
-            pair = sample_increment_pair(
-                plan, basis64.eigenvalues, h, 5, mode, step
-            )
-            assert pair.dW == dw[step, mode - 1]
-            assert pair.conv == conv[step, mode - 1]
+            u = []
+            for word in (mode - 1, 64 + mode - 1):
+                b, offset = divmod(word, 4)
+                w = counter_words(plan, 5, step * blocks + b, 4)[offset:offset + 1]
+                u.append(((w >> np.uint64(11)).astype(np.float64) + 0.5)
+                         * 2.0**-53)
+            pair = box_muller_mix(*u, sqrt_h, l21[mode - 1], l22[mode - 1])
+            assert pair[0][0] == dw[step, 1, mode - 1]
+            assert pair[1][0] == conv[step, 1, mode - 1]
 
     def test_deterministic_given_plan(self, basis64):
-        a = NoisePlan(123, 12)
-        b = NoisePlan(123, 12)
-        pa = sample_increment_pair(a, basis64.eigenvalues, 1e-3, 0, 1, 0)
-        pb = sample_increment_pair(b, basis64.eigenvalues, 1e-3, 0, 1, 0)
-        assert pa == pb
+        a = IncrementStream(NoisePlan(123, 12), np.array([0, 1]),
+                            basis64.eigenvalues, 1e-3, 2).next_window()
+        b = IncrementStream(NoisePlan(123, 12), np.array([0, 1]),
+                            basis64.eigenvalues, 1e-3, 2).next_window()
+        assert np.array_equal(a, b)
 
     def test_distinct_seeds_samples_steps_modes(self, basis64):
-        plan = NoisePlan(123, 12)
-        other = NoisePlan(124, 12)
-        base = sample_increment_pair(plan, basis64.eigenvalues, 1e-3, 0, 1, 0)
-        assert base != sample_increment_pair(other, basis64.eigenvalues, 1e-3, 0, 1, 0)
-        assert base != sample_increment_pair(plan, basis64.eigenvalues, 1e-3, 1, 1, 0)
-        assert base != sample_increment_pair(plan, basis64.eigenvalues, 1e-3, 0, 2, 0)
-        assert base != sample_increment_pair(plan, basis64.eigenvalues, 1e-3, 0, 1, 1)
+        def window(seed):
+            return IncrementStream(NoisePlan(seed, 12), np.array([0, 1]),
+                                   basis64.eigenvalues, 1e-3, 2).next_window()
+
+        dw, conv = window(123)
+        other_dw, other_conv = window(124)
+        for arr, other in ((dw, other_dw), (conv, other_conv)):
+            base = arr[0, 0, 0]                 # (step, sample, mode)
+            assert base != other[0, 0, 0]
+            assert base != arr[0, 1, 0]
+            assert base != arr[0, 0, 1]
+            assert base != arr[1, 0, 0]
 
     def test_spawn_changes_stream(self, basis64):
         plan = NoisePlan(123, 12)
@@ -82,15 +140,6 @@ class TestAddressing:
         assert child.fine_level == plan.fine_level
         assert plan.spawn(0) == child
         assert plan.spawn(1) != child
-
-    def test_index_validation(self, basis64):
-        plan = NoisePlan(1, 4)
-        with pytest.raises(IndexError):
-            sample_increment_pair(plan, basis64.eigenvalues, 1e-3, 0, 0, 0)
-        with pytest.raises(IndexError):
-            sample_increment_pair(plan, basis64.eigenvalues, 1e-3, 0, 65, 0)
-        with pytest.raises(IndexError):
-            sample_increment_pair(plan, basis64.eigenvalues, 1e-3, 0, 1, -1)
 
 
 class TestJointLaw:
@@ -137,10 +186,9 @@ class TestJointLaw:
         plan = NoisePlan(2024, 10)
         h = 2.0**-10
         n = 20_000
-        z1, z2 = pairs_per_sample(plan, n, 1, 64)
-        sqrt_h, l21, l22 = increment_factors(basis64.eigenvalues, h)
-        dw = sqrt_h * z1[:, 0, 0]
-        conv = l21[0] * z1[:, 0, 0] + l22[0] * z2[:, 0, 0]
+        dw, conv = stream_increments(plan, range(n), basis64.eigenvalues, h,
+                                     1, [1])
+        dw, conv = dw[:, 0, 0], conv[:, 0, 0]
         se_var = conv_variance(basis64.eigenvalue(1), h) * np.sqrt(2.0 / (n - 1))
         assert abs(np.var(dw, ddof=1) - h) < 4 * h * np.sqrt(2.0 / (n - 1))
         assert abs(
@@ -149,45 +197,54 @@ class TestJointLaw:
         assert abs(np.mean(dw)) < 4 * np.sqrt(h / n)
 
 
+def coarse_conv(conv, decay, ratio):
+    """Coarse convolution increments from fine ones (steps on axis 0), by
+    the sweep's recursion: restarted at each coarse step, then
+    acc <- e^{-lambda h} acc + conv_k."""
+    out = []
+    acc = np.empty_like(conv[0])
+    for k, inc in enumerate(conv):
+        if k % ratio == 0:
+            acc.fill(0.0)
+        acc *= decay
+        acc += inc
+        if (k + 1) % ratio == 0:
+            out.append(acc.copy())
+    return np.array(out)
+
+
 class TestCoarseAggregation:
+    """The damped recursion over the stream's conv windows."""
+
     def test_ratio_one_is_fine_increment(self, basis64):
         plan = NoisePlan(5, 8)
         h = 2.0**-8
-        pair = sample_increment_pair(plan, basis64.eigenvalues, h, 2, 3, 17)
-        agg = coarse_convolution_increment(
-            plan, basis64.eigenvalues, h, 2, 3, 17, 1
-        )
-        assert agg == pair.conv
+        _, conv = IncrementStream(plan, np.array([2]), basis64.eigenvalues,
+                                  h, 32).next_window()
+        decay = np.exp(-basis64.eigenvalues * h)
+        assert np.array_equal(coarse_conv(conv, decay, 1), conv)
 
     def test_ratio_two_identity(self, basis64):
         plan = NoisePlan(5, 8)
         h = 2.0**-8
-        lam = basis64.eigenvalue(3)
-        _, conv = increment_pairs(plan, basis64.eigenvalues, h, 2, 16, 2)
-        expected = np.exp(-lam * h) * conv[0, 2] + conv[1, 2]
-        agg = coarse_convolution_increment(
-            plan, basis64.eigenvalues, h, 2, 3, 8, 2
-        )
-        assert agg == expected
+        stream = IncrementStream(plan, np.array([2]), basis64.eigenvalues, h, 16)
+        stream.next_window()
+        _, conv = stream.next_window()              # fine steps 16..31
+        decay = np.exp(-basis64.eigenvalues * h)
+        agg = coarse_conv(conv, decay, 2)
+        assert agg.shape == (8, 1, 64)
+        # coarse step 8 covers fine steps 16 and 17
+        assert np.array_equal(agg[0], decay * conv[0] + conv[1])
+        assert np.array_equal(conv[0, 0], oracle_increments(plan, 64, 2, 16)[1])
 
     def test_zero_rate_limit_is_brownian_additivity(self):
         plan = NoisePlan(5, 8)
         h = 2.0**-8
-        eig = np.array([0.0])
-        dw, conv = increment_pairs(plan, eig, h, 0, 0, 2)
-        agg = coarse_convolution_increment(plan, eig, h, 0, 1, 0, 2)
-        assert agg == pytest.approx(dw[0, 0] + dw[1, 0], rel=1e-15)
-
-    def test_misalignment_rejected(self, basis64):
-        plan = NoisePlan(5, 8)
-        with pytest.raises(ValueError):
-            coarse_convolution_increment(
-                plan, basis64.eigenvalues, 2.0**-8, 0, 1, 0, 0
-            )
-        with pytest.raises(ValueError):
-            coarse_convolution_increment(
-                plan, basis64.eigenvalues, 2.0**-8, 0, 1, 0, 2.5
-            )
+        dw, conv = IncrementStream(plan, np.array([0]), np.array([0.0]),
+                                   h, 2).next_window()
+        agg = coarse_conv(conv, np.ones(1), 2)
+        assert agg[0, 0, 0] == pytest.approx(dw[0, 0, 0] + dw[1, 0, 0],
+                                             rel=1e-15)
 
     def test_aggregate_variance_closed_form(self, basis64):
         plan = NoisePlan(77, 10)
@@ -195,13 +252,9 @@ class TestCoarseAggregation:
         ratio = 4
         lam = basis64.eigenvalue(1)
         n = 20_000
-        z1, z2 = pairs_per_sample(plan, n, ratio, 64)
-        sqrt_h, l21, l22 = increment_factors(basis64.eigenvalues, h)
-        conv = l21[0] * z1[:, :, 0] + l22[0] * z2[:, :, 0]
-        decay = np.exp(-lam * h)
-        agg = np.zeros(n)
-        for k in range(ratio):
-            agg = decay * agg + conv[:, k]
+        _, conv = stream_increments(plan, range(n), basis64.eigenvalues, h,
+                                    ratio, [1])
+        agg = coarse_conv(conv[:, :, 0].T, np.exp(-lam * h), ratio)[0]
         target = conv_variance(lam, ratio * h)
         se = target * np.sqrt(2.0 / (n - 1))
         assert abs(np.var(agg, ddof=1) - target) < 4 * se
@@ -213,15 +266,10 @@ def test_plan_validation():
     plan = NoisePlan(1, 10)
     assert plan.fine_steps == 1024
     assert plan.fine_step_size(1.0) == 2.0**-10
-    assert plan.mode_word_offsets(1, 64) == (0, 64)
 
 
 class TestIncrementStream:
-    """Live generators and window buffers give the pointwise bits.
-
-    ``increment_pairs`` is per-sample ``standard_pairs`` at one step plus
-    the Cholesky mix, with a generator built at that step.
-    """
+    """Live generators and window buffers give the counter oracle's bits."""
 
     @pytest.mark.parametrize("n_modes", [5, 64])
     @pytest.mark.parametrize("level", [7, 8, 10])
@@ -249,9 +297,9 @@ class TestIncrementStream:
                     assert dw[k - w0].flags.c_contiguous
                     assert conv[k - w0].flags.c_contiguous
                     for c, s in enumerate(samples):
-                        ref_dw, ref_conv = increment_pairs(plan, eig, h, s, k, 1)
-                        assert np.array_equal(dw[k - w0, c], ref_dw[0])
-                        assert np.array_equal(conv[k - w0, c], ref_conv[0])
+                        ref_dw, ref_conv = oracle_increments(plan, n_modes, s, k)
+                        assert np.array_equal(dw[k - w0, c], ref_dw)
+                        assert np.array_equal(conv[k - w0, c], ref_conv)
 
     def test_skipped_buffer_leaves_other_bits(self, basis64):
         plan = NoisePlan(4, 9)
@@ -291,7 +339,7 @@ class TestIncrementStream:
 
     def test_layers_run_once_per_block_and_window(self, basis64, monkeypatch):
         # the Philox fill and Box-Muller are named layers: one call of each
-        # per 32-sample block per window, and one per pointwise request
+        # per 32-sample block per window
         calls = {"_draw_uniforms": 0, "_box_muller_into": 0}
         for name in calls:
             def counting(*args, _real=getattr(noise, name), _name=name):
@@ -303,8 +351,6 @@ class TestIncrementStream:
         for _ in range(3):
             stream.next_window()            # blocks of 32, 32 and 6
         assert calls == {"_draw_uniforms": 9, "_box_muller_into": 9}
-        standard_pairs(NoisePlan(5, 6), 3, 0, 8, 64)
-        assert calls == {"_draw_uniforms": 10, "_box_muller_into": 10}
 
 
 class TestUniformMap:
@@ -331,7 +377,7 @@ class TestUniformMap:
         assert doubles.tobytes() == want.tobytes()
 
 
-def test_philox_key_derived_once_per_seed(monkeypatch):
+def test_philox_key_derived_once_per_seed(monkeypatch, basis16):
     made = []
     seed_sequence = np.random.SeedSequence
 
@@ -342,8 +388,9 @@ def test_philox_key_derived_once_per_seed(monkeypatch):
     noise._philox_key.cache_clear()
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     plan = NoisePlan(31, 4)
-    standard_pairs(plan, 0, 0, 1, 8)
-    standard_pairs(plan, 1, 3, 2, 8)
+    for samples in ([0, 1], [2]):
+        IncrementStream(plan, np.array(samples), basis16.eigenvalues, 2.0**-4,
+                        4).next_window()
     assert len(made) == 1
     assert plan.philox_key().tolist() == (
         seed_sequence(31).generate_state(2, np.uint64).tolist())

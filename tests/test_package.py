@@ -24,7 +24,9 @@ DELETED = {"weak_error_estimate", "run_ensemble", "EnsembleStats",
            "_decode", "_FIELD_TYPES", "_KEY_BY_FIELD", "_key_of",
            "tamed_exponential_step", "semi_implicit_reference_step",
            "_one_step", "run_trajectory", "TrajectoryRecord",
-           "_monitor_values"}
+           "_monitor_values", "standard_pairs", "increment_pairs",
+           "sample_increment_pair", "coarse_convolution_increment",
+           "NoiseIncrementPair"}
 #: benchmark hook points whose targets were deleted before the benchmark
 #: was changed to match; a traced run reads zero for their layers
 DEAD_HOOKS = {"noise.standard_pairs_batch", "noise._box_muller",

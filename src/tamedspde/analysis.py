@@ -11,7 +11,6 @@ magnitude at the sample counts used here.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import drift as drift_mod
 from .drift import DriftConstants, DriftSpec, StepSizeVerdict, ALLEN_CAHN
-from .engine import SchemeConfig, _state_norms, sweep_ensemble
+from .engine import SchemeConfig, sweep_ensemble
 from .noise import NoisePlan
 from .spectral import SineBasis
 
@@ -63,7 +62,10 @@ class StepTestFunction:
     def radius(self, basis: SineBasis, coeffs: np.ndarray) -> np.ndarray:
         if self.norm_kind == "nodal":
             return np.linalg.norm(basis.to_physical(coeffs), axis=-1)
-        return basis.norm(coeffs, self.norm_kind)
+        norms = basis.norms(coeffs)
+        if self.norm_kind == "l2":
+            return np.sqrt(norms[..., 0])
+        return norms[..., 2]
 
     def __call__(self, basis: SineBasis, coeffs: np.ndarray) -> np.ndarray:
         return np.sin(np.floor(10.0 * self.radius(basis, coeffs)) / 10.0)
@@ -265,14 +267,14 @@ def moment_sup_estimate(
     """Ensemble means of squared-L2, fourth-power-L4, and sup norms.
 
     The sweep reduces each snapshot to the per-sample norms of
-    ``engine._state_norms`` as it goes, so it stores (samples, 3) values
-    per time instead of (samples, modes) states; each mean is taken over
-    one norm's (samples,) column.
+    ``SineBasis.norms`` as it goes, so it stores (samples, 3) values per
+    time instead of (samples, modes) states; each mean is taken over one
+    norm's (samples,) column.
     """
     times = np.asarray(sorted(time_grid), dtype=np.float64)
     outputs, _ = sweep_ensemble(
         [cfg], plan, n_samples, snapshot_times=[list(times)],
-        snapshot_fn=functools.partial(_state_norms, cfg.basis),
+        snapshot_fn=cfg.basis.norms,
         threads=threads, x0=x0,
     )
     snaps = [outputs[0].snapshots[float(t)] for t in times]

@@ -190,11 +190,22 @@ def _taming_denominator(x: np.ndarray, alpha,
     return np.exp(np.multiply(alpha, np.log1p(x, out=out), out=out), out=out)
 
 
-def f_tau_eval(d: DriftSpec, p: TamingParams, tau: float, v) -> np.ndarray:
-    """Tamed drift ``f(v) / (1 + beta tau^theta |v|^((2q-2)/alpha))^alpha``."""
+def f_tau_eval(d: DriftSpec, p: TamingParams, tau: float, v,
+               out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """Tamed drift ``f(v) / (1 + beta tau^theta |v|^((2q-2)/alpha))^alpha``.
+
+    With ``out`` and ``scratch``, arrays of v's shape apart from v, the
+    drift is written to ``out`` and the taming is computed in
+    ``scratch``, so nothing is allocated; without them every operation
+    takes a fresh array, with the same bits.
+    """
     v = np.asarray(v, dtype=np.float64)
-    x = p.beta * tau**p.theta * _abs_power(v, (2 * d.q - 2) / p.alpha)
-    return f_eval(d, v) / _taming_denominator(x, p.alpha)
+    x = _abs_power(v, (2 * d.q - 2) / p.alpha, out=scratch)
+    x *= p.beta * tau**p.theta
+    fv = f_eval(d, v, out=out)
+    fv /= _taming_denominator(x, p.alpha, out=scratch)
+    return fv
 
 
 def f_delta_eval(d: DriftSpec, delta: float, v) -> np.ndarray:

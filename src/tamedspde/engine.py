@@ -162,11 +162,6 @@ class _RunPre:
             self.factor = basis.semigroup_factors(cfg.tau)
         else:
             self.factor = 1.0 / (1.0 + cfg.tau * basis.eigenvalues)
-        if cfg.drift is not None and cfg.kind is SchemeKind.TAMED_EXP_EULER:
-            t = cfg.taming
-            self.tame_coef = t.beta * cfg.tau**t.theta
-            self.tame_power = (2 * cfg.drift.q - 2) / t.alpha
-            self.tame_alpha = t.alpha
 
     def drift_term(self, states: np.ndarray, phys: np.ndarray,
                    fv: np.ndarray, tame: np.ndarray) -> np.ndarray | None:
@@ -179,11 +174,11 @@ class _RunPre:
         # check is the reporting point
         with np.errstate(invalid="ignore", over="ignore"):
             np.matmul(states, self.transform, out=phys)
-            drift_mod.f_eval(cfg.drift, phys, out=fv)
             if cfg.kind is SchemeKind.TAMED_EXP_EULER:
-                x = drift_mod._abs_power(phys, self.tame_power, out=tame)
-                x *= self.tame_coef
-                fv /= drift_mod._taming_denominator(x, self.tame_alpha, out=x)
+                drift_mod.f_tau_eval(cfg.drift, cfg.taming, cfg.tau, phys,
+                                     out=fv, scratch=tame)
+            else:
+                drift_mod.f_eval(cfg.drift, phys, out=fv)
             np.matmul(fv, self.transform, out=phys)
             phys *= self.inv_nodes
         return phys
@@ -363,9 +358,8 @@ def sweep_ensemble(
     BLAS's matrix-vector path; its rows must depend only on their own
     state.  None stores the states themselves.  A caller that wants the
     running norm monitors asks for a snapshot at every step with
-    ``snapshot_fn=functools.partial(_state_norms, basis)`` and takes the
-    maxima over time of the square root, the fourth root and the sup
-    column.
+    ``snapshot_fn=basis.norms`` and takes the maxima over time of the
+    square root, the fourth root and the sup column.
     """
     if not runs:
         raise ValueError("need at least one run")
@@ -516,16 +510,3 @@ def sweep_ensemble(
             for c in chunks:
                 work(c)
     return outputs, blown
-
-
-def _state_norms(basis: SineBasis, states: np.ndarray) -> np.ndarray:
-    """Per-sample ``(sum c^2, sum phi^4 / (N+1), max |phi|)`` of a (B, N)
-    batch of coefficients ``c`` with nodal values ``phi``, as a (B, 3)
-    array: the squared L2 norm, the fourth power of the L4 norm and the
-    sup norm.  Give it at least two rows (see the module docstring)."""
-    phys = basis.to_physical(states)
-    return np.stack([
-        np.sum(states**2, axis=-1),
-        np.sum(phys**4, axis=-1) / (basis.n_modes + 1),
-        np.max(np.abs(phys), axis=-1),
-    ], axis=-1)

@@ -97,6 +97,21 @@ class TestStepTestFunction:
         assert np.array_equal(phi(basis64, batch),
                               [phi(basis64, row) for row in batch])
 
+    @pytest.mark.parametrize("shape", [(200, 64), (64,)], ids=["batch", "1-D"])
+    def test_radii_bits_pinned(self, basis64, shape):
+        # each radius equals its explicit formula bit for bit; row-wise
+        # (axis=-1), since a 1-D np.linalg.norm without an axis takes a
+        # dot product whose last bit can differ
+        c = np.random.default_rng(11).normal(0.0, 2.0, shape)
+        phys = c @ basis64._transform
+        want = {"nodal": np.linalg.norm(phys, axis=-1),
+                "l2": np.linalg.norm(c, axis=-1),
+                "sup": np.max(np.abs(phys), axis=-1)}
+        for kind, radius in want.items():
+            got = StepTestFunction(norm_kind=kind).radius(basis64, c)
+            assert np.shape(got) == shape[:-1], kind
+            assert np.asarray(got).tobytes() == radius.tobytes(), kind
+
 
 def _tamed(basis, level, epsilon=0.05, horizon=1.0):
     return SchemeConfig(

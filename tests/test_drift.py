@@ -369,6 +369,27 @@ class TestTamingInPlace:
         assert got.tobytes() == want
         assert _taming_denominator(x, alpha).tobytes() == want
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 1.0 / 3.0, 0.25, 0.7])
+    def test_f_tau_eval_into_out(self, alpha):
+        # the sweep's call: the drift into ``out``, the taming in
+        # ``scratch``; the oracle takes a fresh array per operation
+        params, tau = TamingParams(alpha=alpha, beta=5.0, theta=0.5), 2.0**-7
+        x = params.beta * tau**params.theta * abs_power_oracle(
+            self.STATES, 2 / alpha)
+        want = f_eval(ALLEN_CAHN, self.STATES) / taming_denominator_oracle(
+            x, alpha)
+        out, scratch = np.empty_like(self.STATES), np.empty_like(self.STATES)
+        got = f_tau_eval(ALLEN_CAHN, params, tau, self.STATES, out=out,
+                         scratch=scratch)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+        assert f_tau_eval(ALLEN_CAHN, params, tau,
+                          self.STATES).tobytes() == want.tobytes()
+        # a 0-d input still gives a scalar, with the same bits
+        one = f_tau_eval(ALLEN_CAHN, params, tau, self.STATES[3, 5])
+        assert not isinstance(one, np.ndarray) and np.ndim(one) == 0
+        assert one == want[3, 5]
+
 
 class TestStepSizeCondition:
     def setup_method(self):

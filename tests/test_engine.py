@@ -1,7 +1,6 @@
 """The step, one-sample and ensemble sweeps, coupling, determinism,
 blow-up handling."""
 
-import functools
 import hashlib
 import re
 import threading
@@ -360,7 +359,7 @@ def norm_monitors(runs, plan, samples, **kwargs):
         runs, plan, samples,
         snapshot_times=[[m * r.tau for m in range(r.n_steps + 1)]
                         for r in runs],
-        snapshot_fn=functools.partial(engine._state_norms, runs[0].basis),
+        snapshot_fn=runs[0].basis.norms,
         **kwargs)
     monitors = []
     for out in outs:

@@ -26,7 +26,7 @@ DELETED = {"weak_error_estimate", "run_ensemble", "EnsembleStats",
            "_one_step", "run_trajectory", "TrajectoryRecord",
            "_monitor_values", "standard_pairs", "increment_pairs",
            "sample_increment_pair", "coarse_convolution_increment",
-           "NoiseIncrementPair"}
+           "NoiseIncrementPair", "_state_norms", "_NORM_KINDS"}
 #: benchmark hook points whose targets were deleted before the benchmark
 #: was changed to match; a traced run reads zero for their layers
 DEAD_HOOKS = {"noise.standard_pairs_batch", "noise._box_muller",

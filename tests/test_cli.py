@@ -1,5 +1,6 @@
 """Configuration round-trips, subcommands, CSV contracts, exit codes."""
 
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -136,7 +137,11 @@ class TestVerifyCommand:
                            "--out-dir", str(tmp_path))
         assert code == 1
         assert [str(w.message) for w in caught] == []
-        report = json.loads((tmp_path / "verify_report.json").read_text())
+        # the same bytes at numpy's AVX-512 and X86_V3 dispatch levels
+        raw = (tmp_path / "verify_report.json").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == (
+            "d7564b501bd8a0cf1aeb9653742363111c20217b78896f8d6a1247c42b8c4964")
+        report = json.loads(raw)
         status = {c["name"]: c["passed"] for c in report["checks"]}
         assert status == {
             "taming_domination": False, "taming_gap": False,

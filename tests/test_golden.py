@@ -1,4 +1,4 @@
-"""Golden bytes: the sha256 of every CSV and JSON side output from four
+"""Golden bytes: the sha256 of every CSV and JSON side output from five
 tiny CLI runs, and of the admissibility list in the manifests of the two
 runs that write one.
 
@@ -7,12 +7,12 @@ noise windows of 8 steps; coarse ratios 512, 16 and 4, so one ratio-512
 coarse step spans 64 windows), fine levels of 7 and 6 (16 windows and 8),
 and a 300-sample run at two threads (two chunks of 150 samples in the
 thread pool, each split into Box-Muller blocks of 32 samples and a last
-block of 22).
+block of 22).  The fifth run is the property suite of the default drift.
 
 The hashes were recorded with numpy 2.4 and OpenBLAS 0.3.31 on an x86-64
 CPU with AVX-512.  libm and the SIMD kernels may differ in the last bit on
 other machines, so a mismatch prints this machine's numpy, BLAS and SIMD
-fingerprint.  The same four runs are also pinned with numpy held to its
+fingerprint.  The same five runs are also pinned with numpy held to its
 X86_V3 (AVX2) kernels.  Re-pinning a hash needs a CHANGES.md entry that
 says why the bits moved.
 """
@@ -65,6 +65,11 @@ GOLDEN = {
          "moments_T_2.csv":
             "61eabf34226b2ec225a1056c1ea46f7e315b48ca440e545ceeb0bc22b151985d"},
     ),
+    "verify": (
+        ["verify"],
+        {"verify_report.json":
+            "aae823f6914d4012d3f00aaa949a13a6f49f18c4ebaaecb974472de060fec8ec"},
+    ),
 }
 
 #: sha256 of ``json.dumps(manifest["admissibility"], sort_keys=True)``
@@ -78,9 +83,10 @@ ADMISSIBILITY = {
 
 #: the hashes that move when numpy runs its X86_V3 kernels instead of
 #: AVX-512: ``np.log`` in the noise's Box-Muller and ``np.power`` in the
-#: norm monitors' ``phys**4`` round some last bits differently there.
-#: converge and table1 report step-function observables, which absorb
-#: those bits, and keep their pins
+#: norm monitors' ``phys**4`` round some last bits differently there, as
+#: do the property checks' ``np.log`` and ``np.exp``.  converge and table1
+#: report step-function observables, which absorb those bits, and keep
+#: their pins
 X86_V3_MOVED = {
     "interface": {
         "profiles_eps_0.01.csv":
@@ -90,6 +96,9 @@ X86_V3_MOVED = {
             "906b85ae2662063fa6803c8eee511c100d43fb2aea5d167239ee45f1f1f8bea9",
         "moments_T_2.csv":
             "71b67ed7dfb7104a07596fa4157123023275f7737f18eac0b4ec7f20bafb4ce8"},
+    "verify": {
+        "verify_report.json":
+            "3e4258eb29f765269cff523785e4178a253ba7a9b30e5b8dac99c73e5b07dfcd"},
 }
 #: numpy's dispatch held to X86_V3 (AVX2) on an AVX-512 CPU
 X86_V3_ONLY = "X86_V4 AVX512_ICL AVX512_SPR"
@@ -136,7 +145,7 @@ def test_csv_bytes_pinned(command, tmp_path, fingerprint):
 @pytest.mark.skipif(not has_avx512(), reason="numpy finds no AVX-512 "
                     "(X86_V4) here, so no lower dispatch level can be forced")
 def test_csv_bytes_pinned_at_x86_v3(tmp_path, fingerprint):
-    # NPY_DISABLE_CPU_FEATURES acts at numpy's import, so the four runs go
+    # NPY_DISABLE_CPU_FEATURES acts at numpy's import, so the five runs go
     # to one child process
     tests = Path(__file__).resolve().parent
     path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]

@@ -1,7 +1,8 @@
 """Numerical property suite: the structural facts the scheme relies on.
 
 Each check is an inequality verified pointwise on large random or grid
-samples: the tamed drift never exceeds the raw drift; the taming gap is
+samples: the tamed drift never exceeds the raw drift (checked on
+``f_tau_eval``, the function every sweep calls); the taming gap is
 controlled by alpha beta tau^theta |u|^((2q-2)/alpha) |f(u)|; the
 regularized drift's derivative admits delta-independent bounds; and the
 power inequality behind the discrete Gronwall argument holds for all

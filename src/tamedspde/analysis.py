@@ -11,7 +11,7 @@ magnitude at the sample counts used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,12 +60,11 @@ class StepTestFunction:
             raise ValueError(f"unsupported norm kind {self.norm_kind!r}")
 
     def radius(self, basis: SineBasis, coeffs: np.ndarray) -> np.ndarray:
+        if self.norm_kind == "l2":          # Parseval: the coefficient norm
+            return np.linalg.norm(coeffs, axis=-1)
         if self.norm_kind == "nodal":
             return np.linalg.norm(basis.to_physical(coeffs), axis=-1)
-        norms = basis.norms(coeffs)
-        if self.norm_kind == "l2":
-            return np.sqrt(norms[..., 0])
-        return norms[..., 2]
+        return basis.norms(coeffs)[..., 2]
 
     def __call__(self, basis: SineBasis, coeffs: np.ndarray) -> np.ndarray:
         return np.sin(np.floor(10.0 * self.radius(basis, coeffs)) / 10.0)
@@ -237,12 +236,14 @@ def weak_error_table(
 
 
 def fit_convergence_rate(table: ErrorTable) -> RateFit:
-    """Slope of log2(weak error) against log2(tau) by least squares."""
-    if len(table.rows) < 3:
-        raise ValueError(f"rate fit needs >= 3 rows, got {len(table.rows)}")
+    """Slope of log2(weak error) against log2(tau) by least squares.  It
+    needs >= 3 rows and every error > 0, else raises ValueError."""
     errs = np.array([r.weak_error for r in table.rows])
+    if len(errs) < 3:
+        raise ValueError(f"rate fit refused: needs >= 3 step sizes, got {len(errs)}")
     if np.any(errs <= 0):
-        raise ValueError("rate fit needs strictly positive errors")
+        raise ValueError(f"rate fit refused: needs every weak error > 0, "
+                         f"got {errs.tolist()}")
     x = np.log2([r.tau for r in table.rows])
     y = np.log2(errs)
     design = np.column_stack([x, np.ones_like(x)])
@@ -322,10 +323,7 @@ class PropertyReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [c.as_dict() for c in self.checks],
-        }
+        return {**asdict(self), "all_passed": self.all_passed}
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -17,7 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from contextlib import suppress
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -172,16 +173,17 @@ def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
         print(f"level {row.level}  tau {row.tau:.3e}  weak error "
               f"{row.weak_error:.6f} +- {row.mc_halfwidth:.6f}  "
               f"admissible={row.admissible} (ratio {row.admissibility_ratio:.3g})")
-    if len(table.rows) >= 3:
+    try:
         fit = fit_convergence_rate(table)
+    except ValueError as exc:               # "rate fit refused: <reason>"
+        print(exc)
+    else:
         _write_json(outdir / "rate_fit.json", {
             "slope": fit.slope, "intercept": fit.intercept,
             "residual": fit.residual, "n_rows": len(table.rows),
         })
         outputs.append("rate_fit.json")
         print(f"fitted convergence slope: {fit.slope:.4f}")
-    else:
-        print(f"rate fit refused: needs >= 3 step sizes, got {len(table.rows)}")
     _write_manifest(outdir, "converge", cfg, outputs,
                     admissibility=_admissibility_entries(table))
     return 0
@@ -222,7 +224,7 @@ def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
             "decreasing_pairs": pairs, "total_pairs": len(col) - 1,
             "flagged": bool(pairs < len(col) - 1),
         }
-        if n_tau >= 3 and np.all(col > 0):
+        with suppress(ValueError):          # a refused fit is left out
             fits[name] = {"alpha": alpha,
                           "slope": fit_convergence_rate(table).slope}
         print(f"alpha={alpha:.4g}: errors "
@@ -249,25 +251,26 @@ def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
         _snapshot_steps(schemes[0], cfg.interface_times)
     except ValueError as exc:
         raise ConfigError(f"interface.times: {exc}") from None
+    names = [f"profiles_eps_{format(eps, 'g')}.csv" for eps in epsilons]
+    if clash := [name for name in names if names.count(name) > 1]:
+        raise ConfigError(f"interface.epsilons: two epsilons would both "
+                          f"write {clash[0]}")
     outdir = _output_dir(cfg)
     # one sweep over the shared noise path gives every epsilon its profiles
     profiles = interface_profile(
         schemes, NoisePlan(cfg.master_seed, cfg.fine_level), cfg.n_samples,
         cfg.interface_times, threads=threads,
     )
-    outputs = []
-    for eps, profile in zip(epsilons, profiles):
-        name = f"profiles_eps_{format(eps, 'g')}.csv"
+    for eps, name, profile in zip(epsilons, names, profiles):
         rows = (
             (t, i + 1, profile.node_x[i], profile.mean_values[ti, i])
             for ti, t in enumerate(profile.times)
             for i in range(basis.n_modes)
         )
         _write_csv(outdir / name, ("time", "node_index", "x", "mean_value"), rows)
-        outputs.append(name)
         peak = float(np.max(np.abs(profile.mean_values)))
         print(f"epsilon={eps:g}: wrote {name}; max |mean value| = {peak:.4f}")
-    _write_manifest(outdir, "interface", cfg, outputs)
+    _write_manifest(outdir, "interface", cfg, names)
     return 0
 
 
@@ -315,12 +318,8 @@ def cmd_verify(cfg: ExperimentConfig, threads: int) -> int:
     report = property_suite(drift, seed=cfg.master_seed)
     payload = report.as_dict()
     try:
-        constants = derive_growth_constants(drift)
-        payload["constants"] = {
-            "L_f": constants.L_f, "c0": constants.c0, "c1": constants.c1,
-            "c2": constants.c2, "c3": constants.c3, "c4": constants.c4,
-            "c5": constants.c5, "certified": True,
-        }
+        payload["constants"] = {**asdict(derive_growth_constants(drift)),
+                                "certified": True}
     except ValueError as exc:
         payload["constants"] = {"certified": False, "error": str(exc)}
         payload["all_passed"] = False

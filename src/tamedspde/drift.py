@@ -190,6 +190,15 @@ def _taming_denominator(x: np.ndarray, alpha,
     return np.exp(np.multiply(alpha, np.log1p(x, out=out), out=out), out=out)
 
 
+def _taming_argument(d: DriftSpec, p, tau, v,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    # x = beta tau^theta |v|^((2q-2)/alpha), into ``out`` when given; p
+    # needs only .alpha, .beta and .theta, so they and tau may be arrays
+    x = _abs_power(v, (2 * d.q - 2) / p.alpha, out=out)
+    x *= p.beta * tau**p.theta
+    return x
+
+
 def f_tau_eval(d: DriftSpec, p: TamingParams, tau: float, v,
                out: np.ndarray | None = None,
                scratch: np.ndarray | None = None) -> np.ndarray:
@@ -201,8 +210,7 @@ def f_tau_eval(d: DriftSpec, p: TamingParams, tau: float, v,
     takes a fresh array, with the same bits.
     """
     v = np.asarray(v, dtype=np.float64)
-    x = _abs_power(v, (2 * d.q - 2) / p.alpha, out=scratch)
-    x *= p.beta * tau**p.theta
+    x = _taming_argument(d, p, tau, v, out=scratch)
     fv = f_eval(d, v, out=out)
     fv /= _taming_denominator(x, p.alpha, out=scratch)
     return fv
@@ -289,21 +297,16 @@ def derive_growth_constants(
     taken at its first row-major position (a NaN first, as np.argmax
     does), so the constants and the reported pair keep their bits.
     """
-    coeffs = d.coeffs
-    deg = d.degree
-    a0 = abs(coeffs[0])
-    a1 = abs(coeffs[1]) if len(coeffs) > 1 else 0.0
-    mid = float(np.abs(coeffs[2:deg]).sum()) if deg > 2 else 0.0
-    c3 = float(abs(coeffs[deg])) + mid
-    c4 = float(a1)
-    c5 = float(a0) + mid
+    c = d.coeffs                        # length 2q >= 4
+    mid = float(np.abs(c[2:-1]).sum())
+    c3 = float(abs(c[-1])) + mid
+    c4 = float(abs(c[1]))
+    c5 = float(abs(c[0])) + mid
 
-    grid = verification_grid(bound)
-    L_f = float(np.max(f_prime_eval(d, grid)))
+    L_f = float(np.max(f_prime_eval(d, verification_grid(bound))))
 
     # 2-D certification grid, coarser than the 1-D one
-    mags = np.logspace(-6, np.log10(bound), pair_grid)
-    axis = np.concatenate([-mags[::-1], [0.0], mags])
+    axis = verification_grid(bound, pair_grid)
     n = len(axis)
     u = axis[:, None]
     v = axis[None, :]
@@ -372,15 +375,6 @@ class CheckResult:
     worst: float
     counterexample: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "n_samples": int(self.n_samples),
-            "worst": float(self.worst),
-            "counterexample": self.counterexample,
-        }
-
 
 def _passes(worst: float) -> bool:
     """A check passes on a finite, non-negative worst margin; a margin
@@ -388,66 +382,65 @@ def _passes(worst: float) -> bool:
     return bool(np.isfinite(worst) and worst >= 0)
 
 
-def _random_taming(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
-    # valid parameter tuples: theta in [0.1, 0.9], alpha in [1/4, 0.99/theta],
-    # beta in [0.1, 100], tau in [2^-14, 2^-2]
+def _verdict(name: str, margin: np.ndarray, witness: dict) -> CheckResult:
+    # a sampled check's verdict: its smallest margin (the first NaN, if
+    # any) decides, and a failure names that sample's entry of each
+    # witness array
+    worst = float(np.min(margin))
+    i = int(np.argmin(margin))
+    passed = _passes(worst)
+    return CheckResult(name, passed, margin.size, worst,
+                       {} if passed else {k: w[i] for k, w in witness.items()})
+
+
+class _TamingSample(NamedTuple):
+    # n sampled points and taming parameters, one entry each; f_tau_eval
+    # takes the record for its TamingParams
+    u: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    theta: np.ndarray
+    tau: np.ndarray
+
+
+def _random_taming(seed: int, n: int) -> _TamingSample:
+    # u uniform on [-1e3, 1e3] and valid parameter tuples: theta in
+    # [0.1, 0.9], alpha in [1/4, 0.99/theta], beta in [0.1, 100], tau in
+    # [2^-14, 2^-2]; drawn in that order
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1e3, 1e3, n)
     theta = rng.uniform(0.1, 0.9, n)
     alpha = rng.uniform(0.25, np.minimum(0.99 / theta, 4.0))
     beta = np.exp(rng.uniform(np.log(0.1), np.log(100.0), n))
     tau = np.exp(rng.uniform(np.log(2.0**-14), np.log(2.0**-2), n))
-    return alpha, beta, theta, tau
+    return _TamingSample(u, alpha, beta, theta, tau)
 
 
 def check_taming_domination(
     d: DriftSpec = ALLEN_CAHN, n: int = 100_000, seed: int = 0
 ) -> CheckResult:
-    """|f_tau(u)| <= |f(u)| over random u and random valid taming params."""
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-1e3, 1e3, n)
-    alpha, beta, theta, tau = _random_taming(rng, n)
-    fu = f_eval(d, u)
-    x = beta * tau**theta * _abs_power(u, (2 * d.q - 2) / alpha)
-    ftau = fu / _taming_denominator(x, alpha)
+    """|f_tau(u)| <= |f(u)| over random u and random valid taming params,
+    with f_tau the scheme's own ``f_tau_eval``."""
+    s = _random_taming(seed, n)
+    fu = f_eval(d, s.u)
+    ftau = f_tau_eval(d, s, s.tau, s.u)
     slack = 1e-12 * np.maximum(1.0, np.abs(fu))
-    margin = np.abs(fu) + slack - np.abs(ftau)
-    worst = float(np.min(margin))
-    i = int(np.argmin(margin))
-    passed = _passes(worst)
-    return CheckResult(
-        "taming_domination",
-        passed,
-        n,
-        worst,
-        {} if passed else {"u": u[i], "alpha": alpha[i], "beta": beta[i],
-                           "theta": theta[i], "tau": tau[i]},
-    )
+    return _verdict("taming_domination",
+                    np.abs(fu) + slack - np.abs(ftau), s._asdict())
 
 
 def check_taming_gap(
     d: DriftSpec = ALLEN_CAHN, n: int = 100_000, seed: int = 1
 ) -> CheckResult:
     """|f_tau(u) - f(u)| <= alpha beta tau^theta |u|^((2q-2)/alpha) |f(u)|."""
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-1e3, 1e3, n)
-    alpha, beta, theta, tau = _random_taming(rng, n)
-    fu = f_eval(d, u)
-    x = beta * tau**theta * _abs_power(u, (2 * d.q - 2) / alpha)
+    s = _random_taming(seed, n)
+    fu = f_eval(d, s.u)
+    x = _taming_argument(d, s, s.tau, s.u)
     # f_tau - f = f * ((1+x)^-alpha - 1), computed via expm1/log1p so the
     # small-x cancellation stays accurate
-    gap = np.abs(fu * np.expm1(-alpha * np.log1p(x)))
-    bound = alpha * x * np.abs(fu)
-    margin = bound * (1.0 + 1e-9) - gap
-    worst = float(np.min(margin))
-    i = int(np.argmin(margin))
-    passed = _passes(worst)
-    return CheckResult(
-        "taming_gap",
-        passed,
-        n,
-        worst,
-        {} if passed else {"u": u[i], "alpha": alpha[i], "beta": beta[i],
-                           "theta": theta[i], "tau": tau[i]},
-    )
+    gap = np.abs(fu * np.expm1(-s.alpha * np.log1p(x)))
+    bound = s.alpha * x * np.abs(fu)
+    return _verdict("taming_gap", bound * (1.0 + 1e-9) - gap, s._asdict())
 
 
 def check_one_sided_delta_derivative(
@@ -532,15 +525,5 @@ def check_power_mean_inequality(n: int = 100_000, seed: int = 2) -> CheckResult:
         + (1.0 + (2.0 / ups) ** (rho - 1.0)) * (1.0 + r ** (rho - 1.0))
         * np.exp(rho - 1.0)
     ) * B**rho
-    margin = rhs * (1.0 + 1e-9) - lhs
-    worst = float(np.min(margin))
-    i = int(np.argmin(margin))
-    passed = _passes(worst)
-    return CheckResult(
-        "power_mean_inequality",
-        passed,
-        n,
-        worst,
-        {} if passed else {"rho": rho[i], "A": A[i], "B": B[i],
-                           "r": r[i], "upsilon": ups[i]},
-    )
+    return _verdict("power_mean_inequality", rhs * (1.0 + 1e-9) - lhs,
+                    {"rho": rho, "A": A, "B": B, "r": r, "upsilon": ups})

@@ -309,7 +309,9 @@ def _blas_threads() -> dict:
 def _snapshot_steps(cfg: SchemeConfig, times: Sequence[float]) -> dict[int, float]:
     table: dict[int, float] = {}
     for t in times:
-        m = int(round(t / cfg.tau))
+        # clipped, so a time whose step count overflows to inf is off the
+        # grid rather than an OverflowError
+        m = int(round(min(max(t / cfg.tau, -1.0), cfg.n_steps + 1.0)))
         if not 0 <= m <= cfg.n_steps or abs(m * cfg.tau - t) > 1e-9 * max(1.0, cfg.tau):
             raise ValueError(
                 f"snapshot time {t} is not on the step grid of tau={cfg.tau} "

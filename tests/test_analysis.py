@@ -239,8 +239,9 @@ class TestRateFit:
 
     def test_rejects_nonpositive_errors(self):
         taus = [0.5, 0.25, 0.125]
-        with pytest.raises(ValueError):
-            fit_convergence_rate(self._table(taus, [0.2, 0.0, 0.1]))
+        for bad in (0.0, -0.1):
+            with pytest.raises(ValueError, match="rate fit refused"):
+                fit_convergence_rate(self._table(taus, [0.2, bad, 0.1]))
 
 
 class TestMoments:
@@ -375,7 +376,8 @@ class TestPropertySuite:
         # remove the taming denominator: |f_tau| = 2|f| violates domination
         monkeypatch.setattr(
             drift_mod, "_taming_denominator",
-            lambda x, alpha: np.full_like(np.asarray(x, dtype=float), 0.5),
+            lambda x, alpha, out=None: np.full_like(np.asarray(x, dtype=float),
+                                                    0.5),
         )
         report = property_suite(n=5_000)
         assert not report.all_passed
@@ -383,3 +385,14 @@ class TestPropertySuite:
         assert "taming_domination" in failing
         bad = next(c for c in report.checks if c.name == "taming_domination")
         assert "u" in bad.counterexample
+
+    def test_domination_checks_the_production_taming(self, monkeypatch):
+        # an untamed f_tau = 2 f must fail the check that reads it; the
+        # taming gap forms its own quotient and is not affected
+        monkeypatch.setattr(drift_mod, "f_tau_eval",
+                            lambda d, p, tau, v: 2.0 * drift_mod.f_eval(d, v))
+        report = property_suite(n=5_000)
+        failing = {c.name for c in report.checks if not c.passed}
+        assert failing == {"taming_domination"}
+        bad = next(c for c in report.checks if c.name == "taming_domination")
+        assert set(bad.counterexample) == {"u", "alpha", "beta", "theta", "tau"}

@@ -155,7 +155,8 @@ class TestVerifyCommand:
     def test_broken_taming_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             drift_mod, "_taming_denominator",
-            lambda x, alpha: np.full_like(np.asarray(x, dtype=float), 0.5),
+            lambda x, alpha, out=None: np.full_like(np.asarray(x, dtype=float),
+                                                    0.5),
         )
         code = run_cli("verify", "--out-dir", str(tmp_path))
         assert code == 1
@@ -215,18 +216,28 @@ class TestConvergeCommand:
         assert (out2 / "errors.csv").read_bytes() == (out1 / "errors.csv").read_bytes()
 
     def test_single_tau_refuses_fit(self, tmp_path, capsys):
-        code = run_cli(
-            "converge", "--set", "discretization.n_modes=16",
-            "--set", "discretization.tau_levels=6",
-            "--set", "discretization.fine_level=8",
-            "--set", "sampling.n_samples=8",
-            "--set", "model.epsilon=0.05",
-            "--out-dir", str(tmp_path),
-        )
-        assert code == 0
-        assert "rate fit refused" in capsys.readouterr().out
-        assert not (tmp_path / "rate_fit.json").exists()
-        assert (tmp_path / "errors.csv").exists()
+        # one step size, and three whose weak errors are all 0 (the l2
+        # radii of both runs share a bin): the fit is refused, the run
+        # still finishes
+        runs = {
+            "single": ("--set", "discretization.n_modes=16",
+                       "--set", "discretization.tau_levels=6",
+                       "--set", "discretization.fine_level=8",
+                       "--set", "sampling.n_samples=8",
+                       "--set", "model.epsilon=0.05"),
+            "zero": ("--preset", "paper7-beta5-ci", "--seed", "1",
+                     "--set", "sampling.n_samples=2",
+                     "--set", "sampling.phi_norm=l2",
+                     "--set", "discretization.fine_level=8",
+                     "--set", "discretization.tau_levels=6 7 8"),
+        }
+        for run, argv in runs.items():
+            out = tmp_path / run
+            assert run_cli("converge", *argv, "--out-dir", str(out)) == 0, run
+            assert "rate fit refused: needs" in capsys.readouterr().out, run
+            assert not (out / "rate_fit.json").exists(), run
+            for name in ("errors.csv", "manifest.json", "config.resolved.ini"):
+                assert (out / name).exists(), (run, name)
 
     def test_uncoupled_mode_runs(self, tmp_path):
         code = run_cli("converge", *TINY, "--set", "sampling.coupled=false",
@@ -332,6 +343,35 @@ class TestInterfaceCommand:
         assert code == 1
         assert "interface.epsilons" in capsys.readouterr().err
         assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("epsilons, name", [
+        ("0.0123456789 0.01234568", "profiles_eps_0.0123457.csv"),
+        ("0.01 0.01", "profiles_eps_0.01.csv"),
+    ])
+    def test_colliding_profile_names_rejected(self, epsilons, name, tmp_path,
+                                              capsys):
+        # two epsilons that format alike would overwrite one file
+        out = tmp_path / "out"
+        code = run_cli("interface", "--preset", "interface-eps2",
+                       "--set", f"interface.epsilons={epsilons}",
+                       "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: interface.epsilons: ")
+        assert name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("time", ["1e308", "-1e308"])
+    def test_huge_time_is_off_the_grid(self, time, tmp_path, capsys):
+        # its step count t / tau overflows to inf
+        out = tmp_path / "out"
+        code = run_cli("interface", "--preset", "interface-eps2",
+                       "--set", f"interface.times=0 {time}",
+                       "--out-dir", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: interface.times: ")
+        assert not out.exists()
 
     def test_blowup_exits_two(self, tmp_path, capsys):
         code = run_cli(

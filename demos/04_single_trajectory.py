@@ -32,7 +32,7 @@ plan = NoisePlan(master_seed=7, fine_level=level)
 
 # one sample of the ensemble, with a snapshot at every step, t = 0 included
 times = [m * cfg.tau for m in range(cfg.n_steps + 1)]
-(out,), _ = sweep_ensemble([cfg], plan, [0], snapshot_times=[times])
+(out,) = sweep_ensemble([cfg], plan, [0], snapshot_times=[times])
 path = np.stack([out.snapshots[t][0] for t in times])    # (steps + 1, modes)
 
 print("L2 norm of the state along the path:")

@@ -36,8 +36,8 @@ At every fine step, each (ratio, scheme kind) in use adds the step's
 increments to one running (samples, modes) coarse sum by the fine-step
 recursion, restarted at each coarse step; runs sharing a ratio and a
 kind share the sum.  The runs then advance fine-step-major, in run
-order, so blow-up reporting and ``skip_blowups`` see the steps in the
-same order whatever the window length.  A step
+order, and a chunk stops at its first non-finite state, so the blow-up a
+sweep reports is the same whatever the window length.  A step
 writes its new state, both transforms, the drift polynomial, the taming
 and its finiteness check into buffers allocated once per chunk: it fills
 a spare state buffer and hands the run's old one on as the next spare,
@@ -341,16 +341,16 @@ def sweep_ensemble(
     x0: np.ndarray | None = None,
     snapshot_times: Sequence[Sequence[float]] | None = None,
     snapshot_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    skip_blowups: bool = False,
     threads: int = 1,
-) -> tuple[list[RunOutput], np.ndarray]:
+) -> list[RunOutput]:
     """Advance all runs over one shared noise path per sample.
 
     ``samples`` is either a count (ids 0..n-1) or explicit sample ids;
     ids select the counter-addressed noise.  Returns one RunOutput per
-    run plus the boolean mask of samples that blew up (only ever set
-    when ``skip_blowups``; otherwise a blow-up raises).  Results are
-    independent of ``threads``.
+    run.  A non-finite state raises BlowUpError once every chunk has
+    finished or blown, naming the first blow-up by (fine step, run,
+    sample position); results and that error are independent of
+    ``threads``.
 
     ``snapshot_fn`` reduces what a snapshot stores: it maps a (rows, N)
     batch of states to (rows, K) per-sample values, and each snapshot
@@ -402,7 +402,6 @@ def sweep_ensemble(
         )
         for sm in snap_map
     ]
-    blown = np.zeros(n_samples, dtype=bool)
 
     fine_steps = plan.fine_steps
     h = plan.fine_step_size(horizon)
@@ -430,7 +429,9 @@ def sweep_ensemble(
     chunks = [(start, min(start + size, n_samples))
               for start in range(0, n_samples, size)]
 
-    def work(chunk: tuple[int, int]) -> None:
+    def work(chunk: tuple[int, int]) -> tuple[int, int, int] | None:
+        """Sweep one chunk; its first blow-up as (fine step, run, sample
+        position), or None."""
         lo, hi = chunk
         rows = hi - lo
         ids = sample_ids[lo:hi]
@@ -448,8 +449,6 @@ def sweep_ensemble(
         spare = np.empty((count, n_mode))
         phys, fv = np.empty((count, n_mode)), np.empty((count, n_mode))
         finite = np.empty((count, n_mode), dtype=bool)
-        ok = np.empty(count, dtype=bool)
-        alive = np.ones(count, dtype=bool)
         for i, sm in enumerate(snap_map):
             if 0 in sm:
                 outputs[i].snapshots[sm[0]][lo:hi] = snap0
@@ -484,31 +483,25 @@ def sweep_ensemble(
                     inc = fine[t][kl] if ratio == 1 else accs[ratio, t]
                     new = pre.advance(states[i], inc, spare, phys, fv, factor)
                     spare, states[i] = states[i], new
-                    np.all(np.isfinite(new, out=finite), axis=1, out=ok)
-                    if not ok.all():
-                        if not skip_blowups:
-                            bad = int(np.nonzero(~ok)[0][0])
-                            raise BlowUpError(m, int(ids[bad]), i)
-                        alive &= ok
-                        new[~alive] = 0.0
-                        blown[lo:hi] |= ~alive[:rows]
+                    if not np.isfinite(new, out=finite).all():
+                        bad = int(np.flatnonzero(~finite)[0]) // n_mode
+                        return k, i, lo + bad
                     if m in snap_map[i]:
                         outputs[i].snapshots[snap_map[i][m]][lo:hi] = (
                             snapshot_fn(new)[:rows])
-        dead = lo + np.flatnonzero(~alive[:rows])
         for i, out in enumerate(outputs):
             out.endpoints[lo:hi] = states[i][:rows]
-            # a blown sample restarted from zero where it blew: none of
-            # its rows, in any run, hold a path of the scheme
-            for arr in (out.endpoints, *out.snapshots.values()):
-                arr[dead] = np.nan
+        return None
 
     with _single_threaded_blas():
         if threads > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                for f in [pool.submit(work, c) for c in chunks]:
-                    f.result()
+                blowups = list(pool.map(work, chunks))
         else:
-            for c in chunks:
-                work(c)
-    return outputs, blown
+            blowups = list(map(work, chunks))
+    # the least over all chunks, so the error does not follow the chunking
+    first = min(filter(None, blowups), default=None)
+    if first is not None:
+        k, i, pos = first
+        raise BlowUpError((k + 1) // ratios[i], int(sample_ids[pos]), i)
+    return outputs

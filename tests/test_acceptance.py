@@ -129,7 +129,7 @@ def test_criterion_4_ou_stationary_variance(basis64):
     n = 10_000
     cfg = SchemeConfig(epsilon=1.0, tau=2.0**-6, n_steps=128, basis=basis64,
                        drift=None, kind=SchemeKind.TAMED_EXP_EULER)
-    outs, _ = sweep_ensemble([cfg], NoisePlan(404, 7), n)
+    outs = sweep_ensemble([cfg], NoisePlan(404, 7), n)
     var = float(outs[0].endpoints[:, 0].var(ddof=1))
     target = 1.0 / (2.0 * np.pi**2)
     se = target * np.sqrt(2.0 / (n - 1))
@@ -222,7 +222,7 @@ def test_criterion_7_moment_stability(tmp_path, basis64):
             drift=ALLEN_CAHN,
             taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5),
         )
-        ((max_l2, _, _),), _ = norm_monitors(
+        ((max_l2, _, _),) = norm_monitors(
             [cfg], NoisePlan(20250811, level), 100)
         # a maximum over time is finite only if every step's norm is
         assert np.all(np.isfinite(max_l2))

@@ -293,8 +293,8 @@ class TestMoments:
         plan = NoisePlan(5, 6)
         times = [m * cfg.tau for m in range(cfg.n_steps + 1)]
         report = moment_sup_estimate(cfg, plan, 257, times, threads=threads)
-        outs, _ = sweep_ensemble([cfg], plan, 257, snapshot_times=[times],
-                                 threads=threads)
+        outs = sweep_ensemble([cfg], plan, 257, snapshot_times=[times],
+                              threads=threads)
         l2sq, l44, sup = [], [], []
         for t in times:
             coeffs = outs[0].snapshots[t]
@@ -334,7 +334,7 @@ class TestInterfaceProfile:
                            drift=None)
         plan = NoisePlan(5, 4)
         (profile,) = interface_profile([cfg], plan, 2, [0.5])
-        outs, _ = sweep_ensemble([cfg], plan, 2, snapshot_times=[[0.5]])
+        outs = sweep_ensemble([cfg], plan, 2, snapshot_times=[[0.5]])
         expected = basis64.to_physical(outs[0].snapshots[0.5]).mean(axis=0)
         assert profile.mean_values[0].tobytes() == expected.tobytes()
 

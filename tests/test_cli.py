@@ -260,6 +260,26 @@ class TestConvergeCommand:
                        "--config", str(cfg_file))
         assert code == 1
 
+    def test_blowup_report_independent_of_threads(self, tmp_path, capsys):
+        # 300 samples are one chunk of 256 at one thread and three of 100
+        # at three; the first chunk of three blows later than sample 127
+        reports = []
+        for threads in (1, 3):
+            code = run_cli(
+                "converge", "--seed", "6",
+                "--set", "model.epsilon=0.0024", "--set", "taming.beta=1e-6",
+                "--set", "discretization.n_modes=8",
+                "--set", "discretization.fine_level=10",
+                "--set", "discretization.tau_levels=8 10",
+                "--set", "sampling.n_samples=300",
+                "--threads", str(threads),
+                "--out-dir", str(tmp_path / str(threads)),
+            )
+            assert code == 2
+            reports.append(capsys.readouterr().err)
+        assert reports[0] == reports[1]
+        assert "step 22, sample 127, run 0" in reports[0]
+
 
 class TestTable1Command:
     def test_tiny_grid_shape(self, tmp_path):

@@ -165,8 +165,8 @@ class TestRunTrajectory:
                          drift=None)
         cfg = SchemeConfig(epsilon=0.01, tau=2.0**-4, n_steps=1, basis=basis64,
                            drift=None)
-        (out,), _ = sweep_ensemble([cfg], NoisePlan(1, 4), [0],
-                                   snapshot_times=[[0.0]])
+        (out,) = sweep_ensemble([cfg], NoisePlan(1, 4), [0],
+                                snapshot_times=[[0.0]])
         assert np.array_equal(out.snapshots[0.0][0], default_initial(basis64))
 
     def test_zero_noise_heat_decay(self, basis64):
@@ -185,12 +185,12 @@ class TestRunTrajectory:
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         plan = NoisePlan(11, 4)
         times = [m / 16 for m in range(17)]
-        (out,), _ = sweep_ensemble([cfg], plan, [3], snapshot_times=[times])
+        (out,) = sweep_ensemble([cfg], plan, [3], snapshot_times=[times])
         assert len(out.snapshots) == 17
         recomputed = max(
             float(np.linalg.norm(out.snapshots[t][0])) for t in times
         )
-        ((max_l2, _, _),), _ = norm_monitors([cfg], plan, [3])
+        ((max_l2, _, _),) = norm_monitors([cfg], plan, [3])
         assert max_l2[0] == pytest.approx(recomputed, rel=1e-12)
 
     def test_snapshot_off_grid_rejected(self, basis64):
@@ -213,7 +213,7 @@ class TestRunTrajectory:
     def test_sample_id_selects_path(self, basis64):
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         plan = NoisePlan(11, 4)
-        a, b, again = (sweep_ensemble([cfg], plan, [sample])[0][0].endpoints
+        a, b, again = (sweep_ensemble([cfg], plan, [sample])[0].endpoints
                        for sample in (7, 8, 7))
         assert not np.array_equal(a, b)
         assert np.array_equal(a, again)
@@ -222,15 +222,15 @@ class TestRunTrajectory:
 class TestSweep:
     def test_scheme_against_itself_identical(self, basis64):
         cfg = tamed_cfg(basis64, level=5)
-        outs, _ = sweep_ensemble([cfg, cfg], NoisePlan(9, 5), 10)
+        outs = sweep_ensemble([cfg, cfg], NoisePlan(9, 5), 10)
         assert np.array_equal(outs[0].endpoints, outs[1].endpoints)
 
     def test_thread_count_invariance(self, basis64):
         cfg = tamed_cfg(basis64, level=6)
         ref = reference_cfg(basis64, level=8)
         plan = NoisePlan(13, 8)
-        a, _ = sweep_ensemble([cfg, ref], plan, 520, threads=1)
-        b, _ = sweep_ensemble([cfg, ref], plan, 520, threads=4)
+        a = sweep_ensemble([cfg, ref], plan, 520, threads=1)
+        b = sweep_ensemble([cfg, ref], plan, 520, threads=4)
         for x, y in zip(a, b):
             assert np.array_equal(x.endpoints, y.endpoints)
 
@@ -247,7 +247,7 @@ class TestSweep:
         # convolution increments it covers
         cfg = tamed_cfg(basis64, level=3, epsilon=0.5)
         plan = NoisePlan(21, 4)
-        outs, _ = sweep_ensemble([cfg], plan, 1)
+        outs = sweep_ensemble([cfg], plan, 1)
         h = plan.fine_step_size(1.0)
         _, conv = IncrementStream(plan, np.array([0]), basis64.eigenvalues,
                                   h, 16).next_window()
@@ -296,15 +296,15 @@ class TestSweep:
                  for level in (9, 3)]
         times = [[0.5, 1.0]] * len(runs)
         plan = NoisePlan(23, 9)
-        default, _ = sweep_ensemble(runs, plan, 13, snapshot_times=times)
-        default_mons, _ = norm_monitors(runs, plan, 13)
+        default = sweep_ensemble(runs, plan, 13, snapshot_times=times)
+        default_mons = norm_monitors(runs, plan, 13)
         for window in (4, 16, 64, 256):
             monkeypatch.setattr(engine, "_WINDOW_STEPS", window)
-            outs, _ = sweep_ensemble(runs, plan, 13, snapshot_times=times)
+            outs = sweep_ensemble(runs, plan, 13, snapshot_times=times)
             for a, b in zip(default, outs):
                 assert _output_arrays(a, (0.5, 1.0)) == _output_arrays(
                     b, (0.5, 1.0))
-            mons, _ = norm_monitors(runs, plan, 13)
+            mons = norm_monitors(runs, plan, 13)
             assert _monitor_bytes(mons) == _monitor_bytes(default_mons)
 
 
@@ -354,8 +354,8 @@ def _output_arrays(out, times, rows=slice(None)):
 def norm_monitors(runs, plan, samples, **kwargs):
     """Each run's running norm monitors, from a sweep with a norm snapshot
     at every step: per run, the (L2, L4, sup) maxima of every sample over
-    all steps, t = 0 included, and the sweep's blown-sample mask."""
-    outs, blown = sweep_ensemble(
+    all steps, t = 0 included."""
+    outs = sweep_ensemble(
         runs, plan, samples,
         snapshot_times=[[m * r.tau for m in range(r.n_steps + 1)]
                         for r in runs],
@@ -367,7 +367,7 @@ def norm_monitors(runs, plan, samples, **kwargs):
         monitors.append((np.sqrt(norms[..., 0]).max(axis=0),
                          (norms[..., 1]**0.25).max(axis=0),
                          norms[..., 2].max(axis=0)))
-    return monitors, blown
+    return monitors
 
 
 def _monitor_bytes(monitors, rows=slice(None)):
@@ -389,9 +389,9 @@ class TestSampleBits:
     def sweep(self, basis, samples):
         """Per run, the output arrays' bytes and the monitors."""
         runs, plan = self.runs(basis), NoisePlan(41, 6)
-        outs, _ = sweep_ensemble(runs, plan, samples,
-                                 snapshot_times=[self.TIMES, self.TIMES])
-        monitors, _ = norm_monitors(runs, plan, samples)
+        outs = sweep_ensemble(runs, plan, samples,
+                              snapshot_times=[self.TIMES, self.TIMES])
+        monitors = norm_monitors(runs, plan, samples)
         return outs, monitors
 
     @staticmethod
@@ -438,7 +438,7 @@ class TestStepHelperBits:
     def test_composed_steps_equal_sweep_rows(self, basis64, kind):
         cfg = self.cfg(basis64, kind)
         plan = NoisePlan(41, 6)
-        outs, _ = sweep_ensemble([cfg], plan, 300)
+        outs = sweep_ensemble([cfg], plan, 300)
         decay = np.exp(-basis64.eigenvalues * plan.fine_step_size(1.0))
         for sample in range(256, 300):
             dw, conv = zip(*(oracle_increments(plan, 64, sample, k)
@@ -464,8 +464,7 @@ def test_monitor_bytes_pinned(basis64, fingerprint):
     runs = [tamed_cfg(basis64, level=4, epsilon=0.5),
             reference_cfg(basis64, level=6, epsilon=0.5)]
     for threads in (1, 2):
-        monitors, _ = norm_monitors(runs, NoisePlan(41, 6), 257,
-                                    threads=threads)
+        monitors = norm_monitors(runs, NoisePlan(41, 6), 257, threads=threads)
         h = hashlib.sha256()
         for a in _monitor_bytes(monitors):
             h.update(a)
@@ -483,9 +482,9 @@ class TestSnapshotFn:
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         plan = NoisePlan(41, 6)
         reduce = lambda states: states @ basis64._transform[:, :2]
-        full, _ = sweep_ensemble([cfg], plan, 257, snapshot_times=[self.TIMES])
-        small, _ = sweep_ensemble([cfg], plan, 257, snapshot_times=[self.TIMES],
-                                  snapshot_fn=reduce)
+        full = sweep_ensemble([cfg], plan, 257, snapshot_times=[self.TIMES])
+        small = sweep_ensemble([cfg], plan, 257, snapshot_times=[self.TIMES],
+                               snapshot_fn=reduce)
         for t in self.TIMES:
             assert small[0].snapshots[t].shape == (257, 2)
             assert small[0].snapshots[t].tobytes() == reduce(
@@ -500,8 +499,8 @@ class TestSnapshotFn:
                          drift=None)
         cfg = SchemeConfig(epsilon=0.5, tau=2.0**-4, n_steps=1, basis=basis64,
                            drift=None)
-        outs, _ = sweep_ensemble([cfg], NoisePlan(1, 4), 3, snapshot_times=[[0.0]],
-                                 snapshot_fn=lambda s: s[:, :1] * 2.0)
+        outs = sweep_ensemble([cfg], NoisePlan(1, 4), 3, snapshot_times=[[0.0]],
+                              snapshot_fn=lambda s: s[:, :1] * 2.0)
         assert outs[0].snapshots[0.0].tolist() == [[2 * default_initial(basis64)[0]]] * 3
 
 
@@ -523,7 +522,7 @@ def test_sweep_memory_is_window_sized(basis64):
 
 class TestRunEnsemble:
     """Whole ensembles through ``sweep_ensemble``: the law of an exact OU
-    chain, and blow-ups raised or skipped."""
+    chain, and a blow-up raised."""
 
     def test_ou_stationary_variance_mode1(self, basis64):
         # drift off: each mode is an exact OU chain; mode 1 variance at
@@ -531,7 +530,7 @@ class TestRunEnsemble:
         cfg = SchemeConfig(epsilon=1.0, tau=2.0**-5, n_steps=64, basis=basis64,
                            drift=None)
         plan = NoisePlan(31, 6)
-        outs, _ = sweep_ensemble([cfg], plan, 4000)
+        outs = sweep_ensemble([cfg], plan, 4000)
         var = outs[0].endpoints[:, 0].var(ddof=1)
         target = (1.0 - np.exp(-4.0 * np.pi**2)) / (2.0 * np.pi**2)
         se = target * np.sqrt(2.0 / 3999)
@@ -543,15 +542,6 @@ class TestRunEnsemble:
         x0[0] = 1e150
         with pytest.raises(BlowUpError):
             sweep_ensemble([cfg], NoisePlan(1, 2), 4, x0=x0)
-
-    def test_blowup_skip_and_count(self, basis64):
-        cfg = tamed_cfg(basis64, level=2, horizon=4.0, epsilon=0.001)
-        x0 = np.zeros(64)
-        x0[0] = 1e150
-        outs, blown = sweep_ensemble([cfg], NoisePlan(1, 2), 4, x0=x0,
-                                     skip_blowups=True)
-        assert blown.all()
-        assert np.isnan(outs[0].endpoints).all()
 
 
 class TestBlowUpOrdering:
@@ -584,28 +574,27 @@ class TestBlowUpOrdering:
         assert (err.value.step_index, err.value.sample,
                 err.value.run_index) == (169, 2, 1)
 
-    def test_skip_blowups_outputs_pinned(self, fingerprint):
-        outs, blown = sweep_ensemble(
-            self.runs(), NoisePlan(6, 10), 12, skip_blowups=True,
-            snapshot_times=[self.TIMES, self.TIMES],
-        )
-        with np.errstate(over="ignore"):      # norms of the exploding path
-            monitors, mon_blown = norm_monitors(
-                self.runs(), NoisePlan(6, 10), 12, skip_blowups=True)
-        assert np.nonzero(blown)[0].tolist() == [2]
-        assert mon_blown.tolist() == blown.tolist()
-        # the blown sample is NaN in every run, snapshots and monitors too
-        survivors = np.arange(12) != 2
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_first_blowup_at_any_thread_count(self, threads):
+        # 300 samples are chunked 256 + 44, 150 + 150 or 100 x 3; in the
+        # first of three chunks, sample 93 blows at a later fine step
+        with pytest.raises(BlowUpError) as err:
+            sweep_ensemble(self.runs(), NoisePlan(6, 10), 300, threads=threads)
+        assert (err.value.step_index, err.value.sample,
+                err.value.run_index) == (22, 127, 1)
+
+    def test_survivor_outputs_pinned(self, fingerprint):
+        # the eleven samples other than 2, swept by id: each keeps the
+        # bits it has in any batch, so the pin of their rows holds
+        survivors = [s for s in range(12) if s != 2]
+        outs = sweep_ensemble(self.runs(), NoisePlan(6, 10), survivors,
+                              snapshot_times=[self.TIMES, self.TIMES])
+        monitors = norm_monitors(self.runs(), NoisePlan(6, 10), survivors)
         h = hashlib.sha256()
         for out, mons in zip(outs, monitors):
-            arrays = ([out.endpoints] + [out.snapshots[t] for t in self.TIMES]
-                      + list(mons))
-            for a in arrays:
-                assert np.isnan(a[2]).all()
-                assert np.isfinite(a[survivors]).all()
-                h.update(np.ascontiguousarray(a[survivors]).tobytes())
-        # the eleven other samples' rows, recorded before blown samples
-        # were written as NaN: they keep their bytes
+            for a in ([out.endpoints] + [out.snapshots[t] for t in self.TIMES]
+                      + list(mons)):
+                h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest() == (
             "8674624037c3916b7181f29759495a51958d0325cf288bc3401f0c4195a2a862"
         ), f"sweep bytes moved on this machine:\n{fingerprint}"
@@ -669,20 +658,20 @@ class TestThreading:
                 reference_cfg(basis64, level=6, epsilon=0.5)]
         times = [[0.5, 1.0], [0.5, 1.0]]
         plan = NoisePlan(17, 6)
-        one, _ = sweep_ensemble(runs, plan, 600, threads=1, snapshot_times=times)
-        two, _ = sweep_ensemble(runs, plan, 600, threads=2, snapshot_times=times)
+        one = sweep_ensemble(runs, plan, 600, threads=1, snapshot_times=times)
+        two = sweep_ensemble(runs, plan, 600, threads=2, snapshot_times=times)
         for a, b in zip(one, two):
             assert _output_arrays(a, (0.5, 1.0)) == _output_arrays(b, (0.5, 1.0))
-        assert _monitor_bytes(norm_monitors(runs, plan, 600, threads=1)[0]) == (
-            _monitor_bytes(norm_monitors(runs, plan, 600, threads=2)[0]))
+        assert _monitor_bytes(norm_monitors(runs, plan, 600, threads=1)) == (
+            _monitor_bytes(norm_monitors(runs, plan, 600, threads=2)))
 
     def test_more_workers_than_chunks_changes_no_byte(self, basis64):
         # eight workers: 600 samples are eight chunks of 75, and 13 are
         # seven chunks, fewer than the workers, the last of one row
         cfg = tamed_cfg(basis64, level=5, epsilon=0.5)
         for n in (600, 13):
-            one, _ = sweep_ensemble([cfg], NoisePlan(2, 5), n, threads=1)
-            eight, _ = sweep_ensemble([cfg], NoisePlan(2, 5), n, threads=8)
+            one = sweep_ensemble([cfg], NoisePlan(2, 5), n, threads=1)
+            eight = sweep_ensemble([cfg], NoisePlan(2, 5), n, threads=8)
             assert one[0].endpoints.tobytes() == eight[0].endpoints.tobytes()
 
     def test_one_thread_inside_restored_after_return(self, basis64, blas_seen):

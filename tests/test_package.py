@@ -4,6 +4,7 @@ gone, every benchmark hook point exists, and every demo script runs."""
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -68,6 +69,19 @@ def test_benchmark_hook_points_resolve():
 ], ids=["SchemeConfig", "TamingParams"])
 def test_config_object_fields(cls, names):
     assert tuple(f.name for f in dataclasses.fields(cls)) == names
+
+
+@pytest.mark.parametrize("func, names", [
+    # a blow-up always raises, with no option to skip it; a profile
+    # starts from the default initial state
+    (tamedspde.sweep_ensemble,
+     ("runs", "plan", "samples", "x0", "snapshot_times", "snapshot_fn",
+      "threads")),
+    (tamedspde.interface_profile,
+     ("schemes", "plan", "n_samples", "times", "threads")),
+], ids=["sweep_ensemble", "interface_profile"])
+def test_function_parameters(func, names):
+    assert tuple(inspect.signature(func).parameters) == names
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("0*.py")),

@@ -295,6 +295,25 @@ class TestTable1Command:
             "err_alpha_1", "err_alpha_1_2", "err_alpha_1_3", "err_alpha_1_4"
         }
 
+    def test_uncoupled_bytes_pinned(self, tmp_path):
+        # an uncoupled run draws scheme i's noise from plan.spawn(i + 1),
+        # with i its position across all four alpha groups
+        code = run_cli("table1", "--preset", "paper7-beta5-ci",
+                       "--set", "sampling.n_samples=5",
+                       "--set", "discretization.fine_level=7",
+                       "--set", "discretization.tau_levels=4 5 6",
+                       "--set", "sampling.coupled=false",
+                       "--out-dir", str(tmp_path))
+        assert code == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("table1.csv", "table1_fits.json")}
+        assert got == {
+            "table1.csv":
+                "2bd6fbe97e2eee6469fc5a606bfadceff3be686b616d2f07d641f0a78a480d7c",
+            "table1_fits.json":
+                "01aa98ddf09aacf4ac632cd29de8572ed736d6da1332ab91443324dfb8e3634c",
+        }
+
 
 class TestInterfaceCommand:
     def test_profiles_schema(self, tmp_path):

@@ -32,7 +32,7 @@ print(f"pair at (sample 0, mode 1, step 0): dW={dw[0, 0, 0]:+.6f} "
 print(f"sample 0 drawn on its own:          dW={alone_dw[0, 0, 0]:+.6f} "
       f"conv={alone_conv[0, 0, 0]:+.6f}")
 
-lam = basis.eigenvalue(1)
+lam = basis.eigenvalues[0]
 print(f"\nclosed-form law at mode 1, h = 2^-10:")
 print(f"  Var(dW)   = {h:.6e}")
 print(f"  Var(conv) = {conv_variance(lam, h):.6e}")

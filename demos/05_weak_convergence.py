@@ -42,8 +42,9 @@ reference = SchemeConfig(
     basis=basis, drift=ALLEN_CAHN, kind=SchemeKind.SEMI_IMPLICIT_REFERENCE,
 )
 
-table = weak_error_table(
-    [tamed(k) for k in levels], reference,
+# one group of schemes gives one table; more groups share the sweep
+[table] = weak_error_table(
+    [[tamed(k) for k in levels]], reference,
     NoisePlan(master_seed=20250811, fine_level=fine_level),
     n_samples=200,
     phi=StepTestFunction(),

@@ -18,7 +18,6 @@ from .analysis import (
     moment_sup_estimate,
     property_suite,
     weak_error_table,
-    weak_errors_shared_reference,
 )
 from .config import ConfigError, ExperimentConfig
 from .drift import (
@@ -92,5 +91,4 @@ __all__ = [
     "step_size_condition",
     "sweep_ensemble",
     "weak_error_table",
-    "weak_errors_shared_reference",
 ]

@@ -12,6 +12,7 @@ magnitude at the sample counts used here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "MomentReport",
     "ProfileSet",
     "PropertyReport",
-    "weak_errors_shared_reference",
     "weak_error_table",
     "fit_convergence_rate",
     "moment_sup_estimate",
@@ -136,63 +136,55 @@ class ProfileSet:
     mean_values: np.ndarray  # (n_times, N)
 
 
-def weak_errors_shared_reference(
-    schemes: Sequence[SchemeConfig],
+def weak_error_table(
+    groups: Sequence[Sequence[SchemeConfig]],
     reference: SchemeConfig,
     plan: NoisePlan,
     n_samples: int,
     phi: StepTestFunction,
+    constants: DriftConstants | None = None,
     *,
     coupled: bool = True,
     threads: int = 1,
-) -> tuple[list[float], list[float]]:
-    """|E phi(scheme endpoint) - E phi(reference endpoint)| of every
-    scheme against one reference run, each with a 95% Monte-Carlo
-    halfwidth.
+) -> list[ErrorTable]:
+    """One table per group of schemes, one row per scheme: the weak error
+    |E phi(scheme endpoint) - E phi(reference endpoint)| against one
+    reference run, its 95% Monte-Carlo halfwidth, the level
+    log2(n_steps) and the step-size admissibility verdict from
+    ``constants`` at the scheme's own epsilon (admissible with a NaN ratio
+    without them or for an untamed scheme).
 
-    Coupled mode advances all schemes and the reference through a single
-    pass over the shared noise path, so the reference is integrated once,
-    and estimates the mean of each per-sample difference.  Uncoupled mode
-    gives every run its own seed and combines the two sample variances.
+    Coupled mode advances every scheme of every group, then the
+    reference, through a single pass over the shared noise path, so the
+    reference is integrated once, and estimates the mean of each
+    per-sample difference.  Uncoupled mode runs the reference on
+    ``plan.spawn(0)`` and scheme i, counted across all groups, on
+    ``plan.spawn(i + 1)``, and combines the two sample variances.
     """
+    schemes = [cfg for group in groups for cfg in group]
     basis = reference.basis
     if coupled:
-        outputs = sweep_ensemble(list(schemes) + [reference], plan, n_samples,
+        outputs = sweep_ensemble(schemes + [reference], plan, n_samples,
                                  threads=threads)
-        phi_ref = phi(basis, outputs[-1].endpoints)
-        errors, halfwidths = [], []
-        for out in outputs[:-1]:
-            delta = phi(basis, out.endpoints) - phi_ref
-            errors.append(float(abs(delta.mean())))
-            halfwidths.append(float(1.96 * delta.std(ddof=1) / np.sqrt(n_samples)))
-        return errors, halfwidths
-    ref_out = sweep_ensemble([reference], plan.spawn(0), n_samples,
-                             threads=threads)
-    phi_ref = phi(basis, ref_out[0].endpoints)
-    errors, halfwidths = [], []
-    for i, cfg in enumerate(schemes):
-        out = sweep_ensemble([cfg], plan.spawn(i + 1), n_samples,
-                             threads=threads)
-        vals = phi(basis, out[0].endpoints)
-        errors.append(float(abs(vals.mean() - phi_ref.mean())))
-        halfwidths.append(float(
-            1.96 * np.sqrt((vals.var(ddof=1) + phi_ref.var(ddof=1)) / n_samples)
-        ))
-    return errors, halfwidths
-
-
-def _error_table(
-    schemes: Sequence[SchemeConfig],
-    errors: Sequence[float],
-    halfwidths: Sequence[float],
-    n_samples: int,
-    constants: DriftConstants | None,
-) -> ErrorTable:
-    """One row per scheme: its level log2(n_steps) and its step-size
-    admissibility verdict from ``constants`` at the scheme's own epsilon
-    (admissible with a NaN ratio without them or for an untamed scheme)."""
+        phi_ref = phi(basis, outputs.pop().endpoints)
+    else:
+        [ref_out] = sweep_ensemble([reference], plan.spawn(0), n_samples,
+                                   threads=threads)
+        phi_ref = phi(basis, ref_out.endpoints)
+        outputs = [sweep_ensemble([cfg], plan.spawn(i + 1), n_samples,
+                                  threads=threads)[0]
+                   for i, cfg in enumerate(schemes)]
     rows = []
-    for cfg, err, hw in zip(schemes, errors, halfwidths):
+    for cfg, out in zip(schemes, outputs):
+        vals = phi(basis, out.endpoints)
+        if coupled:
+            delta = vals - phi_ref
+            err = float(abs(delta.mean()))
+            hw = float(1.96 * delta.std(ddof=1) / np.sqrt(n_samples))
+        else:
+            err = float(abs(vals.mean() - phi_ref.mean()))
+            hw = float(1.96 * np.sqrt(
+                (vals.var(ddof=1) + phi_ref.var(ddof=1)) / n_samples))
         if constants is not None and cfg.taming is not None:
             verdict = drift_mod.step_size_condition(constants, cfg.taming,
                                                     cfg.tau, cfg.epsilon)
@@ -207,30 +199,9 @@ def _error_table(
             admissible=verdict.admissible,
             admissibility_ratio=verdict.ratio,
         ))
-    return ErrorTable(rows=rows)
-
-
-def weak_error_table(
-    schemes: Sequence[SchemeConfig],
-    reference: SchemeConfig,
-    plan: NoisePlan,
-    n_samples: int,
-    phi: StepTestFunction,
-    constants: DriftConstants | None = None,
-    *,
-    coupled: bool = True,
-    threads: int = 1,
-) -> ErrorTable:
-    """``weak_errors_shared_reference`` as a table, one row per scheme.
-
-    Each row carries the step-size admissibility verdict computed from
-    ``constants`` (when provided) for transparency.
-    """
-    errors, halfwidths = weak_errors_shared_reference(
-        schemes, reference, plan, n_samples, phi, coupled=coupled,
-        threads=threads,
-    )
-    return _error_table(schemes, errors, halfwidths, n_samples, constants)
+    row_iter = iter(rows)
+    return [ErrorTable(rows=list(islice(row_iter, len(group))))
+            for group in groups]
 
 
 def fit_convergence_rate(table: ErrorTable) -> RateFit:

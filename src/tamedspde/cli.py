@@ -28,13 +28,11 @@ from . import __version__
 from .analysis import (
     ErrorTable,
     StepTestFunction,
-    _error_table,
     fit_convergence_rate,
     interface_profile,
     moment_sup_estimate,
     property_suite,
     weak_error_table,
-    weak_errors_shared_reference,
 )
 from .config import ConfigError, ExperimentConfig, format_float
 from .drift import (DriftConstants, DriftDerivationError, DriftSpec,
@@ -101,15 +99,11 @@ def _constants(cfg: ExperimentConfig) -> DriftConstants:
 
 
 def _output_dir(cfg: ExperimentConfig) -> Path:
-    """The output directory, made if missing."""
+    """The output directory, made if missing.  Each command calls it after
+    its last sweep, so a run that fails before writing makes none."""
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir
-
-
-def _setup(cfg: ExperimentConfig) -> tuple[Path, SineBasis, DriftSpec]:
-    """The output directory, made if missing, the basis and the drift."""
-    return _output_dir(cfg), SineBasis(cfg.n_modes), _drift(cfg)
 
 
 def _scheme(cfg: ExperimentConfig, level: int, *, alpha: float | None = None,
@@ -154,15 +148,15 @@ def _admissibility_entries(table: ErrorTable) -> list[dict]:
 
 def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
     constants = _constants(cfg)
-    outdir, basis, drift = _setup(cfg)
-    plan = NoisePlan(cfg.master_seed, cfg.fine_level)
+    basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
     schemes = [_scheme(cfg, k, basis=basis, drift=drift) for k in cfg.tau_levels]
-    reference = _reference(cfg, basis=basis, drift=drift)
-    table = weak_error_table(
-        schemes, reference, plan, cfg.n_samples,
+    [table] = weak_error_table(
+        [schemes], _reference(cfg, basis=basis, drift=drift),
+        NoisePlan(cfg.master_seed, cfg.fine_level), cfg.n_samples,
         StepTestFunction(norm_kind=cfg.phi_norm),
         constants, coupled=cfg.coupled, threads=threads,
     )
+    outdir = _output_dir(cfg)
     header = ("level", "tau", "weak_error", "mc_halfwidth", "n_samples",
               "admissible", "admissibility_ratio")
     _write_csv(outdir / "errors.csv", header, (
@@ -191,24 +185,20 @@ def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
 
 def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
     constants = _constants(cfg)
-    outdir, basis, drift = _setup(cfg)
-    plan = NoisePlan(cfg.master_seed, cfg.fine_level)
-    schemes = [
-        _scheme(cfg, k, alpha=alpha, basis=basis, drift=drift)
-        for alpha in _TABLE1_ALPHAS for k in cfg.tau_levels
+    basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
+    # one group of schemes, hence one table, per alpha; one sweep for all
+    groups = [
+        [_scheme(cfg, k, alpha=alpha, basis=basis, drift=drift)
+         for k in cfg.tau_levels]
+        for alpha in _TABLE1_ALPHAS
     ]
-    reference = _reference(cfg, basis=basis, drift=drift)
-    errors, halfwidths = weak_errors_shared_reference(
-        schemes, reference, plan, cfg.n_samples,
+    tables = weak_error_table(
+        groups, _reference(cfg, basis=basis, drift=drift),
+        NoisePlan(cfg.master_seed, cfg.fine_level), cfg.n_samples,
         StepTestFunction(norm_kind=cfg.phi_norm),
-        coupled=cfg.coupled, threads=threads,
+        constants, coupled=cfg.coupled, threads=threads,
     )
-    n_tau = len(cfg.tau_levels)
-    tables = [
-        _error_table(schemes[a:a + n_tau], errors[a:a + n_tau],
-                     halfwidths[a:a + n_tau], cfg.n_samples, constants)
-        for a in range(0, len(schemes), n_tau)
-    ]
+    outdir = _output_dir(cfg)
     header = ("level", "tau") + _TABLE1_COLUMNS
     rows = [
         (row.level, row.tau) + tuple(t.rows[i].weak_error for t in tables)
@@ -255,12 +245,12 @@ def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
     if clash := [name for name in names if names.count(name) > 1]:
         raise ConfigError(f"interface.epsilons: two epsilons would both "
                           f"write {clash[0]}")
-    outdir = _output_dir(cfg)
     # one sweep over the shared noise path gives every epsilon its profiles
     profiles = interface_profile(
         schemes, NoisePlan(cfg.master_seed, cfg.fine_level), cfg.n_samples,
         cfg.interface_times, threads=threads,
     )
+    outdir = _output_dir(cfg)
     for eps, name, profile in zip(epsilons, names, profiles):
         rows = (
             (t, i + 1, profile.node_x[i], profile.mean_values[ti, i])
@@ -275,10 +265,9 @@ def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
 
 
 def cmd_moments(cfg: ExperimentConfig, threads: int) -> int:
-    outdir, basis, drift = _setup(cfg)
+    basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
     tau = 2.0**-cfg.moments_tau_level
-    outputs = []
-    maxima = []
+    reports = []
     for horizon in cfg.moments_horizons:
         n_steps = int(round(horizon / tau))     # a power of two (validate)
         level = n_steps.bit_length() - 1
@@ -286,10 +275,14 @@ def cmd_moments(cfg: ExperimentConfig, threads: int) -> int:
         scheme = _scheme(replace(cfg, horizon=n_steps * tau), level,
                          basis=basis, drift=drift)
         times = [m * tau for m in range(n_steps + 1)]
-        report = moment_sup_estimate(
+        reports.append(moment_sup_estimate(
             scheme, NoisePlan(cfg.master_seed, level), cfg.moments_n_samples,
             times, threads=threads,
-        )
+        ))
+    outdir = _output_dir(cfg)
+    outputs = []
+    maxima = []
+    for horizon, report in zip(cfg.moments_horizons, reports):
         name = f"moments_T_{format(horizon, 'g')}.csv"
         rows = zip(report.times, report.mean_l2_sq, report.mean_l4_4,
                    report.mean_sup)
@@ -314,7 +307,7 @@ def cmd_moments(cfg: ExperimentConfig, threads: int) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, threads: int) -> int:
-    outdir, _, drift = _setup(cfg)
+    drift = _drift(cfg)
     report = property_suite(drift, seed=cfg.master_seed)
     payload = report.as_dict()
     try:
@@ -323,6 +316,7 @@ def cmd_verify(cfg: ExperimentConfig, threads: int) -> int:
     except ValueError as exc:
         payload["constants"] = {"certified": False, "error": str(exc)}
         payload["all_passed"] = False
+    outdir = _output_dir(cfg)
     _write_json(outdir / "verify_report.json", payload)
     _write_manifest(outdir, "verify", cfg, ["verify_report.json"])
     for check in payload["checks"]:

@@ -45,36 +45,21 @@ class SineBasis:
         self.eigenvalues = (j * np.pi) ** 2
         self.grid = j / (self.n_modes + 1)
         # symmetric transform matrix M[j-1, i-1] = sqrt(2) sin(j pi x_i);
-        # M @ M = (N + 1) I, so one matrix serves both directions
+        # M @ M = (N + 1) I: to_physical(v) / (N + 1) inverts to_physical
         self._transform = np.sqrt(2.0) * np.sin(np.pi * np.outer(j, self.grid))
 
     def __repr__(self) -> str:
         return f"SineBasis(n_modes={self.n_modes})"
 
-    def eigenvalue(self, j: int) -> float:
-        """Eigenvalue ``(j pi)^2`` of mode j (1-indexed)."""
-        if not 1 <= j <= self.n_modes:
-            raise IndexError(f"mode index {j} outside 1..{self.n_modes}")
-        return float(self.eigenvalues[j - 1])
-
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal values ``v_i = sum_j c_j sqrt(2) sin(j pi x_i)``."""
         return np.asarray(coeffs, dtype=np.float64) @ self._transform
-
-    def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients ``c_j = sqrt(2)/(N+1) sum_i v_i sin(j pi x_i)``."""
-        values = np.asarray(values, dtype=np.float64)
-        return values @ self._transform / (self.n_modes + 1)
 
     def semigroup_factors(self, t: float) -> np.ndarray:
         """Per-mode heat-semigroup multipliers ``exp(-lambda_j t)``."""
         if t < 0:
             raise ValueError(f"semigroup time must be >= 0, got {t}")
         return np.exp(-self.eigenvalues * t)
-
-    def semigroup_apply(self, coeffs: np.ndarray, t: float) -> np.ndarray:
-        """Apply ``E(t) = exp(-A t)`` mode-wise; a contraction for t >= 0."""
-        return np.asarray(coeffs, dtype=np.float64) * self.semigroup_factors(t)
 
     def norms(self, coeffs: np.ndarray) -> np.ndarray:
         """Per-field ``(sum c^2, sum phi^4 / (N+1), max |phi|)`` of the

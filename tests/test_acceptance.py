@@ -85,7 +85,7 @@ def test_criterion_3_noise_law(basis64):
         dws, convs = stream_increments(plan, range(n), basis64.eigenvalues, h,
                                        1, modes)
         for c, mode in enumerate(modes):
-            lam = basis64.eigenvalue(mode)
+            lam = basis64.eigenvalues[mode - 1]
             dw, conv = dws[:, 0, c], convs[:, 0, c]
             v_dw, v_conv = h, conv_variance(lam, h)
             cov = conv_dw_covariance(lam, h)
@@ -106,7 +106,7 @@ def test_criterion_3_noise_law(basis64):
         _, convs = stream_increments(plan, range(n_coarse),
                                      basis64.eigenvalues, h, ratio, modes)
         for c, mode in enumerate(modes):
-            lam = basis64.eigenvalue(mode)
+            lam = basis64.eigenvalues[mode - 1]
             decay = np.exp(-lam * h)
             agg = np.zeros(n_coarse)
             for k in range(ratio):

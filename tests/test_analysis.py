@@ -1,6 +1,7 @@
 """Step test function, weak errors, rate fits, moments, property suite."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from tamedspde import (
     StepTestFunction,
     TamingParams,
     default_initial,
+    derive_growth_constants,
     fit_convergence_rate,
     interface_profile,
     moment_sup_estimate,
     property_suite,
     sweep_ensemble,
-    weak_errors_shared_reference,
+    weak_error_table,
 )
 from tamedspde import drift as drift_mod
 
@@ -131,37 +133,55 @@ def _reference(basis, level, epsilon=0.05, horizon=1.0):
 class TestWeakError:
     def test_scheme_against_itself_zero(self, basis64):
         cfg = _tamed(basis64, 5)
-        errs, hws = weak_errors_shared_reference(
-            [cfg], cfg, NoisePlan(3, 5), 40, StepTestFunction()
+        [table] = weak_error_table(
+            [[cfg]], cfg, NoisePlan(3, 5), 40, StepTestFunction()
         )
-        assert errs == [0.0]
-        assert hws == [0.0]
+        assert [(r.weak_error, r.mc_halfwidth) for r in table.rows] == [(0.0, 0.0)]
 
     def test_constant_observable_zero(self, basis64):
         cfg = _tamed(basis64, 5)
         ref = _reference(basis64, 6)
-        errs, _ = weak_errors_shared_reference(
-            [cfg], ref, NoisePlan(3, 6), 40,
+        [table] = weak_error_table(
+            [[cfg]], ref, NoisePlan(3, 6), 40,
             lambda basis, coeffs: np.ones(len(coeffs)),
         )
-        assert errs == [0.0]
+        assert [r.weak_error for r in table.rows] == [0.0]
 
     def test_coupled_halfwidth_smaller_than_uncoupled(self, basis64):
         cfg = _tamed(basis64, 5)
         ref = _reference(basis64, 7)
         plan = NoisePlan(3, 7)
-        _, [hw_coupled] = weak_errors_shared_reference(
-            [cfg], ref, plan, 100, StepTestFunction())
-        _, [hw_uncoupled] = weak_errors_shared_reference(
-            [cfg], ref, plan, 100, StepTestFunction(), coupled=False)
-        assert hw_coupled < hw_uncoupled
+        [coupled] = weak_error_table([[cfg]], ref, plan, 100,
+                                     StepTestFunction())
+        [uncoupled] = weak_error_table([[cfg]], ref, plan, 100,
+                                       StepTestFunction(), coupled=False)
+        assert coupled.rows[0].mc_halfwidth < uncoupled.rows[0].mc_halfwidth
 
     def test_horizon_mismatch_rejected(self, basis64):
         cfg = _tamed(basis64, 5)
         ref = _reference(basis64, 5, horizon=2.0)
         with pytest.raises(ValueError):
-            weak_errors_shared_reference([cfg], ref, NoisePlan(3, 5), 10,
-                                         StepTestFunction())
+            weak_error_table([[cfg]], ref, NoisePlan(3, 5), 10,
+                             StepTestFunction())
+
+    def test_groups_share_one_sweep_bit_for_bit(self, basis16):
+        # every run's endpoints follow from its own config and the shared
+        # noise path alone, so four groups in one sweep give the tables of
+        # four sweeps of one group each
+        def tamed(level, alpha):
+            return replace(_tamed(basis16, level),
+                           taming=TamingParams(alpha=alpha, beta=5.0,
+                                               theta=0.5))
+
+        groups = [[tamed(k, alpha) for k in (3, 4, 5)]
+                  for alpha in (1.0, 0.5, 1.0 / 3.0, 0.25)]
+        args = (_reference(basis16, 6), NoisePlan(3, 6), 24,
+                StepTestFunction(), derive_growth_constants(ALLEN_CAHN))
+        together = weak_error_table(groups, *args)
+        apart = [table for group in groups
+                 for table in weak_error_table([group], *args)]
+        assert len(together) == 4
+        assert together == apart
 
 
 class TestErrorTable:

@@ -276,6 +276,7 @@ class TestConvergeCommand:
                 "--out-dir", str(tmp_path / str(threads)),
             )
             assert code == 2
+            assert not (tmp_path / str(threads)).exists()
             reports.append(capsys.readouterr().err)
         assert reports[0] == reports[1]
         assert "step 22, sample 127, run 0" in reports[0]
@@ -421,10 +422,11 @@ class TestInterfaceCommand:
             "--set", "interface.times=0.0 16.0",
             "--set", "sampling.n_samples=8",
             "--seed", "20250811",
-            "--out-dir", str(tmp_path),
+            "--out-dir", str(tmp_path / "out"),
         )
         assert code == 2
         assert "blow-up" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestMomentsCommand:

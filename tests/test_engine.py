@@ -115,11 +115,11 @@ class TestTamedStep:
         state = rng.standard_normal(64) * 0.2
         out = step(state, cfg, np.zeros(64))
         phys = basis64.to_physical(state)
-        drift = basis64.to_spectral(
-            f_tau_eval(ALLEN_CAHN, cfg.taming, cfg.tau, phys))
-        expected = basis64.semigroup_apply(
-            state + cfg.tau / cfg.epsilon * drift, cfg.tau
-        )
+        # M @ M = (N + 1) I: to_physical over N + 1 maps nodes to modes
+        drift = basis64.to_physical(
+            f_tau_eval(ALLEN_CAHN, cfg.taming, cfg.tau, phys)) / 65
+        expected = ((state + cfg.tau / cfg.epsilon * drift)
+                    * basis64.semigroup_factors(cfg.tau))
         assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
 
     def test_bit_identical_across_calls(self, basis64, rng):
@@ -178,7 +178,7 @@ class TestRunTrajectory:
             new = step(state, cfg, np.zeros(64))
             assert np.linalg.norm(new) < np.linalg.norm(state)
             state = new
-        expected = basis64.semigroup_apply(default_initial(basis64), 1.0)
+        expected = default_initial(basis64) * basis64.semigroup_factors(1.0)
         assert np.allclose(state, expected, rtol=1e-12, atol=1e-300)
 
     def test_snapshots_and_monitor_recomputation(self, basis64):

@@ -146,7 +146,7 @@ class TestJointLaw:
     @pytest.mark.parametrize("lam_mode", [1, 8, 64])
     @pytest.mark.parametrize("h", [2.0**-10, 2.0**-14])
     def test_closed_forms_match_quadrature(self, basis64, lam_mode, h):
-        lam = basis64.eigenvalue(lam_mode)
+        lam = basis64.eigenvalues[lam_mode - 1]
         assert conv_variance(lam, h) == pytest.approx(
             quad_conv_variance(lam, h), rel=1e-12
         )
@@ -156,7 +156,7 @@ class TestJointLaw:
 
     def test_spec_scale_variance(self, basis64):
         # j=1, h=2^-10: Var(conv) = (1 - exp(-2 pi^2/1024)) / (2 pi^2)
-        val = conv_variance(basis64.eigenvalue(1), 2.0**-10)
+        val = conv_variance(basis64.eigenvalues[0], 2.0**-10)
         assert val == pytest.approx(quad_conv_variance(np.pi**2, 2.0**-10),
                                     rel=1e-12)
         assert val == pytest.approx(9.6727e-4, rel=1e-4)
@@ -189,10 +189,10 @@ class TestJointLaw:
         dw, conv = stream_increments(plan, range(n), basis64.eigenvalues, h,
                                      1, [1])
         dw, conv = dw[:, 0, 0], conv[:, 0, 0]
-        se_var = conv_variance(basis64.eigenvalue(1), h) * np.sqrt(2.0 / (n - 1))
+        se_var = conv_variance(basis64.eigenvalues[0], h) * np.sqrt(2.0 / (n - 1))
         assert abs(np.var(dw, ddof=1) - h) < 4 * h * np.sqrt(2.0 / (n - 1))
         assert abs(
-            np.var(conv, ddof=1) - conv_variance(basis64.eigenvalue(1), h)
+            np.var(conv, ddof=1) - conv_variance(basis64.eigenvalues[0], h)
         ) < 4 * se_var
         assert abs(np.mean(dw)) < 4 * np.sqrt(h / n)
 
@@ -250,7 +250,7 @@ class TestCoarseAggregation:
         plan = NoisePlan(77, 10)
         h = 2.0**-10
         ratio = 4
-        lam = basis64.eigenvalue(1)
+        lam = basis64.eigenvalues[0]
         n = 20_000
         _, conv = stream_increments(plan, range(n), basis64.eigenvalues, h,
                                     ratio, [1])

@@ -22,6 +22,12 @@ def direct_to_physical(basis, coeffs):
     return values
 
 
+def inverse(basis, values):
+    """The inverse transform: the transform matrix M is symmetric and
+    M @ M = (N + 1) I, so ``to_physical`` over N + 1 undoes ``to_physical``."""
+    return basis.to_physical(values) / (basis.n_modes + 1)
+
+
 def direct_to_spectral(basis, values):
     """O(N^2) double-loop oracle for the inverse transform."""
     n = basis.n_modes
@@ -36,20 +42,16 @@ def direct_to_spectral(basis, values):
 class TestEigenvalues:
     @pytest.mark.parametrize("j", [1, 2, 8, 64])
     def test_exact_spectrum(self, basis64, j):
-        assert basis64.eigenvalue(j) == pytest.approx((j * np.pi) ** 2, rel=1e-15)
+        assert basis64.eigenvalues[j - 1] == pytest.approx((j * np.pi) ** 2,
+                                                           rel=1e-15)
 
     def test_known_values(self, basis64):
-        assert basis64.eigenvalue(1) == pytest.approx(9.8696044, rel=1e-7)
-        assert basis64.eigenvalue(2) == pytest.approx(39.4784176, rel=1e-7)
-        assert basis64.eigenvalue(8) == pytest.approx(631.654681, rel=1e-8)
+        assert basis64.eigenvalues[0] == pytest.approx(9.8696044, rel=1e-7)
+        assert basis64.eigenvalues[1] == pytest.approx(39.4784176, rel=1e-7)
+        assert basis64.eigenvalues[7] == pytest.approx(631.654681, rel=1e-8)
 
     def test_strictly_increasing(self, basis64):
         assert np.all(np.diff(basis64.eigenvalues) > 0)
-
-    @pytest.mark.parametrize("j", [0, -1, 65])
-    def test_out_of_range(self, basis64, j):
-        with pytest.raises(IndexError):
-            basis64.eigenvalue(j)
 
     def test_grid_interior_equispaced(self, basis64):
         g = basis64.grid
@@ -65,7 +67,6 @@ class TestTransforms:
     def test_zeros(self, basis64):
         z = np.zeros(64)
         assert np.all(basis64.to_physical(z) == 0)
-        assert np.all(basis64.to_spectral(z) == 0)
 
     def test_forward_matches_direct_sum(self, basis16, rng):
         coeffs = rng.standard_normal(16)
@@ -77,7 +78,7 @@ class TestTransforms:
     def test_inverse_matches_direct_sum(self, basis16, rng):
         values = rng.standard_normal(16)
         assert np.allclose(
-            basis16.to_spectral(values), direct_to_spectral(basis16, values),
+            inverse(basis16, values), direct_to_spectral(basis16, values),
             rtol=1e-12, atol=1e-12,
         )
 
@@ -87,6 +88,11 @@ class TestTransforms:
         gram = s @ s.T
         assert np.allclose(gram, np.eye(64) * 65.0 / 2.0, atol=1e-9)
 
+    def test_transform_is_an_involution_up_to_n_plus_1(self, basis64):
+        m = basis64.to_physical(np.eye(64))
+        assert np.allclose(m, m.T, rtol=0, atol=1e-13)
+        assert np.allclose(m @ m, 65.0 * np.eye(64), rtol=0, atol=1e-11)
+
     def test_delta_function_coefficients(self, basis64):
         i0 = 20
         values = np.zeros(64)
@@ -94,11 +100,11 @@ class TestTransforms:
         expected = (np.sqrt(2.0) / 65.0) * np.sin(
             np.arange(1, 65) * np.pi * basis64.grid[i0]
         )
-        assert np.allclose(basis64.to_spectral(values), expected, atol=1e-14)
+        assert np.allclose(inverse(basis64, values), expected, atol=1e-14)
 
     def test_roundtrip_100_random_fields(self, basis64, rng):
         coeffs = rng.standard_normal((100, 64))
-        back = basis64.to_spectral(basis64.to_physical(coeffs))
+        back = inverse(basis64, basis64.to_physical(coeffs))
         assert np.max(np.abs(back - coeffs)) < 1e-12 * np.max(np.abs(coeffs))
 
     def test_batched_matches_loop(self, basis64, rng):
@@ -112,41 +118,41 @@ class TestTransforms:
     def test_roundtrip_property(self, seed):
         basis = SineBasis(32)
         coeffs = np.random.default_rng(seed).uniform(-100, 100, 32)
-        back = basis.to_spectral(basis.to_physical(coeffs))
+        back = inverse(basis, basis.to_physical(coeffs))
         assert np.allclose(back, coeffs, rtol=1e-10, atol=1e-10)
 
 
 class TestSemigroup:
     def test_identity_at_zero(self, basis64, rng):
         u = rng.standard_normal(64)
-        assert np.array_equal(basis64.semigroup_apply(u, 0.0), u)
+        assert np.array_equal(u * basis64.semigroup_factors(0.0), u)
 
     def test_single_mode_factor(self, basis64):
         u = default_initial(basis64)
-        out = basis64.semigroup_apply(u, 0.1)
+        out = u * basis64.semigroup_factors(0.1)
         assert out[0] == pytest.approx(u[0] * np.exp(-0.1 * np.pi**2), rel=1e-14)
         assert out[0] / u[0] == pytest.approx(0.372708, abs=5e-7)
 
     def test_negative_time_rejected(self, basis64):
         with pytest.raises(ValueError):
-            basis64.semigroup_apply(np.zeros(64), -1e-9)
+            basis64.semigroup_factors(-1e-9)
 
     def test_long_time_annihilates(self, basis64, rng):
         u = rng.standard_normal(64)
-        assert np.sqrt(basis64.norms(basis64.semigroup_apply(u, 1e3))[0]) < 1e-300
+        assert np.sqrt(basis64.norms(u * basis64.semigroup_factors(1e3))[0]) < 1e-300
 
     def test_composition(self, basis64, rng):
         u = rng.standard_normal(64)
-        a = basis64.semigroup_apply(basis64.semigroup_apply(u, 0.3), 0.2)
-        b = basis64.semigroup_apply(u, 0.5)
+        a = u * basis64.semigroup_factors(0.3) * basis64.semigroup_factors(0.2)
+        b = u * basis64.semigroup_factors(0.5)
         assert np.allclose(a, b, rtol=1e-12)
 
     def test_contraction_bound(self, basis64, rng):
-        lam1 = basis64.eigenvalue(1)
+        lam1 = basis64.eigenvalues[0]
         for t in (0.01, 0.1, 1.0):
             u = rng.standard_normal(64)
             assert (
-                np.sqrt(basis64.norms(basis64.semigroup_apply(u, t))[0])
+                np.sqrt(basis64.norms(u * basis64.semigroup_factors(t))[0])
                 <= np.exp(-lam1 * t) * np.sqrt(basis64.norms(u)[0]) * (1 + 1e-12)
             )
 

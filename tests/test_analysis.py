@@ -1,7 +1,6 @@
 """Step test function, weak errors, rate fits, moments, property suite."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,10 +114,10 @@ class TestStepTestFunction:
             assert np.asarray(got).tobytes() == radius.tobytes(), kind
 
 
-def _tamed(basis, level, epsilon=0.05, horizon=1.0):
+def _tamed(basis, level, epsilon=0.05, horizon=1.0, alpha=1.0):
     return SchemeConfig(
         epsilon=epsilon, tau=horizon / 2**level, n_steps=2**level, basis=basis,
-        drift=ALLEN_CAHN, taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5),
+        drift=ALLEN_CAHN, taming=TamingParams(alpha=alpha, beta=5.0, theta=0.5),
     )
 
 
@@ -168,12 +167,7 @@ class TestWeakError:
         # every run's endpoints follow from its own config and the shared
         # noise path alone, so four groups in one sweep give the tables of
         # four sweeps of one group each
-        def tamed(level, alpha):
-            return replace(_tamed(basis16, level),
-                           taming=TamingParams(alpha=alpha, beta=5.0,
-                                               theta=0.5))
-
-        groups = [[tamed(k, alpha) for k in (3, 4, 5)]
+        groups = [[_tamed(basis16, k, alpha=alpha) for k in (3, 4, 5)]
                   for alpha in (1.0, 0.5, 1.0 / 3.0, 0.25)]
         args = (_reference(basis16, 6), NoisePlan(3, 6), 24,
                 StepTestFunction(), derive_growth_constants(ALLEN_CAHN))

@@ -35,8 +35,8 @@ from .analysis import (
     weak_error_table,
 )
 from .config import ConfigError, ExperimentConfig, format_float
-from .drift import (DriftConstants, DriftDerivationError, DriftSpec,
-                    TamingParams, derive_growth_constants)
+from .drift import (DriftDerivationError, DriftSpec, TamingParams,
+                    derive_growth_constants)
 from .engine import (BlowUpError, SchemeConfig, SchemeKind, _blas_threads,
                      _snapshot_steps)
 from .noise import NoisePlan
@@ -89,15 +89,6 @@ def _drift(cfg: ExperimentConfig) -> DriftSpec:
     return DriftSpec(q=cfg.q, leading=cfg.leading, lower=cfg.f0_coeffs)
 
 
-def _constants(cfg: ExperimentConfig) -> DriftConstants:
-    """The drift's certified growth constants; none is a config error."""
-    try:
-        return derive_growth_constants(_drift(cfg))
-    except DriftDerivationError as exc:
-        raise ConfigError(f"model.leading: the drift of model.leading and "
-                          f"model.f0_coeffs certifies no constants: {exc}") from None
-
-
 def _output_dir(cfg: ExperimentConfig) -> Path:
     """The output directory, made if missing.  Each command calls it after
     its last sweep, so a run that fails before writing makes none."""
@@ -106,30 +97,22 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
     return outdir
 
 
-def _scheme(cfg: ExperimentConfig, level: int, *, alpha: float | None = None,
-            epsilon: float | None = None, basis: SineBasis,
-            drift: DriftSpec) -> SchemeConfig:
+def _scheme(cfg: ExperimentConfig, level: int, *, basis: SineBasis,
+            drift: DriftSpec,
+            kind: SchemeKind = SchemeKind.TAMED_EXP_EULER) -> SchemeConfig:
+    """The ``kind`` scheme of ``cfg`` at tau = horizon / 2**level; only
+    the tamed kind takes the taming."""
+    taming = None
+    if kind is SchemeKind.TAMED_EXP_EULER:
+        taming = TamingParams(alpha=cfg.alpha, beta=cfg.beta, theta=cfg.theta)
     return SchemeConfig(
-        epsilon=cfg.epsilon if epsilon is None else epsilon,
+        epsilon=cfg.epsilon,
         tau=cfg.horizon / 2**level,
         n_steps=2**level,
         basis=basis,
         drift=drift,
-        taming=TamingParams(alpha=cfg.alpha if alpha is None else alpha,
-                            beta=cfg.beta, theta=cfg.theta),
-        kind=SchemeKind.TAMED_EXP_EULER,
-    )
-
-
-def _reference(cfg: ExperimentConfig, *, basis: SineBasis,
-               drift: DriftSpec) -> SchemeConfig:
-    return SchemeConfig(
-        epsilon=cfg.epsilon,
-        tau=cfg.horizon / 2**cfg.fine_level,
-        n_steps=2**cfg.fine_level,
-        basis=basis,
-        drift=drift,
-        kind=SchemeKind.SEMI_IMPLICIT_REFERENCE,
+        taming=taming,
+        kind=kind,
     )
 
 
@@ -146,16 +129,35 @@ def _admissibility_entries(table: ErrorTable) -> list[dict]:
     ]
 
 
-def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
-    constants = _constants(cfg)
-    basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
-    schemes = [_scheme(cfg, k, basis=basis, drift=drift) for k in cfg.tau_levels]
-    [table] = weak_error_table(
-        [schemes], _reference(cfg, basis=basis, drift=drift),
-        NoisePlan(cfg.master_seed, cfg.fine_level), cfg.n_samples,
-        StepTestFunction(norm_kind=cfg.phi_norm),
+def _weak_tables(cfg: ExperimentConfig, alphas: tuple[float, ...],
+                 threads: int) -> list[ErrorTable]:
+    """One weak-error table per taming exponent in ``alphas``, each over
+    ``cfg.tau_levels``; one sweep runs every scheme and the fine
+    reference on the shared noise path.  A drift that certifies no
+    growth constants is a configuration error."""
+    drift = _drift(cfg)
+    try:
+        constants = derive_growth_constants(drift)
+    except DriftDerivationError as exc:
+        raise ConfigError(f"model.leading: the drift of model.leading and "
+                          f"model.f0_coeffs certifies no constants: {exc}") from None
+    basis = SineBasis(cfg.n_modes)
+    groups = [
+        [_scheme(replace(cfg, alpha=alpha), k, basis=basis, drift=drift)
+         for k in cfg.tau_levels]
+        for alpha in alphas
+    ]
+    reference = _scheme(cfg, cfg.fine_level, basis=basis, drift=drift,
+                        kind=SchemeKind.SEMI_IMPLICIT_REFERENCE)
+    return weak_error_table(
+        groups, reference, NoisePlan(cfg.master_seed, cfg.fine_level),
+        cfg.n_samples, StepTestFunction(norm_kind=cfg.phi_norm),
         constants, coupled=cfg.coupled, threads=threads,
     )
+
+
+def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
+    [table] = _weak_tables(cfg, (cfg.alpha,), threads)
     outdir = _output_dir(cfg)
     header = ("level", "tau", "weak_error", "mc_halfwidth", "n_samples",
               "admissible", "admissibility_ratio")
@@ -184,20 +186,7 @@ def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
 
 
 def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
-    constants = _constants(cfg)
-    basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
-    # one group of schemes, hence one table, per alpha; one sweep for all
-    groups = [
-        [_scheme(cfg, k, alpha=alpha, basis=basis, drift=drift)
-         for k in cfg.tau_levels]
-        for alpha in _TABLE1_ALPHAS
-    ]
-    tables = weak_error_table(
-        groups, _reference(cfg, basis=basis, drift=drift),
-        NoisePlan(cfg.master_seed, cfg.fine_level), cfg.n_samples,
-        StepTestFunction(norm_kind=cfg.phi_norm),
-        constants, coupled=cfg.coupled, threads=threads,
-    )
+    tables = _weak_tables(cfg, _TABLE1_ALPHAS, threads)
     outdir = _output_dir(cfg)
     header = ("level", "tau") + _TABLE1_COLUMNS
     rows = [
@@ -233,8 +222,8 @@ def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
 def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
     basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
     epsilons = cfg.interface_epsilons or (cfg.epsilon,)
-    schemes = [_scheme(cfg, cfg.tau_levels[0], epsilon=eps, basis=basis,
-                       drift=drift) for eps in epsilons]
+    schemes = [_scheme(replace(cfg, epsilon=eps), cfg.tau_levels[0],
+                       basis=basis, drift=drift) for eps in epsilons]
     # the profiles step at tau_levels[0] only, so its grid must hold every
     # time; validate cannot ask this of the other commands' configs
     try:

@@ -148,17 +148,23 @@ class RunOutput:
 
 
 class _RunPre:
-    """Precomputed per-run quantities of the step the sweep takes."""
+    """One run of a sweep: its coarse ratio (fine steps per step), its
+    snapshots (given as step -> time, kept as fine step -> time) and the
+    precomputed quantities of the step it takes."""
 
-    def __init__(self, cfg: SchemeConfig):
+    def __init__(self, cfg: SchemeConfig, ratio: int = 1,
+                 snaps: dict[int, float] | None = None):
         self.cfg = cfg
+        self.ratio = ratio
+        self.snaps = {m * ratio: t for m, t in (snaps or {}).items()}
+        self.tamed = cfg.kind is SchemeKind.TAMED_EXP_EULER
         basis = cfg.basis
         self.transform = basis._transform
         self.inv_nodes = 1.0 / (basis.n_modes + 1)
         self.drift_scale = cfg.tau / cfg.epsilon
         # per-mode factor of the update: E(tau) for the tamed step,
         # 1 / (1 + tau lambda) for the reference
-        if cfg.kind is SchemeKind.TAMED_EXP_EULER:
+        if self.tamed:
             self.factor = basis.semigroup_factors(cfg.tau)
         else:
             self.factor = 1.0 / (1.0 + cfg.tau * basis.eigenvalues)
@@ -174,7 +180,7 @@ class _RunPre:
         # check is the reporting point
         with np.errstate(invalid="ignore", over="ignore"):
             np.matmul(states, self.transform, out=phys)
-            if cfg.kind is SchemeKind.TAMED_EXP_EULER:
+            if self.tamed:
                 drift_mod.f_tau_eval(cfg.drift, cfg.taming, cfg.tau, phys,
                                      out=fv, scratch=tame)
             else:
@@ -197,7 +203,7 @@ class _RunPre:
         else:
             base *= self.drift_scale
             base += states
-        if self.cfg.kind is SchemeKind.TAMED_EXP_EULER:
+        if self.tamed:
             np.multiply(base, factor, out=out)
             out += noise
         else:
@@ -386,27 +392,11 @@ def sweep_ensemble(
         raise ValueError(f"x0 must have shape ({basis.n_modes},)")
 
     n_mode = basis.n_modes
-    snap_map = [
-        _snapshot_steps(r, snapshot_times[i]) if snapshot_times else {}
-        for i, r in enumerate(runs)
-    ]
-    if snapshot_fn is None:
-        snapshot_fn = np.asarray       # the states themselves
-    # two rows: see the one-row note in work
-    snap0 = snapshot_fn(np.tile(x0, (2, 1)))[:1]
-    outputs = [
-        RunOutput(
-            endpoints=np.empty((n_samples, n_mode)),
-            snapshots={t: np.empty((n_samples, *snap0.shape[1:]))
-                       for t in sm.values()},
-        )
-        for sm in snap_map
-    ]
-
     fine_steps = plan.fine_steps
     h = plan.fine_step_size(horizon)
-    ratios = []
-    for r in runs:
+    pres = []
+    for i, r in enumerate(runs):
+        snaps = _snapshot_steps(r, snapshot_times[i]) if snapshot_times else None
         ratio = int(round(r.tau / h))
         if ratio < 1 or abs(ratio * h - r.tau) > 1e-9 * r.tau:
             raise ValueError(
@@ -417,10 +407,20 @@ def sweep_ensemble(
             raise ValueError(
                 f"run covers {r.n_steps * ratio} fine steps, plan has {fine_steps}"
             )
-        ratios.append(ratio)
+        pres.append(_RunPre(r, ratio, snaps))
+    if snapshot_fn is None:
+        snapshot_fn = np.asarray       # the states themselves
+    # two rows: see the one-row note in work
+    snap0 = snapshot_fn(np.tile(x0, (2, 1)))[:1]
+    outputs = [
+        RunOutput(
+            endpoints=np.empty((n_samples, n_mode)),
+            snapshots={t: np.empty((n_samples, *snap0.shape[1:]))
+                       for t in pre.snaps.values()},
+        )
+        for pre in pres
+    ]
 
-    pres = [_RunPre(r) for r in runs]
-    tamed = [r.kind is SchemeKind.TAMED_EXP_EULER for r in runs]
     decay_fine = np.exp(-basis.eigenvalues * h)
     window = min(_WINDOW_STEPS, fine_steps)
 
@@ -449,22 +449,22 @@ def sweep_ensemble(
         spare = np.empty((count, n_mode))
         phys, fv = np.empty((count, n_mode)), np.empty((count, n_mode))
         finite = np.empty((count, n_mode), dtype=bool)
-        for i, sm in enumerate(snap_map):
-            if 0 in sm:
-                outputs[i].snapshots[sm[0]][lo:hi] = snap0
+        for i, pre in enumerate(pres):
+            if 0 in pre.snaps:
+                outputs[i].snapshots[pre.snaps[0]][lo:hi] = snap0
         stream = noise_mod.IncrementStream(plan, ids, basis.eigenvalues, h, window,
-                                           dw=not all(tamed), conv=any(tamed))
+                                           dw=not all(p.tamed for p in pres),
+                                           conv=any(p.tamed for p in pres))
         # one running coarse sum per (ratio, kind), shared by the runs
         # with both: acc <- e^{-lambda h} acc + fine increment for tamed
         # runs, a plain sum for the reference, restarted at each coarse step
-        accs = {(ratio, t): np.empty((count, n_mode))
-                for ratio, t in zip(ratios, tamed) if ratio > 1}
+        accs = {(pre.ratio, pre.tamed): np.empty((count, n_mode))
+                for pre in pres if pre.ratio > 1}
         decay = (np.tile(decay_fine, (count, 1))
                  if any(t for _, t in accs) else None)
         # update factors tiled to the chunk, one per (kind, tau) in use
-        tiles = {(r.kind, r.tau): np.tile(pre.factor, (count, 1))
-                 for r, pre in zip(runs, pres)}
-        factors = [tiles[r.kind, r.tau] for r in runs]
+        tiles = {(pre.tamed, pre.cfg.tau): np.tile(pre.factor, (count, 1))
+                 for pre in pres}
         for w0 in range(0, fine_steps, window):
             fine = stream.next_window()     # (dW, conv), indexed by "tamed"
             for kl in range(window):
@@ -475,19 +475,19 @@ def sweep_ensemble(
                     if t:
                         acc *= decay
                     acc += fine[t][kl]
-                for i, (pre, ratio, t, factor) in enumerate(
-                        zip(pres, ratios, tamed, factors)):
+                for i, pre in enumerate(pres):
+                    ratio, t = pre.ratio, pre.tamed
                     if (k + 1) % ratio:
                         continue
-                    m = (k + 1) // ratio
                     inc = fine[t][kl] if ratio == 1 else accs[ratio, t]
-                    new = pre.advance(states[i], inc, spare, phys, fv, factor)
+                    new = pre.advance(states[i], inc, spare, phys, fv,
+                                      tiles[t, pre.cfg.tau])
                     spare, states[i] = states[i], new
                     if not np.isfinite(new, out=finite).all():
                         bad = int(np.flatnonzero(~finite)[0]) // n_mode
                         return k, i, lo + bad
-                    if m in snap_map[i]:
-                        outputs[i].snapshots[snap_map[i][m]][lo:hi] = (
+                    if k + 1 in pre.snaps:
+                        outputs[i].snapshots[pre.snaps[k + 1]][lo:hi] = (
                             snapshot_fn(new)[:rows])
         for i, out in enumerate(outputs):
             out.endpoints[lo:hi] = states[i][:rows]
@@ -503,5 +503,5 @@ def sweep_ensemble(
     first = min(filter(None, blowups), default=None)
     if first is not None:
         k, i, pos = first
-        raise BlowUpError((k + 1) // ratios[i], int(sample_ids[pos]), i)
+        raise BlowUpError((k + 1) // pres[i].ratio, int(sample_ids[pos]), i)
     return outputs

@@ -168,8 +168,9 @@ def test_criterion_5_weak_rate_full_and_ci(tmp_path):
 
     start = time.perf_counter()
     out_ci = tmp_path / "ci"
+    # two threads: the thread count moves no byte (criterion 9)
     code = main(["converge", "--preset", "paper7-beta5-ci",
-                 "--out-dir", str(out_ci)])
+                 "--threads", "2", "--out-dir", str(out_ci)])
     elapsed_ci = time.perf_counter() - start
     assert code == 0
     fit_ci = json.loads((out_ci / "rate_fit.json").read_text())
@@ -182,7 +183,7 @@ def test_criterion_5_weak_rate_full_and_ci(tmp_path):
 
 def test_criterion_6_beta100_regime(tmp_path):
     code = main(["converge", "--preset", "paper7-beta100",
-                 "--out-dir", str(tmp_path)])
+                 "--threads", "2", "--out-dir", str(tmp_path)])
     assert code == 0
     rows = read_error_table(tmp_path / "errors.csv")
     all_admissible = all(r["admissible"] == "true" for r in rows)

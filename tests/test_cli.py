@@ -446,6 +446,12 @@ class TestMomentsCommand:
             values = np.array([[float(c) for c in l.split(",")]
                                for l in lines[1:]])
             assert np.all(np.isfinite(values))
+        # T = 0.5 steps on the same noise path as T = 1, so its CSV is a
+        # prefix of the longer one, line for line
+        short = (tmp_path / "moments_T_0.5.csv").read_text().splitlines()
+        long = (tmp_path / "moments_T_1.csv").read_text().splitlines()
+        assert len(short) < len(long)
+        assert short == long[:len(short)]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["maxima"]) == 2
         assert len(manifest["growth_ratios"]) == 1

@@ -345,6 +345,33 @@ def test_step_allocates_no_arrays(basis64, alpha):
     assert peak < 16_000, f"traced peak {peak} B"
 
 
+@pytest.mark.parametrize("samples, threads, chunks", [(3, 1, 1), (300, 2, 2)])
+def test_every_step_passes_the_hook_points(basis64, monkeypatch, samples,
+                                           threads, chunks):
+    # the benchmark wraps these two methods on the class and counts their
+    # calls as engine.advance and drift.collocation: a step bound where
+    # the class attribute is not looked up would go uncounted
+    calls = {"advance": 0, "drift_term": 0}
+    lock = threading.Lock()
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            with lock:
+                calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine._RunPre, name,
+                            counting(name, getattr(engine._RunPre, name)))
+    runs = [tamed_cfg(basis64, level=3, epsilon=0.5),             # ratio 2
+            tamed_cfg(basis64, level=4, epsilon=0.5, drift=None),
+            reference_cfg(basis64, level=4, epsilon=0.5)]
+    sweep_ensemble(runs, NoisePlan(8, 4), samples, threads=threads)
+    steps = chunks * sum(r.n_steps for r in runs)
+    assert calls == {"advance": steps, "drift_term": steps}
+
+
 def _output_arrays(out, times, rows=slice(None)):
     """The bytes of every output array of one run, per array."""
     arrays = [out.endpoints] + [out.snapshots[t] for t in times]

@@ -30,7 +30,8 @@ DELETED = {"weak_error_estimate", "run_ensemble", "EnsembleStats",
            "_monitor_values", "standard_pairs", "increment_pairs",
            "sample_increment_pair", "coarse_convolution_increment",
            "NoiseIncrementPair", "_state_norms", "_NORM_KINDS",
-           "weak_errors_shared_reference", "_error_table", "_setup"}
+           "weak_errors_shared_reference", "_error_table", "_setup",
+           "_reference", "_constants"}
 #: basis methods that nothing in the package called
 DELETED_METHODS = {"eigenvalue", "semigroup_apply", "to_spectral"}
 #: benchmark hook points whose targets were deleted before the benchmark

@@ -34,7 +34,7 @@ from .analysis import (
     property_suite,
     weak_error_table,
 )
-from .config import ConfigError, ExperimentConfig, format_float
+from .config import ConfigError, ExperimentConfig, format_value
 from .drift import (DriftDerivationError, DriftSpec, TamingParams,
                     derive_growth_constants)
 from .engine import (BlowUpError, SchemeConfig, SchemeKind, _blas_threads,
@@ -49,19 +49,11 @@ _TABLE1_ALPHAS = (1.0, 0.5, 1.0 / 3.0, 0.25)
 _TABLE1_COLUMNS = ("err_alpha_1", "err_alpha_1_2", "err_alpha_1_3", "err_alpha_1_4")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(float(value))
-
-
 def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -85,16 +77,34 @@ def _write_manifest(outdir: Path, command: str, cfg: ExperimentConfig,
     (outdir / "config.resolved.ini").write_text(cfg.to_ini())
 
 
-def _drift(cfg: ExperimentConfig) -> DriftSpec:
-    return DriftSpec(q=cfg.q, leading=cfg.leading, lower=cfg.f0_coeffs)
-
-
-def _output_dir(cfg: ExperimentConfig) -> Path:
-    """The output directory, made if missing.  Each command calls it after
-    its last sweep, so a run that fails before writing makes none."""
+def _write_outputs(cfg: ExperimentConfig, command: str, files: dict,
+                   extra: dict) -> None:
+    """Write a finished run into ``cfg.directory``: each of ``files`` in
+    order, a ``(header, rows)`` pair as CSV and a dict as JSON, then the
+    manifest listing exactly them.  First delete each file that an earlier
+    run's manifest there lists and this run does not write."""
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    try:
+        old = json.loads((outdir / "manifest.json").read_text())
+        listed = old["outputs"] if old["tool"] == "tamedspde" else []
+    except (OSError, ValueError, TypeError, KeyError):
+        listed = []
+    for name in listed if isinstance(listed, list) else []:
+        # a plain file only: no "/" leads out, and "", "." and ".." are dirs
+        if (isinstance(name, str) and "/" not in name and name not in files
+                and (outdir / name).is_file()):
+            (outdir / name).unlink()
+    for name, content in files.items():
+        if isinstance(content, dict):
+            _write_json(outdir / name, content)
+        else:
+            _write_csv(outdir / name, *content)
+    _write_manifest(outdir, command, cfg, list(files), **extra)
+
+
+def _drift(cfg: ExperimentConfig) -> DriftSpec:
+    return DriftSpec(q=cfg.q, leading=cfg.leading, lower=cfg.f0_coeffs)
 
 
 def _scheme(cfg: ExperimentConfig, level: int, *, basis: SineBasis,
@@ -156,15 +166,13 @@ def _weak_tables(cfg: ExperimentConfig, alphas: tuple[float, ...],
     )
 
 
-def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
+def cmd_converge(cfg: ExperimentConfig, threads: int):
     [table] = _weak_tables(cfg, (cfg.alpha,), threads)
-    outdir = _output_dir(cfg)
     header = ("level", "tau", "weak_error", "mc_halfwidth", "n_samples",
               "admissible", "admissibility_ratio")
-    _write_csv(outdir / "errors.csv", header, (
+    files = {"errors.csv": (header, (
         (r.level, r.tau, r.weak_error, r.mc_halfwidth, r.n_samples,
-         r.admissible, r.admissibility_ratio) for r in table.rows))
-    outputs = ["errors.csv"]
+         r.admissible, r.admissibility_ratio) for r in table.rows))}
     for row in table.rows:
         print(f"level {row.level}  tau {row.tau:.3e}  weak error "
               f"{row.weak_error:.6f} +- {row.mc_halfwidth:.6f}  "
@@ -174,26 +182,21 @@ def cmd_converge(cfg: ExperimentConfig, threads: int) -> int:
     except ValueError as exc:               # "rate fit refused: <reason>"
         print(exc)
     else:
-        _write_json(outdir / "rate_fit.json", {
+        files["rate_fit.json"] = {
             "slope": fit.slope, "intercept": fit.intercept,
             "residual": fit.residual, "n_rows": len(table.rows),
-        })
-        outputs.append("rate_fit.json")
+        }
         print(f"fitted convergence slope: {fit.slope:.4f}")
-    _write_manifest(outdir, "converge", cfg, outputs,
-                    admissibility=_admissibility_entries(table))
-    return 0
+    return 0, files, {"admissibility": _admissibility_entries(table)}
 
 
-def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
+def cmd_table1(cfg: ExperimentConfig, threads: int):
     tables = _weak_tables(cfg, _TABLE1_ALPHAS, threads)
-    outdir = _output_dir(cfg)
     header = ("level", "tau") + _TABLE1_COLUMNS
     rows = [
         (row.level, row.tau) + tuple(t.rows[i].weak_error for t in tables)
         for i, row in enumerate(tables[0].rows)
     ]
-    _write_csv(outdir / "table1.csv", header, rows)
     fits = {}
     monotone = {}
     for name, alpha, table in zip(_TABLE1_COLUMNS, _TABLE1_ALPHAS, tables):
@@ -208,18 +211,16 @@ def cmd_table1(cfg: ExperimentConfig, threads: int) -> int:
                           "slope": fit_convergence_rate(table).slope}
         print(f"alpha={alpha:.4g}: errors "
               + " ".join(f"{e:.5f}" for e in col))
-    admissibility = [
+    files = {"table1.csv": (header, rows),
+             "table1_fits.json": {"fits": fits, "monotone": monotone}}
+    return 0, files, {"admissibility": [
         {"alpha": alpha, **entry}
         for alpha, table in zip(_TABLE1_ALPHAS, tables)
         for entry in _admissibility_entries(table)
-    ]
-    _write_json(outdir / "table1_fits.json", {"fits": fits, "monotone": monotone})
-    _write_manifest(outdir, "table1", cfg, ["table1.csv", "table1_fits.json"],
-                    admissibility=admissibility)
-    return 0
+    ]}
 
 
-def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
+def cmd_interface(cfg: ExperimentConfig, threads: int):
     basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
     epsilons = cfg.interface_epsilons or (cfg.epsilon,)
     schemes = [_scheme(replace(cfg, epsilon=eps), cfg.tau_levels[0],
@@ -239,21 +240,20 @@ def cmd_interface(cfg: ExperimentConfig, threads: int) -> int:
         schemes, NoisePlan(cfg.master_seed, cfg.fine_level), cfg.n_samples,
         cfg.interface_times, threads=threads,
     )
-    outdir = _output_dir(cfg)
+    files = {}
     for eps, name, profile in zip(epsilons, names, profiles):
-        rows = (
-            (t, i + 1, profile.node_x[i], profile.mean_values[ti, i])
-            for ti, t in enumerate(profile.times)
-            for i in range(basis.n_modes)
-        )
-        _write_csv(outdir / name, ("time", "node_index", "x", "mean_value"), rows)
+        # the rows stay lazy: the outer zip binds this profile now, since
+        # they are written after the loop
+        files[name] = (("time", "node_index", "x", "mean_value"), (
+            (t, i + 1, x, value)
+            for t, values in zip(profile.times, profile.mean_values)
+            for i, (x, value) in enumerate(zip(basis.grid, values))))
         peak = float(np.max(np.abs(profile.mean_values)))
         print(f"epsilon={eps:g}: wrote {name}; max |mean value| = {peak:.4f}")
-    _write_manifest(outdir, "interface", cfg, names)
-    return 0
+    return 0, files, {}
 
 
-def cmd_moments(cfg: ExperimentConfig, threads: int) -> int:
+def cmd_moments(cfg: ExperimentConfig, threads: int):
     basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
     tau = 2.0**-cfg.moments_tau_level
     reports = []
@@ -268,16 +268,13 @@ def cmd_moments(cfg: ExperimentConfig, threads: int) -> int:
             scheme, NoisePlan(cfg.master_seed, level), cfg.moments_n_samples,
             times, threads=threads,
         ))
-    outdir = _output_dir(cfg)
-    outputs = []
+    files = {}
     maxima = []
     for horizon, report in zip(cfg.moments_horizons, reports):
-        name = f"moments_T_{format(horizon, 'g')}.csv"
-        rows = zip(report.times, report.mean_l2_sq, report.mean_l4_4,
-                   report.mean_sup)
-        _write_csv(outdir / name,
-                   ("time", "mean_l2_sq", "mean_l4_4", "mean_sup"), rows)
-        outputs.append(name)
+        files[f"moments_T_{format(horizon, 'g')}.csv"] = (
+            ("time", "mean_l2_sq", "mean_l4_4", "mean_sup"),
+            zip(report.times, report.mean_l2_sq, report.mean_l4_4,
+                report.mean_sup))
         maxima.append({
             "horizon": horizon,
             "max_mean_l2_sq": report.max_mean_l2_sq,
@@ -290,12 +287,10 @@ def cmd_moments(cfg: ExperimentConfig, threads: int) -> int:
          "l2_sq_ratio": b["max_mean_l2_sq"] / a["max_mean_l2_sq"]}
         for a, b in zip(maxima, maxima[1:])
     ]
-    _write_manifest(outdir, "moments", cfg, outputs, maxima=maxima,
-                    growth_ratios=ratios)
-    return 0
+    return 0, files, {"maxima": maxima, "growth_ratios": ratios}
 
 
-def cmd_verify(cfg: ExperimentConfig, threads: int) -> int:
+def cmd_verify(cfg: ExperimentConfig, threads: int):
     drift = _drift(cfg)
     report = property_suite(drift, seed=cfg.master_seed)
     payload = report.as_dict()
@@ -305,20 +300,20 @@ def cmd_verify(cfg: ExperimentConfig, threads: int) -> int:
     except ValueError as exc:
         payload["constants"] = {"certified": False, "error": str(exc)}
         payload["all_passed"] = False
-    outdir = _output_dir(cfg)
-    _write_json(outdir / "verify_report.json", payload)
-    _write_manifest(outdir, "verify", cfg, ["verify_report.json"])
+    files = {"verify_report.json": payload}
     for check in payload["checks"]:
         state = "pass" if check["passed"] else "FAIL"
         print(f"{check['name']}: {state} (n={check['n_samples']}, "
               f"worst margin {check['worst']:.3g})")
     if not payload["all_passed"]:
         print("property suite FAILED", file=sys.stderr)
-        return 1
+        return 1, files, {}
     print("property suite passed")
-    return 0
+    return 0, files, {}
 
 
+#: each command returns (exit code, files, manifest keywords) and writes
+#: nothing; ``main`` hands the result to ``_write_outputs``
 _DISPATCH = {
     "converge": cmd_converge,
     "table1": cmd_table1,
@@ -387,7 +382,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return _DISPATCH[args.command](cfg, max(1, args.threads))
+        code, files, extra = _DISPATCH[args.command](cfg, max(1, args.threads))
+        _write_outputs(cfg, args.command, files, extra)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

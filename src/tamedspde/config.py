@@ -13,7 +13,9 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from pathlib import Path
 
-__all__ = ["ExperimentConfig", "ConfigError", "format_float"]
+import numpy as np
+
+__all__ = ["ExperimentConfig", "ConfigError", "format_float", "format_value"]
 
 
 class ConfigError(ValueError):
@@ -23,6 +25,18 @@ class ConfigError(ValueError):
 def format_float(x: float) -> str:
     """Canonical float text: 17 significant digits, '.' separator."""
     return format(float(x), ".17g")
+
+
+def format_value(value) -> str:
+    """Canonical text of a config value or CSV cell: true/false, decimal
+    integers, ``format_float``, and a tuple's items joined by spaces."""
+    if isinstance(value, tuple):
+        return " ".join(format_value(v) for v in value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer, str)):
+        return str(value)
+    return format_float(value)
 
 
 @dataclass(frozen=True)
@@ -107,24 +121,12 @@ class ExperimentConfig:
 
     # -- serialization ------------------------------------------------------
 
-    def _encode(self, name: str) -> str:
-        val = getattr(self, name)
-        if isinstance(val, bool):
-            return "true" if val else "false"
-        if isinstance(val, float):
-            return format_float(val)
-        if isinstance(val, tuple):
-            return " ".join(
-                format_float(v) if isinstance(v, float) else str(v) for v in val
-            )
-        return str(val)
-
     def to_ini(self) -> str:
         buf = io.StringIO()
         for section, rows in groupby(_FIELDS.items(), lambda row: row[1][0]):
             buf.write(f"[{section}]\n")
             for name, (_, key, *_) in rows:
-                buf.write(f"{key} = {self._encode(name)}\n")
+                buf.write(f"{key} = {format_value(getattr(self, name))}\n")
             buf.write("\n")
         return buf.getvalue()
 

@@ -11,6 +11,7 @@ import pytest
 
 from tamedspde import ConfigError, ExperimentConfig, PRESETS
 from tamedspde import analysis
+from tamedspde import cli
 from tamedspde import drift as drift_mod
 from tamedspde.cli import main
 from tamedspde.config import format_float
@@ -495,6 +496,104 @@ class TestMomentsCommand:
         cfg = replace(ExperimentConfig(), moments_tau_level=13)
         assert cfg.moments_horizons == (1.0, 2.0)
         assert cfg.validate() is cfg
+
+
+class TestOutputDirectory:
+    """One writer owns the output directory: it holds exactly what the
+    manifest lists, and a re-run removes what its predecessor listed and
+    it does not write, but nothing else."""
+
+    PROFILES = ["interface", "--preset", "interface-eps2",
+                "--set", "sampling.n_samples=6",
+                "--set", "discretization.fine_level=6",
+                "--set", "discretization.tau_levels=6",
+                "--set", "interface.times=0.0 1.0"]
+    RUNS = {
+        "converge": ["converge", *TINY],
+        "table1": ["table1", *TINY],
+        "interface": [*PROFILES, "--set", "interface.epsilons=0.01 0.05"],
+        "moments": ["moments", "--set", "discretization.n_modes=16",
+                    "--set", "moments.horizons=0.5 1.0",
+                    "--set", "moments.n_samples=4",
+                    "--set", "moments.tau_level=5"],
+        "verify": ["verify"],
+    }
+
+    @staticmethod
+    def listing(outdir):
+        return sorted(p.name for p in outdir.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_manifest_lists_exactly_what_was_written(self, command, tmp_path,
+                                                     monkeypatch):
+        # the benchmark's i/o layer wraps these three writers by name and
+        # reads the path from their first argument
+        written, manifests = [], []
+
+        def log_calls(name, log):
+            fn = getattr(cli, name)
+
+            def wrapper(path, *args, **kwargs):
+                log.append(path.name)
+                return fn(path, *args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapper)
+
+        log_calls("_write_csv", written)
+        log_calls("_write_json", written)
+        log_calls("_write_manifest", manifests)
+        assert run_cli(*self.RUNS[command], "--out-dir", str(tmp_path)) == 0
+        outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert outputs
+        assert self.listing(tmp_path) == sorted(
+            outputs + ["manifest.json", "config.resolved.ini"])
+        assert len(manifests) == 1
+        assert sorted(written) == sorted(outputs + ["manifest.json"])
+
+    def test_rerun_with_refused_fit_removes_old_fit(self, tmp_path, capsys):
+        assert run_cli("converge", *TINY, "--out-dir", str(tmp_path)) == 0
+        assert (tmp_path / "rate_fit.json").exists()
+        assert run_cli("converge", *TINY,
+                       "--set", "discretization.tau_levels=6",
+                       "--out-dir", str(tmp_path)) == 0
+        assert "rate fit refused" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == ["errors.csv"]
+        assert self.listing(tmp_path) == [
+            "config.resolved.ini", "errors.csv", "manifest.json"]
+
+    def test_rerun_with_fewer_epsilons_removes_old_profile(self, tmp_path):
+        assert run_cli(*self.PROFILES, "--set", "interface.epsilons=0.01 0.02",
+                       "--out-dir", str(tmp_path)) == 0
+        assert (tmp_path / "profiles_eps_0.02.csv").exists()
+        assert run_cli(*self.PROFILES, "--set", "interface.epsilons=0.01",
+                       "--out-dir", str(tmp_path)) == 0
+        assert self.listing(tmp_path) == [
+            "config.resolved.ini", "manifest.json", "profiles_eps_0.01.csv"]
+
+    @pytest.mark.parametrize("manifest", [
+        None,
+        "not json",
+        json.dumps({"tool": "other", "outputs": ["notes.txt"]}),
+        json.dumps({"tool": "tamedspde", "outputs": {"notes.txt": 1}}),
+        json.dumps({"tool": "tamedspde",
+                    "outputs": ["../notes.txt", "sub/notes.txt", "sub", "..",
+                                ".", ""]}),
+    ], ids=["none", "unreadable", "foreign", "not-a-list", "paths"])
+    def test_unlisted_files_are_kept(self, manifest, tmp_path):
+        # only the plain file names a manifest of this tool lists may go
+        outdir = tmp_path / "out"
+        (outdir / "sub").mkdir(parents=True)
+        for path in (tmp_path / "notes.txt", outdir / "notes.txt",
+                     outdir / "sub" / "notes.txt"):
+            path.write_text("keep\n")
+        if manifest is not None:
+            (outdir / "manifest.json").write_text(manifest)
+        assert run_cli("verify", "--out-dir", str(outdir)) == 0
+        assert self.listing(outdir) == [
+            "config.resolved.ini", "manifest.json", "notes.txt", "sub",
+            "verify_report.json"]
+        assert (tmp_path / "notes.txt").read_text() == "keep\n"
+        assert (outdir / "sub" / "notes.txt").read_text() == "keep\n"
 
 
 class TestFlagsAndHelp:

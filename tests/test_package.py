@@ -31,7 +31,7 @@ DELETED = {"weak_error_estimate", "run_ensemble", "EnsembleStats",
            "sample_increment_pair", "coarse_convolution_increment",
            "NoiseIncrementPair", "_state_norms", "_NORM_KINDS",
            "weak_errors_shared_reference", "_error_table", "_setup",
-           "_reference", "_constants"}
+           "_reference", "_constants", "_output_dir", "_fmt", "_encode"}
 #: basis methods that nothing in the package called
 DELETED_METHODS = {"eigenvalue", "semigroup_apply", "to_spectral"}
 #: benchmark hook points whose targets were deleted before the benchmark
@@ -48,6 +48,10 @@ def test_public_names_resolve(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
     assert DELETED.isdisjoint(vars(mod))
+    # and no class of the module keeps one as a method
+    for obj in vars(mod).values():
+        if inspect.isclass(obj) and obj.__module__ == module:
+            assert DELETED.isdisjoint(vars(obj)), obj
 
 
 def test_deleted_basis_methods_stay_gone():

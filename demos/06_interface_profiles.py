@@ -38,10 +38,10 @@ profiles = interface_profile(schemes, plan, n_samples=100, times=times)
 
 for (epsilon, _), profile in zip(runs, profiles):
     print(f"\nepsilon = {epsilon}")
-    print("x:      " + " ".join(f"{x:5.2f}" for x in profile.node_x[::8]))
+    print("x:      " + " ".join(f"{x:5.2f}" for x in basis.grid[::8]))
     for ti, t in enumerate(profile.times):
         vals = profile.mean_values[ti, ::8]
         print(f"t={t:4.2f}: " + " ".join(f"{v:+5.2f}" for v in vals))
     half_rise = np.argmax(profile.mean_values[-1] > 0.9)
-    print(f"first node above 0.9 at t=1: x = {profile.node_x[half_rise]:.3f} "
+    print(f"first node above 0.9 at t=1: x = {basis.grid[half_rise]:.3f} "
           f"(boundary-layer width shrinks with epsilon)")

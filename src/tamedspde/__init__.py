@@ -10,7 +10,6 @@ from .analysis import (
     ErrorTable,
     MomentReport,
     ProfileSet,
-    PropertyReport,
     RateFit,
     StepTestFunction,
     fit_convergence_rate,
@@ -25,7 +24,6 @@ from .drift import (
     DriftConstants,
     DriftDerivationError,
     DriftSpec,
-    StepSizeVerdict,
     TamingParams,
     derive_growth_constants,
     f_delta_eval,
@@ -47,7 +45,7 @@ from .noise import (
     conv_dw_covariance,
     conv_variance,
 )
-from .presets import PRESETS, preset
+from .presets import PRESETS
 from .spectral import SineBasis, default_initial
 
 __all__ = [
@@ -65,13 +63,11 @@ __all__ = [
     "NoisePlan",
     "PRESETS",
     "ProfileSet",
-    "PropertyReport",
     "RateFit",
     "RunOutput",
     "SchemeConfig",
     "SchemeKind",
     "SineBasis",
-    "StepSizeVerdict",
     "StepTestFunction",
     "TamingParams",
     "conv_dw_covariance",
@@ -86,7 +82,6 @@ __all__ = [
     "fit_convergence_rate",
     "interface_profile",
     "moment_sup_estimate",
-    "preset",
     "property_suite",
     "step_size_condition",
     "sweep_ensemble",

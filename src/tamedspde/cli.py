@@ -40,7 +40,7 @@ from .drift import (DriftDerivationError, DriftSpec, TamingParams,
 from .engine import (BlowUpError, SchemeConfig, SchemeKind, _blas_threads,
                      _snapshot_steps)
 from .noise import NoisePlan
-from .presets import PRESETS, preset
+from .presets import PRESETS
 from .spectral import SineBasis
 
 __all__ = ["main"]
@@ -249,7 +249,7 @@ def cmd_interface(cfg: ExperimentConfig, threads: int):
             for t, values in zip(profile.times, profile.mean_values)
             for i, (x, value) in enumerate(zip(basis.grid, values))))
         peak = float(np.max(np.abs(profile.mean_values)))
-        print(f"epsilon={eps:g}: wrote {name}; max |mean value| = {peak:.4f}")
+        print(f"epsilon={eps:g}: max |mean value| = {peak:.4f}")
     return 0, files, {}
 
 
@@ -277,11 +277,12 @@ def cmd_moments(cfg: ExperimentConfig, threads: int):
                 report.mean_sup))
         maxima.append({
             "horizon": horizon,
-            "max_mean_l2_sq": report.max_mean_l2_sq,
-            "max_mean_l4_4": report.max_mean_l4_4,
-            "max_mean_sup": report.max_mean_sup,
+            "max_mean_l2_sq": float(np.max(report.mean_l2_sq)),
+            "max_mean_l4_4": float(np.max(report.mean_l4_4)),
+            "max_mean_sup": float(np.max(report.mean_sup)),
         })
-        print(f"T={horizon:g}: max mean |X|_L2^2 = {report.max_mean_l2_sq:.6f}")
+        print(f"T={horizon:g}: max mean |X|_L2^2 = "
+              f"{maxima[-1]['max_mean_l2_sq']:.6f}")
     ratios = [
         {"horizons": [a["horizon"], b["horizon"]],
          "l2_sq_ratio": b["max_mean_l2_sq"] / a["max_mean_l2_sq"]}
@@ -292,8 +293,9 @@ def cmd_moments(cfg: ExperimentConfig, threads: int):
 
 def cmd_verify(cfg: ExperimentConfig, threads: int):
     drift = _drift(cfg)
-    report = property_suite(drift, seed=cfg.master_seed)
-    payload = report.as_dict()
+    checks = property_suite(drift, seed=cfg.master_seed)
+    payload = {"checks": [asdict(c) for c in checks],
+               "all_passed": all(c.passed for c in checks)}
     try:
         payload["constants"] = {**asdict(derive_growth_constants(drift)),
                                 "certified": True}
@@ -312,14 +314,16 @@ def cmd_verify(cfg: ExperimentConfig, threads: int):
     return 0, files, {}
 
 
-#: each command returns (exit code, files, manifest keywords) and writes
-#: nothing; ``main`` hands the result to ``_write_outputs``
-_DISPATCH = {
-    "converge": cmd_converge,
-    "table1": cmd_table1,
-    "interface": cmd_interface,
-    "moments": cmd_moments,
-    "verify": cmd_verify,
+#: name -> (command, help); each command returns (exit code, files,
+#: manifest keywords) and writes nothing; ``main`` hands the result to
+#: ``_write_outputs``
+_COMMANDS = {
+    "converge": (cmd_converge, "weak-error table and convergence-rate fit"),
+    "table1": (cmd_table1,
+               "weak errors for taming exponents 1, 1/2, 1/3, 1/4"),
+    "interface": (cmd_interface, "mean interface profiles at configured times"),
+    "moments": (cmd_moments, "ensemble norm monitors over time"),
+    "verify": (cmd_verify, "run the numerical property suite"),
 }
 
 
@@ -346,16 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("converge", parents=[common],
-                   help="weak-error table and convergence-rate fit")
-    sub.add_parser("table1", parents=[common],
-                   help="weak errors for taming exponents 1, 1/2, 1/3, 1/4")
-    sub.add_parser("interface", parents=[common],
-                   help="mean interface profiles at configured times")
-    sub.add_parser("moments", parents=[common],
-                   help="ensemble norm monitors over time")
-    sub.add_parser("verify", parents=[common],
-                   help="run the numerical property suite")
+    for name, (_, text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -365,7 +361,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         cfg = ExperimentConfig.from_file(args.config)
     else:
-        cfg = preset(args.preset or "paper7-beta5")
+        # argparse has already rejected an unknown name
+        cfg = PRESETS[args.preset or "paper7-beta5"]
     for item in args.overrides:
         path, sep, value = item.partition("=")
         if not sep:
@@ -382,7 +379,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        code, files, extra = _DISPATCH[args.command](cfg, max(1, args.threads))
+        command, _ = _COMMANDS[args.command]
+        code, files, extra = command(cfg, max(1, args.threads))
         _write_outputs(cfg, args.command, files, extra)
         return code
     except ConfigError as exc:

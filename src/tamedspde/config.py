@@ -113,10 +113,11 @@ class ExperimentConfig:
                     f"of tau = 2^-{self.moments_tau_level}, got {steps}")
             # each horizon's sweep runs its own fine grid of 2^(exponent-1)
             # steps
-            if exponent - 1 > 14:
+            if exponent - 1 > _MAX_FINE_LEVEL:
                 bad("moments.tau_level",
                     f"horizon {t} at tau = 2^-{self.moments_tau_level} needs "
-                    f"fine level {exponent - 1}, above the supported 14")
+                    f"fine level {exponent - 1}, above the supported "
+                    f"{_MAX_FINE_LEVEL}")
         return self
 
     # -- serialization ------------------------------------------------------
@@ -190,6 +191,9 @@ def _positive(v) -> bool:
     return v > 0
 
 
+#: the finest fine grid, 2^14 steps: the paper7 presets' reference grid
+_MAX_FINE_LEVEL = 14
+
 #: one row per field, in file order: field -> (section, key, parser,
 #: requirement, check).  ``validate`` first requires every float, alone or
 #: in a tuple, to be finite, then ``check(value)`` to hold; the cross-field
@@ -208,10 +212,9 @@ _FIELDS = {
     "tau_levels": ("discretization", "tau_levels", _ints,
                    "must list strictly increasing levels >= 0",
                    lambda v: v and v[0] >= 0 and list(v) == sorted(set(v))),
-    # the paper7 presets' reference grid, 2^14 fine steps, is the finest
-    # one supported
-    "fine_level": ("discretization", "fine_level", int, "must lie in 0..14",
-                   lambda v: 0 <= v <= 14),
+    "fine_level": ("discretization", "fine_level", int,
+                   f"must lie in 0..{_MAX_FINE_LEVEL}",
+                   lambda v: 0 <= v <= _MAX_FINE_LEVEL),
     "alpha": ("taming", "alpha", float, "must be > 0", _positive),
     "beta": ("taming", "beta", float, "must be > 0", _positive),
     "theta": ("taming", "theta", float, "must be > 0", _positive),
@@ -234,8 +237,9 @@ _FIELDS = {
     "moments_n_samples": ("moments", "n_samples", int, "must be >= 2",
                           lambda v: v >= 2),
     # tau = 2^-tau_level, no finer than the finest fine grid
-    "moments_tau_level": ("moments", "tau_level", int, "must lie in 0..14",
-                          lambda v: 0 <= v <= 14),
+    "moments_tau_level": ("moments", "tau_level", int,
+                          f"must lie in 0..{_MAX_FINE_LEVEL}",
+                          lambda v: 0 <= v <= _MAX_FINE_LEVEL),
 }
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "DriftSpec",
     "TamingParams",
     "DriftConstants",
-    "StepSizeVerdict",
     "DriftDerivationError",
     "ALLEN_CAHN",
     "f_eval",
@@ -80,10 +79,6 @@ class DriftSpec:
         c.flags.writeable = False
         # built once: the sweep evaluates f on every collocation
         object.__setattr__(self, "_coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return 2 * self.q - 1
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -260,13 +255,6 @@ class DriftConstants:
     c5: float
 
 
-class StepSizeVerdict(NamedTuple):
-    """Outcome of the step-size admissibility test; ratio = LHS / RHS."""
-
-    admissible: bool
-    ratio: float
-
-
 def verification_grid(bound: float = 1e3, n: int = 100_000) -> np.ndarray:
     """Signed log-uniform magnitudes covering [1e-6, bound], plus zero."""
     mags = np.logspace(-6, np.log10(bound), n)
@@ -350,14 +338,14 @@ def derive_growth_constants(
 
 def step_size_condition(
     dc: DriftConstants, p: TamingParams, tau: float, epsilon: float
-) -> StepSizeVerdict:
-    """Check ``2 c3^2 tau^(1 - theta alpha) <= c0 beta^alpha epsilon``."""
+) -> float:
+    """The ratio LHS / RHS of ``2 c3^2 tau^(1 - theta alpha) <= c0
+    beta^alpha epsilon``: tau is admissible when it is <= 1."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     lhs = 2.0 * dc.c3**2 * tau ** (1.0 - p.theta * p.alpha)
     rhs = dc.c0 * p.beta**p.alpha * epsilon
-    ratio = lhs / rhs
-    return StepSizeVerdict(admissible=bool(ratio <= 1.0), ratio=float(ratio))
+    return float(lhs / rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from .config import ExperimentConfig
 
-__all__ = ["PRESETS", "preset"]
+__all__ = ["PRESETS"]
 
 _BASE = ExperimentConfig()
 
@@ -57,12 +57,3 @@ PRESETS: dict[str, ExperimentConfig] = {
         directory="runs/interface-eps3",
     ),
 }
-
-
-def preset(name: str) -> ExperimentConfig:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None

@@ -570,6 +570,18 @@ class TestOutputDirectory:
         assert self.listing(tmp_path) == [
             "config.resolved.ini", "manifest.json", "profiles_eps_0.01.csv"]
 
+    def test_failed_write_claims_no_write(self, tmp_path, capsys):
+        # the command prints before anything is written, so its lines must
+        # not report a write that the i/o error then prevents
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli(*self.PROFILES,
+                       "--out-dir", str(blocker / "out")) == 3
+        out, err = capsys.readouterr()
+        assert out.startswith("epsilon=0.01: max |mean value| = ")
+        assert "wrote" not in out
+        assert err.startswith("i/o error: ")
+
     @pytest.mark.parametrize("manifest", [
         None,
         "not json",

@@ -232,7 +232,7 @@ def full_grid_constants(d, bound=1e3, pair_grid=401):
     """The certification search on the whole (n, n) grid at once: the
     oracle for the row-blocked search."""
     coeffs = d.coeffs
-    deg = d.degree
+    deg = 2 * d.q - 1
     mid = float(np.abs(coeffs[2:deg]).sum()) if deg > 2 else 0.0
     c3 = float(abs(coeffs[deg])) + mid
     c4 = float(abs(coeffs[1]))
@@ -397,20 +397,20 @@ class TestStepSizeCondition:
 
     def test_admissible_beta100(self):
         params = TamingParams(alpha=1.0, beta=100.0, theta=0.5)
-        verdict = step_size_condition(self.dc, params, 2.0**-10, 0.01)
-        assert verdict.admissible
+        ratio = step_size_condition(self.dc, params, 2.0**-10, 0.01)
+        assert ratio <= 1.0
         # LHS = 2 * 2^-5 = 0.0625, RHS = 0.5 * 100 * 0.01 = 0.5
-        assert verdict.ratio == pytest.approx(0.125, rel=1e-12)
+        assert ratio == pytest.approx(0.125, rel=1e-12)
 
     def test_violated_beta5(self):
         params = TamingParams(alpha=1.0, beta=5.0, theta=0.5)
-        verdict = step_size_condition(self.dc, params, 2.0**-10, 0.01)
-        assert not verdict.admissible
-        assert verdict.ratio == pytest.approx(2.5, rel=1e-12)
+        ratio = step_size_condition(self.dc, params, 2.0**-10, 0.01)
+        assert not ratio <= 1.0
+        assert ratio == pytest.approx(2.5, rel=1e-12)
 
     def test_vanishing_tau_admissible(self):
         params = TamingParams(alpha=1.0, beta=5.0, theta=0.5)
-        assert step_size_condition(self.dc, params, 2.0**-40, 0.01).admissible
+        assert step_size_condition(self.dc, params, 2.0**-40, 0.01) <= 1.0
 
     def test_bad_epsilon(self):
         params = TamingParams(alpha=1.0, beta=5.0, theta=0.5)

@@ -31,7 +31,9 @@ DELETED = {"weak_error_estimate", "run_ensemble", "EnsembleStats",
            "sample_increment_pair", "coarse_convolution_increment",
            "NoiseIncrementPair", "_state_norms", "_NORM_KINDS",
            "weak_errors_shared_reference", "_error_table", "_setup",
-           "_reference", "_constants", "_output_dir", "_fmt", "_encode"}
+           "_reference", "_constants", "_output_dir", "_fmt", "_encode",
+           "preset", "PropertyReport", "StepSizeVerdict", "max_mean_l2_sq",
+           "max_mean_l4_4", "max_mean_sup", "degree"}
 #: basis methods that nothing in the package called
 DELETED_METHODS = {"eigenvalue", "semigroup_apply", "to_spectral"}
 #: benchmark hook points whose targets were deleted before the benchmark
@@ -40,6 +42,25 @@ DELETED_METHODS = {"eigenvalue", "semigroup_apply", "to_spectral"}
 #: ``cli.weak_error_table``
 DEAD_HOOKS = {"noise.standard_pairs_batch", "noise._box_muller",
               "noise._raw_words", "cli.weak_errors_shared_reference"}
+#: the package's public surface, sorted: a name added or removed shows up
+#: here in review
+PUBLIC = [
+    "ALLEN_CAHN", "BlowUpError", "ConfigError", "DriftConstants",
+    "DriftDerivationError", "DriftSpec", "ErrorRow", "ErrorTable",
+    "ExperimentConfig", "MomentReport", "NoisePlan", "PRESETS", "ProfileSet",
+    "RateFit", "RunOutput", "SchemeConfig", "SchemeKind", "SineBasis",
+    "StepTestFunction", "TamingParams", "__version__", "conv_dw_covariance",
+    "conv_variance", "default_initial", "derive_growth_constants",
+    "f_delta_eval", "f_delta_prime_eval", "f_eval", "f_prime_eval",
+    "f_tau_eval", "fit_convergence_rate", "interface_profile",
+    "moment_sup_estimate", "property_suite", "step_size_condition",
+    "sweep_ensemble", "weak_error_table",
+]
+
+
+def test_public_surface_is_pinned():
+    assert PUBLIC == sorted(PUBLIC)
+    assert sorted(tamedspde.__all__) == PUBLIC
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -83,7 +104,11 @@ def test_benchmark_hook_points_resolve():
     (tamedspde.SchemeConfig,
      ("epsilon", "tau", "n_steps", "basis", "drift", "taming", "kind")),
     (tamedspde.TamingParams, ("alpha", "beta", "theta")),
-], ids=["SchemeConfig", "TamingParams"])
+    # the profiles' nodes are the basis's grid, and the moments' maxima
+    # over time are np.max of their columns: neither is kept twice
+    (tamedspde.ProfileSet, ("times", "mean_values")),
+    (tamedspde.MomentReport, ("times", "mean_l2_sq", "mean_l4_4", "mean_sup")),
+], ids=["SchemeConfig", "TamingParams", "ProfileSet", "MomentReport"])
 def test_config_object_fields(cls, names):
     assert tuple(f.name for f in dataclasses.fields(cls)) == names
 

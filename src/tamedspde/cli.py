@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from contextlib import suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -79,10 +81,14 @@ def _write_manifest(outdir: Path, command: str, cfg: ExperimentConfig,
 
 def _write_outputs(cfg: ExperimentConfig, command: str, files: dict,
                    extra: dict) -> None:
-    """Write a finished run into ``cfg.directory``: each of ``files`` in
-    order, a ``(header, rows)`` pair as CSV and a dict as JSON, then the
-    manifest listing exactly them.  First delete each file that an earlier
-    run's manifest there lists and this run does not write."""
+    """Write a finished run into ``cfg.directory``: each of ``files``, a
+    ``(header, rows)`` pair as CSV and a dict as JSON, then the manifest
+    listing exactly them.  All are written into a temporary directory
+    there first.  Only once every write has succeeded, and no output name
+    is held by a directory, are the files that an earlier run's manifest
+    lists and this run does not write deleted and the outputs renamed
+    into place, the manifest last: a failed write leaves the target as it
+    was."""
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -90,17 +96,25 @@ def _write_outputs(cfg: ExperimentConfig, command: str, files: dict,
         listed = old["outputs"] if old["tool"] == "tamedspde" else []
     except (OSError, ValueError, TypeError, KeyError):
         listed = []
-    for name in listed if isinstance(listed, list) else []:
-        # a plain file only: no "/" leads out, and "", "." and ".." are dirs
-        if (isinstance(name, str) and "/" not in name and name not in files
-                and (outdir / name).is_file()):
-            (outdir / name).unlink()
-    for name, content in files.items():
-        if isinstance(content, dict):
-            _write_json(outdir / name, content)
-        else:
-            _write_csv(outdir / name, *content)
-    _write_manifest(outdir, command, cfg, list(files), **extra)
+    with tempfile.TemporaryDirectory(prefix=".tamedspde-", dir=outdir) as tmp:
+        stage = Path(tmp)
+        for name, content in files.items():
+            if isinstance(content, dict):
+                _write_json(stage / name, content)
+            else:
+                _write_csv(stage / name, *content)
+        _write_manifest(stage, command, cfg, list(files), **extra)
+        names = [*files, "config.resolved.ini", "manifest.json"]
+        for name in names:
+            if (outdir / name).is_dir():
+                raise IsADirectoryError(f"{outdir / name} is a directory")
+        for name in listed if isinstance(listed, list) else []:
+            # a plain file only: no "/" leads out, and "", "." and ".." are dirs
+            if (isinstance(name, str) and "/" not in name and name not in files
+                    and (outdir / name).is_file()):
+                (outdir / name).unlink()
+        for name in names:
+            os.replace(stage / name, outdir / name)
 
 
 def _drift(cfg: ExperimentConfig) -> DriftSpec:

@@ -11,14 +11,15 @@ explicit scheme; the regularized variant f_delta divides by
 ``1 + sqrt(delta) |v|^(2q-2)`` and is globally Lipschitz for delta > 0.
 
 Structural constants (L_f, c0..c5) are certified on a bounded numerical
-grid rather than derived symbolically: the certification is falsifiable
-and reproducible, which is what the downstream admissibility checks need.
+grid in u (the coercivity supremum over v is taken exactly): the
+certification is falsifiable and reproducible, which is what the
+downstream admissibility checks need.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -239,11 +240,10 @@ def f_delta_prime_eval(d: DriftSpec, delta: float, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriftConstants:
-    """Grid-certified structural constants of a drift.
-
-    The certificates are: f'(u) <= L_f, |f(u)| <= c3|u|^(2q-1) + c4|u| + c5,
-    and (u+v) f(u) <= -c0|u|^(2q) + c1|v|^(2q) + c2, all on the bounded
-    verification grid used during derivation.
+    """Certified structural constants of a drift: f'(u) <= L_f and
+    |f(u)| <= c3|u|^(2q-1) + c4|u| + c5 for every u of the verification
+    grid, and (u+v) f(u) <= -c0|u|^(2q) + c1|v|^(2q) + c2 for every u of
+    that grid and every real v.
     """
 
     L_f: float
@@ -261,29 +261,22 @@ def verification_grid(bound: float = 1e3, n: int = 100_000) -> np.ndarray:
     return np.concatenate([-mags[::-1], [0.0], mags])
 
 
-# an extreme drift overflows on the grid; the NaN-first maximum below
-# already handles the non-finite cells, so numpy need not warn of them
+# an extreme drift overflows on the grid or in its leading coefficient;
+# such a candidate fails its certificate, so numpy need not warn of it
 @np.errstate(over="ignore", invalid="ignore")
-def derive_growth_constants(
-    d: DriftSpec, bound: float = 1e3, pair_grid: int = 401
-) -> DriftConstants:
-    """Derive (L_f, c0..c5) and certify them on a bounded grid.
+def derive_growth_constants(d: DriftSpec, bound: float = 1e3) -> DriftConstants:
+    """Derive (L_f, c0..c5) and certify them on the verification grid.
 
     c3, c4, c5 come from coefficient-wise comparison; L_f is the grid
-    supremum of f'; c0 is found by searching candidates leading/2^k, with
-    matching (c1, c2) certified by requiring the residual supremum to be
-    attained strictly inside the grid (so enlarging the grid cannot grow
-    it).  The first certified (c0, c1) in (k, j) order is returned.
-    Raises DriftDerivationError with the violating pair if no candidate
-    certifies.
-
-    The 2-D residual ``g = ((u+v) f(u) + c0 u^2q) - c1 v^2q`` is swept in
-    blocks of 64 rows, so only two (64, n) buffers are live, never the
-    (n, n) grid: for each c0 a block's ``(u+v) f(u) + c0 u^2q`` is formed
-    once and every c1 is subtracted from it.  Each element takes the same
-    operations in the same order as on the whole grid, and the maximum is
-    taken at its first row-major position (a NaN first, as np.argmax
-    does), so the constants and the reported pair keep their bits.
+    supremum of f'.  (c0, c1) is the first certified candidate
+    (leading/2^k, leading*2^j) in (k, j) order.  By Young's inequality
+    sup_v (v f(u) - c1|v|^2q) = K|f(u)|^r, with r = 2q/(2q-1) and
+    K = ((2q-1)/2q)(2q c1)^(-1/(2q-1)), so c2, exact in v, is the grid
+    maximum over u of G(u) = u f(u) + c0|u|^2q + K|f(u)|^r.  A pair
+    certifies when G's |u|^2q coefficient, K leading^r - (leading - c0),
+    is negative and G's maximum is finite and strictly inside the grid
+    (|u| <= bound/2), so that enlarging the grid cannot grow it.
+    Raises DriftDerivationError naming why the last candidate failed.
     """
     c = d.coeffs                        # length 2q >= 4
     mid = float(np.abs(c[2:-1]).sum())
@@ -291,48 +284,39 @@ def derive_growth_constants(
     c4 = float(abs(c[1]))
     c5 = float(abs(c[0])) + mid
 
-    L_f = float(np.max(f_prime_eval(d, verification_grid(bound))))
+    u = verification_grid(bound)
+    L_f = float(np.max(f_prime_eval(d, u)))
 
-    # 2-D certification grid, coarser than the 1-D one
-    axis = verification_grid(bound, pair_grid)
-    n = len(axis)
-    u = axis[:, None]
-    v = axis[None, :]
-    fu = f_eval(d, u)
-    u2q = _abs_power(u, 2 * d.q)
-    v2q = _abs_power(v, 2 * d.q)
-    interior = np.abs(axis) <= bound / 2.0
-    c1s = [d.leading * 2.0**j for j in range(-2, 10)]
-    c1v2q = [c1 * v2q for c1 in c1s]
-    rows = 64
-    base, g = np.empty((min(rows, n), n)), np.empty((min(rows, n), n))
-
-    last_violation: tuple[float, float] | None = None
-    for k in range(0, 12):
+    p = 2 * d.q
+    r = p / (p - 1)
+    f_pow = np.abs(f_eval(d, u))
+    f_pow **= r                         # |f(u)|^r
+    lead_pow = np.power(d.leading, r)   # inf, not OverflowError, at 1e308
+    base, g = np.empty_like(u), np.empty_like(u)
+    # c0 = leading (k = 0) leaves G's |u|^2q coefficient K leading^r > 0
+    for k in range(1, 12):
         c0 = d.leading / 2.0**k
-        c0u2q = c0 * u2q
-        top: list = [None] * len(c1s)       # per c1: (max of g, its (i, j))
-        for r0 in range(0, n, rows):
-            r1 = min(r0 + rows, n)
-            b, gb = base[: r1 - r0], g[: r1 - r0]
-            np.add(u[r0:r1], v, out=b)
-            b *= fu[r0:r1]
-            b += c0u2q[r0:r1]
-            for c, sub in enumerate(c1v2q):
-                np.subtract(b, sub, out=gb)
-                i = int(np.argmax(gb))
-                val = float(gb.flat[i])
-                if (top[c] is None or val > top[c][0]
-                        or (math.isnan(val) and not math.isnan(top[c][0]))):
-                    top[c] = (val, (r0 + i // n, i % n))
-        for c1, (val, idx) in zip(c1s, top):
-            if interior[idx[0]] and interior[idx[1]]:
-                c2 = max(val, 0.0)
-                return DriftConstants(L_f, c0, c1, c2, c3, c4, c5)
-            last_violation = (float(axis[idx[0]]), float(axis[idx[1]]))
+        # u f(u) + c0 u^2q is u times the drift with leading - c0
+        f_eval(replace(d, leading=d.leading - c0), u, out=base)
+        base *= u
+        for j in range(-2, 10):
+            c1 = d.leading * 2.0**j
+            K = (p - 1) / p * (p * c1) ** (-1.0 / (p - 1))
+            coef = K * lead_pow - (d.leading - c0)
+            if not coef < 0:
+                why = f"G's |u|^{p} coefficient is {float(coef)}, not negative"
+                continue
+            np.multiply(f_pow, K, out=g)
+            g += base
+            i = int(np.argmax(g))       # the first NaN, if any
+            top = float(g[i])
+            if math.isfinite(top) and abs(u[i]) <= bound / 2.0:
+                return DriftConstants(L_f, c0, c1, max(top, 0.0), c3, c4, c5)
+            why = (f"G peaks at u = {float(u[i])} with {top}; a certified "
+                   f"maximum is finite and has |u| <= {bound / 2.0}")
     raise DriftDerivationError(
         "no (c0, c1) candidate certified the coercivity bound on the grid; "
-        f"supremum escaped to the boundary near (u, v) = {last_violation}"
+        f"the last, ({c0}, {c1}): {why}"
     )
 
 

@@ -141,7 +141,7 @@ class TestVerifyCommand:
         # the same bytes at numpy's AVX-512 and X86_V3 dispatch levels
         raw = (tmp_path / "verify_report.json").read_bytes()
         assert hashlib.sha256(raw).hexdigest() == (
-            "d7564b501bd8a0cf1aeb9653742363111c20217b78896f8d6a1247c42b8c4964")
+            "7f4433d3097f653d7486c07401be4c19ba387bf3e6aef8857be09b5494443a17")
         report = json.loads(raw)
         status = {c["name"]: c["passed"] for c in report["checks"]}
         assert status == {
@@ -581,6 +581,43 @@ class TestOutputDirectory:
         assert out.startswith("epsilon=0.01: max |mean value| = ")
         assert "wrote" not in out
         assert err.startswith("i/o error: ")
+
+    @staticmethod
+    def contents(outdir):
+        return {str(p.relative_to(outdir)): p.read_bytes() if p.is_file()
+                else None for p in outdir.rglob("*")}
+
+    def test_name_held_by_a_directory_leaves_the_target_as_it_was(
+            self, tmp_path, capsys):
+        # the second epsilon's profile name is a directory: nothing may be
+        # renamed into place, not even the first epsilon's profile, and the
+        # earlier run's profile, which this run does not write, must stay
+        assert run_cli(*self.PROFILES, "--set", "interface.epsilons=0.02",
+                       "--out-dir", str(tmp_path)) == 0
+        (tmp_path / "profiles_eps_0.05.csv").mkdir()
+        before = self.contents(tmp_path)
+        assert run_cli(*self.PROFILES, "--set", "interface.epsilons=0.01 0.05",
+                       "--out-dir", str(tmp_path)) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert self.contents(tmp_path) == before
+
+    def test_failed_second_write_leaves_the_target_as_it_was(
+            self, tmp_path, monkeypatch):
+        assert run_cli(*self.PROFILES, "--set", "interface.epsilons=0.01 0.02",
+                       "--out-dir", str(tmp_path)) == 0
+        before = self.contents(tmp_path)
+        write_csv, calls = cli._write_csv, []
+
+        def failing(path, *args):
+            calls.append(path.name)
+            if len(calls) == 2:
+                raise OSError(f"injected failure writing {path.name}")
+            return write_csv(path, *args)
+        monkeypatch.setattr(cli, "_write_csv", failing)
+        assert run_cli(*self.PROFILES, "--set", "interface.epsilons=0.01 0.05",
+                       "--out-dir", str(tmp_path)) == 3
+        assert calls == ["profiles_eps_0.01.csv", "profiles_eps_0.05.csv"]
+        assert self.contents(tmp_path) == before
 
     @pytest.mark.parametrize("manifest", [
         None,

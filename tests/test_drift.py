@@ -1,7 +1,8 @@
 """Drift polynomial, taming, regularization, and certified constants."""
 
 import tracemalloc
-from dataclasses import astuple
+import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -224,13 +225,13 @@ class TestGrowthConstants:
         from tamedspde import DriftDerivationError
 
         monster = DriftSpec(q=2, leading=1e-9, lower=(0.0, 0.0, 1e6))
-        with pytest.raises(DriftDerivationError, match=r"\(u, v\)"):
+        with pytest.raises(DriftDerivationError, match=r"G peaks at u = "):
             derive_growth_constants(monster)
 
 
 def full_grid_constants(d, bound=1e3, pair_grid=401):
-    """The certification search on the whole (n, n) grid at once: the
-    oracle for the row-blocked search."""
+    """The certification search on a whole (n, n) grid in (u, v): the
+    oracle for the 1-D search, which takes the supremum over v exactly."""
     coeffs = d.coeffs
     deg = 2 * d.q - 1
     mid = float(np.abs(coeffs[2:deg]).sum()) if deg > 2 else 0.0
@@ -264,47 +265,69 @@ def full_grid_constants(d, bound=1e3, pair_grid=401):
     )
 
 
-class TestBlockedCertification:
-    """The row-blocked search gives the whole-grid search's bits."""
+#: the drifts whose certificates are compared with the full-grid oracle
+CERTIFIED = [
+    ALLEN_CAHN,
+    DriftSpec(q=3, leading=2.0),
+    DriftSpec(q=2, leading=0.1, lower=(1.0, 3.0, 2.0)),
+    DriftSpec(q=3, leading=2.0, lower=(0.5, -1.0, 0.3, 0.7, -0.2)),
+    DriftSpec(q=2, leading=0.3, lower=(-0.4, 2.0, 1.5)),
+]
+CERTIFIED_IDS = ["allen-cahn", "q3", "q2-dominant-f0", "q3-lower-terms",
+                 "q2-quadratic"]
 
-    @pytest.mark.parametrize("d", [
-        ALLEN_CAHN,
-        DriftSpec(q=3, leading=2.0, lower=(0.5, -1.0, 0.3, 0.7, -0.2)),
-        DriftSpec(q=2, leading=0.3, lower=(-0.4, 2.0, 1.5)),
-    ], ids=["allen-cahn", "q3-lower-terms", "q2-quadratic"])
+
+class TestBlockedCertification:
+    """The 1-D search, exact in v, against the (803, 803) grid search."""
+
+    @pytest.mark.parametrize("d", CERTIFIED, ids=CERTIFIED_IDS)
     def test_constants_equal_full_grid_bits(self, d):
+        # every constant but c2 keeps the grid search's bits; c2, now a
+        # supremum over every real v, is at least the grid's maximum
         got = derive_growth_constants(d)
         want = full_grid_constants(d)
-        assert np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes()
+        assert (np.array(astuple(replace(got, c2=0.0))).tobytes()
+                == np.array(astuple(replace(want, c2=0.0))).tobytes())
+        assert got.c2 >= want.c2
+        assert got.c0 < d.leading
 
-    def test_constants_equal_full_grid_odd_sizes(self):
-        # grids of 41 and 403 points: one partial block, several blocks
-        # and a partial last one
-        d = DriftSpec(q=3, leading=2.0, lower=(0.5, -1.0, 0.3, 0.7, -0.2))
-        for pair_grid in (20, 201):
-            got = derive_growth_constants(d, bound=50.0, pair_grid=pair_grid)
-            want = full_grid_constants(d, bound=50.0, pair_grid=pair_grid)
-            assert astuple(got) == astuple(want)
+    @pytest.mark.parametrize("d", CERTIFIED, ids=CERTIFIED_IDS)
+    def test_young_maximiser_stays_below_c2(self, d):
+        # g(u, v) = (u+v) f(u) + c0|u|^2q - c1|v|^2q is largest over v at
+        # v* = sign(f) (|f| / (2q c1))^(1/(2q-1)); c2 must bound it at
+        # every grid u
+        dc = derive_growth_constants(d)
+        p = 2 * d.q
+        u = verification_grid()
+        fu = f_eval(d, u)
+        v = np.sign(fu) * (np.abs(fu) / (p * dc.c1)) ** (1.0 / (p - 1))
+        g = (u + v) * fu + dc.c0 * np.abs(u) ** p - dc.c1 * np.abs(v) ** p
+        assert np.max(g) <= dc.c2 + 1e-12 * max(1.0, dc.c2)
 
-    @pytest.mark.parametrize("d", [
-        DriftSpec(q=2, leading=1e-9, lower=(0.0, 0.0, 1e6)),
-        DriftSpec(q=60, leading=1.0),      # |u|^120 overflows: NaN residuals
-    ], ids=["monster", "overflowing"])
-    def test_failure_message_equals_full_grid(self, d):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DriftDerivationError) as want:
-                full_grid_constants(d)
-            with pytest.raises(DriftDerivationError) as got:
+    @pytest.mark.parametrize("d, why", [
+        (DriftSpec(q=2, leading=1e-9, lower=(0.0, 0.0, 1e6)),
+         r"G peaks at u = 1000\.0 with 5\.9\d*e\+17; a certified maximum"),
+        # |u|^120 overflows: G is NaN from the grid's first point on
+        (DriftSpec(q=60, leading=1.0), r"G peaks at u = -1000\.0 with nan"),
+        # leading^(4/3) overflows: the |u|^4 coefficient is not negative
+        (DriftSpec(q=2, leading=1e308), r"G's \|u\|\^4 coefficient is nan"),
+    ], ids=["monster", "overflowing", "leading-huge"])
+    def test_failure_names_why(self, d, why):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DriftDerivationError, match=why):
                 derive_growth_constants(d)
-        assert str(got.value) == str(want.value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DriftDerivationError):
+                full_grid_constants(d)
 
     def test_allen_cahn_constants_pinned(self):
         dc = derive_growth_constants(ALLEN_CAHN)
-        assert (dc.c0, dc.c1, dc.c2) == (0.5, 1.0, 1.352025208687622)
+        assert (dc.c0, dc.c1, dc.c2) == (0.5, 1.0, 1.3521745459521632)
 
     def test_memory_is_row_blocked(self):
-        # the (803, 803) grids came to 22 MB; the 1-D grid of 200,001
-        # points and its polynomial temporaries now set the peak
+        # the (803, 803) grids came to 22 MB; the search now keeps four
+        # grid-length arrays of 200,001 points live, 6.4 MB
         tracemalloc.start()
         try:
             derive_growth_constants(ALLEN_CAHN)
@@ -416,6 +439,17 @@ class TestStepSizeCondition:
         params = TamingParams(alpha=1.0, beta=5.0, theta=0.5)
         with pytest.raises(ValueError):
             step_size_condition(self.dc, params, 1e-3, 0.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 1.0 / 3.0, 0.25])
+    def test_ratio_reads_only_c0_and_c3(self, alpha):
+        # the ratio is the constants' one way into an output CSV, so no
+        # CSV can move with L_f, c1, c2, c4 or c5
+        params = TamingParams(alpha=alpha, beta=5.0, theta=0.5)
+        nan = float("nan")
+        blind = replace(self.dc, L_f=nan, c1=nan, c2=nan, c4=nan, c5=nan)
+        for tau in (2.0**-4, 2.0**-10):
+            assert (step_size_condition(blind, params, tau, 0.01)
+                    == step_size_condition(self.dc, params, tau, 0.01))
 
 
 class TestInvariantChecks:

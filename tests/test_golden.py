@@ -68,7 +68,7 @@ GOLDEN = {
     "verify": (
         ["verify"],
         {"verify_report.json":
-            "aae823f6914d4012d3f00aaa949a13a6f49f18c4ebaaecb974472de060fec8ec"},
+            "98babf44974ca417abe23a6458c906196fbab1a5cf3fd4d47a194d797a53d5f0"},
     ),
 }
 
@@ -83,10 +83,9 @@ ADMISSIBILITY = {
 
 #: the hashes that move when numpy runs its X86_V3 kernels instead of
 #: AVX-512: ``np.log`` in the noise's Box-Muller and ``np.power`` in the
-#: norm monitors' ``phys**4`` round some last bits differently there, as
-#: do the property checks' ``np.log`` and ``np.exp``.  converge and table1
-#: report step-function observables, which absorb those bits, and keep
-#: their pins
+#: norm monitors' ``phys**4`` round some last bits differently there.
+#: converge and table1 report step-function observables, which absorb
+#: those bits, and keep their pins; so does verify's report
 X86_V3_MOVED = {
     "interface": {
         "profiles_eps_0.01.csv":
@@ -96,9 +95,6 @@ X86_V3_MOVED = {
             "906b85ae2662063fa6803c8eee511c100d43fb2aea5d167239ee45f1f1f8bea9",
         "moments_T_2.csv":
             "71b67ed7dfb7104a07596fa4157123023275f7737f18eac0b4ec7f20bafb4ce8"},
-    "verify": {
-        "verify_report.json":
-            "3e4258eb29f765269cff523785e4178a253ba7a9b30e5b8dac99c73e5b07dfcd"},
 }
 #: numpy's dispatch held to X86_V3 (AVX2) on an AVX-512 CPU
 X86_V3_ONLY = "X86_V4 AVX512_ICL AVX512_SPR"

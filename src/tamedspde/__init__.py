@@ -35,7 +35,6 @@ from .drift import (
 )
 from .engine import (
     BlowUpError,
-    RunOutput,
     SchemeConfig,
     SchemeKind,
     sweep_ensemble,
@@ -64,7 +63,6 @@ __all__ = [
     "PRESETS",
     "ProfileSet",
     "RateFit",
-    "RunOutput",
     "SchemeConfig",
     "SchemeKind",
     "SineBasis",

@@ -6,11 +6,13 @@ Weak errors are differences of test-function expectations between a
 scheme and a reference run.  The default estimator couples both runs on
 the same noise path, which leaves the estimated quantity unchanged while
 shrinking the Monte-Carlo variance of the difference by orders of
-magnitude at the sample counts used here.
+magnitude at the sample counts used here.  Every experiment reduces
+inside the sweep, its observable passed as the ``snapshot_fn``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -147,23 +149,26 @@ def weak_error_table(
     per-sample difference.  Uncoupled mode runs the reference on
     ``plan.spawn(0)`` and scheme i, counted across all groups, on
     ``plan.spawn(i + 1)``, and combines the two sample variances.
+
+    A run's endpoint is its horizon snapshot, and phi is the sweep's
+    ``snapshot_fn``: each run keeps a (samples,) vector, not endpoints.
     """
     schemes = [cfg for group in groups for cfg in group]
-    basis = reference.basis
+    observe = functools.partial(phi, reference.basis)
     if coupled:
         outputs = sweep_ensemble(schemes + [reference], plan, n_samples,
-                                 threads=threads)
-        phi_ref = phi(basis, outputs.pop().endpoints)
+                                 snapshot_fn=observe, threads=threads)
+        phi_ref = outputs.pop()[reference.horizon]
     else:
         [ref_out] = sweep_ensemble([reference], plan.spawn(0), n_samples,
-                                   threads=threads)
-        phi_ref = phi(basis, ref_out.endpoints)
+                                   snapshot_fn=observe, threads=threads)
+        phi_ref = ref_out[reference.horizon]
         outputs = [sweep_ensemble([cfg], plan.spawn(i + 1), n_samples,
-                                  threads=threads)[0]
+                                  snapshot_fn=observe, threads=threads)[0]
                    for i, cfg in enumerate(schemes)]
     rows = []
     for cfg, out in zip(schemes, outputs):
-        vals = phi(basis, out.endpoints)
+        vals = out[cfg.horizon]
         if coupled:
             delta = vals - phi_ref
             err = float(abs(delta.mean()))
@@ -234,7 +239,7 @@ def moment_sup_estimate(
         snapshot_fn=cfg.basis.norms,
         threads=threads, x0=x0,
     )
-    snaps = [outputs[0].snapshots[float(t)] for t in times]
+    snaps = [outputs[0][float(t)] for t in times]
     l2sq, l44, sup = (np.array([np.mean(s[:, k]) for s in snaps])
                       for k in range(3))
     return MomentReport(times=times, mean_l2_sq=l2sq, mean_l4_4=l44, mean_sup=sup)
@@ -249,20 +254,18 @@ def interface_profile(
     threads: int = 1,
 ) -> list[ProfileSet]:
     """Nodewise ensemble mean of the physical solution at each time, one
-    profile set per scheme, all from one sweep over the shared noise."""
+    profile set per scheme, all from one sweep over the shared noise that
+    stores the nodal values (``snapshot_fn=basis.to_physical``)."""
     times_arr = np.asarray(sorted(times), dtype=np.float64)
     outputs = sweep_ensemble(
         schemes, plan, n_samples,
-        snapshot_times=[list(times_arr)] * len(schemes), threads=threads,
+        snapshot_times=[list(times_arr)] * len(schemes),
+        snapshot_fn=schemes[0].basis.to_physical, threads=threads,
     )
-    basis = schemes[0].basis
-    profiles = []
-    for out in outputs:
-        mean_values = np.empty((len(times_arr), basis.n_modes))
-        for i, t in enumerate(times_arr):
-            mean_values[i] = basis.to_physical(out.snapshots[float(t)]).mean(axis=0)
-        profiles.append(ProfileSet(times=times_arr, mean_values=mean_values))
-    return profiles
+    return [ProfileSet(times=times_arr,
+                       mean_values=np.array([out[float(t)].mean(axis=0)
+                                             for t in times_arr]))
+            for out in outputs]
 
 
 @np.errstate(over="ignore", invalid="ignore")

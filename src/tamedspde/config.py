@@ -226,14 +226,16 @@ _FIELDS = {
     "phi_norm": ("sampling", "phi_norm", str, "must be one of nodal, l2, sup",
                  lambda v: v in ("nodal", "l2", "sup")),
     "directory": ("outputs", "directory", str, "", None),
+    # a repeated time or horizon would write its rows or its sweep twice
     "interface_times": ("interface", "times", _floats,
-                        "must list at least one time", bool),
+                        "must list distinct times, at least one",
+                        lambda v: v and len(set(v)) == len(v)),
     "interface_epsilons": ("interface", "epsilons", _floats,
                            "each must lie in (0, 1]",
                            lambda v: all(0 < e <= 1 for e in v)),
     "moments_horizons": ("moments", "horizons", _floats,
-                         "must list at least one horizon, each > 0",
-                         lambda v: v and min(v) > 0),
+                         "must list distinct horizons > 0, at least one",
+                         lambda v: v and min(v) > 0 and len(set(v)) == len(v)),
     "moments_n_samples": ("moments", "n_samples", int, "must be >= 2",
                           lambda v: v >= 2),
     # tau = 2^-tau_level, no finer than the finest fine grid

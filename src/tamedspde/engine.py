@@ -21,10 +21,14 @@ on per-sample arrays in index order, so for one (config, seed, BLAS
 kernel, SIMD dispatch) a sample's results are bit-identical for any
 thread count or chunk size.  A one-row matmul takes BLAS's matrix-vector
 path, whose last bit can differ from a row of a matrix product, so a
-chunk of one sample is swept as two copies of it.  Snapshots can be reduced as the sweep goes
-(``snapshot_fn``), so a caller that reads a few numbers per sample and
-time does not hold the states.  Snapshots are the sweep's only per-step
-output: the running norm monitors are the maxima over time of norm
+chunk of one sample is swept as two copies of it.
+
+Snapshots are the sweep's only output: each run gives a dict from time to
+a (samples, ...) array, and its endpoint is the snapshot at its horizon,
+the one time taken when no other is asked for.  Snapshots can be reduced
+as the sweep goes (``snapshot_fn``), so a caller that reads a few numbers
+per sample and time, such as an observable of the endpoint, does not hold
+the states.  The running norm monitors are the maxima over time of norm
 snapshots taken at every step.
 
 Each chunk streams its noise: a ``noise.IncrementStream`` keeps one live
@@ -79,7 +83,6 @@ __all__ = [
     "SchemeKind",
     "SchemeConfig",
     "BlowUpError",
-    "RunOutput",
     "sweep_ensemble",
 ]
 
@@ -132,14 +135,6 @@ class SchemeConfig:
     @property
     def horizon(self) -> float:
         return self.tau * self.n_steps
-
-
-@dataclass
-class RunOutput:
-    """Per-sample results of one run inside a sweep (sample-major arrays)."""
-
-    endpoints: np.ndarray                     # (S, N)
-    snapshots: dict[float, np.ndarray]        # time -> (S, N)
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +343,30 @@ def sweep_ensemble(
     snapshot_times: Sequence[Sequence[float]] | None = None,
     snapshot_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     threads: int = 1,
-) -> list[RunOutput]:
+) -> list[dict[float, np.ndarray]]:
     """Advance all runs over one shared noise path per sample.
 
     ``samples`` is either a count (ids 0..n-1) or explicit sample ids;
-    ids select the counter-addressed noise.  Returns one RunOutput per
-    run.  A non-finite state raises BlowUpError once every chunk has
-    finished or blown, naming the first blow-up by (fine step, run,
-    sample position); results and that error are independent of
-    ``threads``.
+    ids select the counter-addressed noise.  Returns one snapshot dict
+    per run, from each of ``snapshot_times[i]`` to a sample-major
+    (samples, ...) array; without ``snapshot_times`` the one time is the
+    run's horizon, so ``outs[i][runs[i].horizon]`` holds its endpoints.
+    A non-finite state raises BlowUpError once every chunk has finished
+    or blown, naming the first blow-up by (fine step, run, sample
+    position); results and that error are independent of ``threads``.
 
     ``snapshot_fn`` reduces what a snapshot stores: it maps a (rows, N)
-    batch of states to (rows, K) per-sample values, and each snapshot
-    array is then (samples, K) instead of (samples, N).  It is applied to
-    a whole chunk's states, always at least two rows (the state at t = 0
-    as two copies of ``x0``), so a one-row matmul inside it cannot take
-    BLAS's matrix-vector path; its rows must depend only on their own
-    state.  None stores the states themselves.  A caller that wants the
-    running norm monitors asks for a snapshot at every step with
-    ``snapshot_fn=basis.norms`` and takes the maxima over time of the
-    square root, the fourth root and the sup column.
+    batch of states to per-sample values, (rows, K) or (rows,), and each
+    snapshot array is then (samples, K) or (samples,) instead of
+    (samples, N); an observable of the endpoint is computed this way,
+    inside the sweep.  It is applied to a whole chunk's states, always at
+    least two rows (the state at t = 0 as two copies of ``x0``), so a
+    one-row matmul inside it cannot take BLAS's matrix-vector path; its
+    rows must depend only on their own state.  None stores the states
+    themselves.  A caller that wants the running norm monitors asks for a
+    snapshot at every step with ``snapshot_fn=basis.norms`` and takes the
+    maxima over time of the square root, the fourth root and the sup
+    column.
     """
     if not runs:
         raise ValueError("need at least one run")
@@ -396,7 +395,8 @@ def sweep_ensemble(
     h = plan.fine_step_size(horizon)
     pres = []
     for i, r in enumerate(runs):
-        snaps = _snapshot_steps(r, snapshot_times[i]) if snapshot_times else None
+        snaps = _snapshot_steps(r, snapshot_times[i] if snapshot_times
+                                else [r.horizon])
         ratio = int(round(r.tau / h))
         if ratio < 1 or abs(ratio * h - r.tau) > 1e-9 * r.tau:
             raise ValueError(
@@ -412,14 +412,8 @@ def sweep_ensemble(
         snapshot_fn = np.asarray       # the states themselves
     # two rows: see the one-row note in work
     snap0 = snapshot_fn(np.tile(x0, (2, 1)))[:1]
-    outputs = [
-        RunOutput(
-            endpoints=np.empty((n_samples, n_mode)),
-            snapshots={t: np.empty((n_samples, *snap0.shape[1:]))
-                       for t in pre.snaps.values()},
-        )
-        for pre in pres
-    ]
+    outputs = [{t: np.empty((n_samples, *snap0.shape[1:]))
+                for t in pre.snaps.values()} for pre in pres]
 
     decay_fine = np.exp(-basis.eigenvalues * h)
     window = min(_WINDOW_STEPS, fine_steps)
@@ -451,7 +445,7 @@ def sweep_ensemble(
         finite = np.empty((count, n_mode), dtype=bool)
         for i, pre in enumerate(pres):
             if 0 in pre.snaps:
-                outputs[i].snapshots[pre.snaps[0]][lo:hi] = snap0
+                outputs[i][pre.snaps[0]][lo:hi] = snap0
         stream = noise_mod.IncrementStream(plan, ids, basis.eigenvalues, h, window,
                                            dw=not all(p.tamed for p in pres),
                                            conv=any(p.tamed for p in pres))
@@ -487,10 +481,8 @@ def sweep_ensemble(
                         bad = int(np.flatnonzero(~finite)[0]) // n_mode
                         return k, i, lo + bad
                     if k + 1 in pre.snaps:
-                        outputs[i].snapshots[pre.snaps[k + 1]][lo:hi] = (
+                        outputs[i][pre.snaps[k + 1]][lo:hi] = (
                             snapshot_fn(new)[:rows])
-        for i, out in enumerate(outputs):
-            out.endpoints[lo:hi] = states[i][:rows]
         return None
 
     with _single_threaded_blas():

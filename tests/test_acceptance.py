@@ -130,7 +130,7 @@ def test_criterion_4_ou_stationary_variance(basis64):
     cfg = SchemeConfig(epsilon=1.0, tau=2.0**-6, n_steps=128, basis=basis64,
                        drift=None, kind=SchemeKind.TAMED_EXP_EULER)
     outs = sweep_ensemble([cfg], NoisePlan(404, 7), n)
-    var = float(outs[0].endpoints[:, 0].var(ddof=1))
+    var = float(outs[0][cfg.horizon][:, 0].var(ddof=1))
     target = 1.0 / (2.0 * np.pi**2)
     se = target * np.sqrt(2.0 / (n - 1))
     elapsed = time.perf_counter() - start

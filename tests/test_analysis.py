@@ -177,6 +177,24 @@ class TestWeakError:
         assert len(together) == 4
         assert together == apart
 
+    def test_memory_holds_observables_not_endpoints(self, basis64):
+        # table1's shape: alpha in {1, 1/2, 1/3, 1/4} x levels 5-8 and the
+        # reference, 200 samples.  Each run keeps a (200,) vector of phi
+        # at its horizon; (200, 64) endpoints would be 17 x 0.1 MB.  The
+        # traced peak was 5.6 MB, and 7.3 MB with the endpoints kept
+        groups = [[_tamed(basis64, k, alpha=alpha) for k in (5, 6, 7, 8)]
+                  for alpha in (1.0, 0.5, 1.0 / 3.0, 0.25)]
+        args = (groups, _reference(basis64, 8), NoisePlan(3, 8), 200,
+                StepTestFunction())
+        weak_error_table(*args)          # warm-up: one-time allocations
+        tracemalloc.start()
+        try:
+            weak_error_table(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6, f"traced peak {peak / 1e6:.2f} MB"
+
 
 class TestErrorTable:
     def _rows(self, errs, taus):
@@ -311,7 +329,7 @@ class TestMoments:
                               threads=threads)
         l2sq, l44, sup = [], [], []
         for t in times:
-            coeffs = outs[0].snapshots[t]
+            coeffs = outs[0][t]
             phys = basis64.to_physical(coeffs)
             l2sq.append(np.mean(np.sum(coeffs**2, axis=-1)))
             l44.append(np.mean(np.sum(phys**4, axis=-1) / (basis64.n_modes + 1)))
@@ -349,7 +367,7 @@ class TestInterfaceProfile:
         plan = NoisePlan(5, 4)
         (profile,) = interface_profile([cfg], plan, 2, [0.5])
         outs = sweep_ensemble([cfg], plan, 2, snapshot_times=[[0.5]])
-        expected = basis64.to_physical(outs[0].snapshots[0.5]).mean(axis=0)
+        expected = basis64.to_physical(outs[0][0.5]).mean(axis=0)
         assert profile.mean_values[0].tobytes() == expected.tobytes()
 
     def test_one_sweep_per_scheme_list(self, basis64):

@@ -51,6 +51,13 @@ def test_one_row_per_field_in_field_order():
     assert len(set(KEYS)) == len(KEYS)
 
 
+#: sizes under which a probe that is not rejected runs in about a second
+TINY = ["--set", "model.epsilon=0.5", "--set", "discretization.n_modes=4",
+        "--set", "discretization.fine_level=4",
+        "--set", "discretization.tau_levels=2 3",
+        "--set", "sampling.n_samples=2", "--set", "moments.n_samples=2",
+        "--set", "moments.tau_level=2"]
+
 PROBES = {
     "beta-inf": (["converge", "--set", "taming.beta=inf"], "taming.beta"),
     "horizon-inf": (["converge", "--set", "discretization.horizon=inf"],
@@ -85,6 +92,14 @@ PROBES = {
     "times-past-horizon": (["interface", "--preset", "interface-eps2",
                             "--set", "interface.times=0.0 2.0"],
                            "interface.times"),
+    # a repeated time wrote its profile rows twice, and a repeated
+    # horizon ran its sweep twice and reported a growth ratio of 1
+    "times-repeated": (["interface", *TINY,
+                        "--set", "interface.times=0.5 0.5"],
+                       "interface.times"),
+    "horizons-repeated": (["moments", *TINY,
+                           "--set", "moments.horizons=0.5 0.5"],
+                          "moments.horizons"),
 }
 
 
@@ -127,11 +142,7 @@ def test_non_finite_float_in_a_tuple_rejected():
 
 #: tiny sizes every drawn config starts from; epsilon = 0.5 keeps the
 #: fine-level-4 reference stable
-BASE = ["--set", "model.epsilon=0.5", "--set", "discretization.n_modes=4",
-        "--set", "discretization.fine_level=4",
-        "--set", "discretization.tau_levels=2 3",
-        "--set", "sampling.n_samples=2", "--set", "moments.n_samples=2",
-        "--set", "moments.tau_level=2", "--set", "interface.times=0 0.5 1"]
+BASE = [*TINY, "--set", "interface.times=0 0.5 1"]
 #: ordinary values per key, at tiny sizes, plus values just outside the
 #: domain; the edge values below are drawn for every key
 ORDINARY = {

@@ -167,7 +167,7 @@ class TestRunTrajectory:
                            drift=None)
         (out,) = sweep_ensemble([cfg], NoisePlan(1, 4), [0],
                                 snapshot_times=[[0.0]])
-        assert np.array_equal(out.snapshots[0.0][0], default_initial(basis64))
+        assert np.array_equal(out[0.0][0], default_initial(basis64))
 
     def test_zero_noise_heat_decay(self, basis64):
         # every run is driven by the noise, so the noise-free path is 32
@@ -186,9 +186,9 @@ class TestRunTrajectory:
         plan = NoisePlan(11, 4)
         times = [m / 16 for m in range(17)]
         (out,) = sweep_ensemble([cfg], plan, [3], snapshot_times=[times])
-        assert len(out.snapshots) == 17
+        assert len(out) == 17
         recomputed = max(
-            float(np.linalg.norm(out.snapshots[t][0])) for t in times
+            float(np.linalg.norm(out[t][0])) for t in times
         )
         ((max_l2, _, _),) = norm_monitors([cfg], plan, [3])
         assert max_l2[0] == pytest.approx(recomputed, rel=1e-12)
@@ -213,7 +213,7 @@ class TestRunTrajectory:
     def test_sample_id_selects_path(self, basis64):
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         plan = NoisePlan(11, 4)
-        a, b, again = (sweep_ensemble([cfg], plan, [sample])[0].endpoints
+        a, b, again = (sweep_ensemble([cfg], plan, [sample])[0][cfg.horizon]
                        for sample in (7, 8, 7))
         assert not np.array_equal(a, b)
         assert np.array_equal(a, again)
@@ -223,7 +223,7 @@ class TestSweep:
     def test_scheme_against_itself_identical(self, basis64):
         cfg = tamed_cfg(basis64, level=5)
         outs = sweep_ensemble([cfg, cfg], NoisePlan(9, 5), 10)
-        assert np.array_equal(outs[0].endpoints, outs[1].endpoints)
+        assert np.array_equal(outs[0][cfg.horizon], outs[1][cfg.horizon])
 
     def test_thread_count_invariance(self, basis64):
         cfg = tamed_cfg(basis64, level=6)
@@ -232,7 +232,7 @@ class TestSweep:
         a = sweep_ensemble([cfg, ref], plan, 520, threads=1)
         b = sweep_ensemble([cfg, ref], plan, 520, threads=4)
         for x, y in zip(a, b):
-            assert np.array_equal(x.endpoints, y.endpoints)
+            assert np.array_equal(x[1.0], y[1.0])
 
     def test_alignment_errors(self, basis64):
         cfg = tamed_cfg(basis64, level=5)
@@ -258,7 +258,8 @@ class TestSweep:
             for k in (2 * m, 2 * m + 1):
                 agg = decay * agg + conv[k, 0]
             state = step(state, cfg, agg)
-        assert np.allclose(outs[0].endpoints[0], state, rtol=1e-12, atol=1e-15)
+        assert np.allclose(outs[0][cfg.horizon][0], state, rtol=1e-12,
+                           atol=1e-15)
 
     @pytest.mark.parametrize("samples, bad", [
         ([1.7, 2.2], 1.7), ([0, -1, 2], -1), ([3, 2**63, -1], 2**63),
@@ -373,9 +374,9 @@ def test_every_step_passes_the_hook_points(basis64, monkeypatch, samples,
 
 
 def _output_arrays(out, times, rows=slice(None)):
-    """The bytes of every output array of one run, per array."""
-    arrays = [out.endpoints] + [out.snapshots[t] for t in times]
-    return [a[rows].tobytes() for a in arrays]
+    """The bytes of every output array of one run, per array: its
+    snapshots at ``times``, the horizon, its endpoints, among them."""
+    return [out[t][rows].tobytes() for t in times]
 
 
 def norm_monitors(runs, plan, samples, **kwargs):
@@ -390,7 +391,7 @@ def norm_monitors(runs, plan, samples, **kwargs):
         **kwargs)
     monitors = []
     for out in outs:
-        norms = np.stack(list(out.snapshots.values()))    # (steps + 1, S, 3)
+        norms = np.stack(list(out.values()))    # (steps + 1, S, 3)
         monitors.append((np.sqrt(norms[..., 0]).max(axis=0),
                          (norms[..., 1]**0.25).max(axis=0),
                          norms[..., 2].max(axis=0)))
@@ -480,7 +481,7 @@ class TestStepHelperBits:
                     else:
                         acc = acc + dw[k]
                 state = step(state, cfg, acc)
-            assert state.tobytes() == outs[0].endpoints[sample].tobytes(), (
+            assert state.tobytes() == outs[0][1.0][sample].tobytes(), (
                 f"sample {sample}")
 
 
@@ -513,10 +514,13 @@ class TestSnapshotFn:
         small = sweep_ensemble([cfg], plan, 257, snapshot_times=[self.TIMES],
                                snapshot_fn=reduce)
         for t in self.TIMES:
-            assert small[0].snapshots[t].shape == (257, 2)
-            assert small[0].snapshots[t].tobytes() == reduce(
-                full[0].snapshots[t]).tobytes()
-        assert small[0].endpoints.tobytes() == full[0].endpoints.tobytes()
+            assert small[0][t].shape == (257, 2)
+            assert small[0][t].tobytes() == reduce(full[0][t]).tobytes()
+        # a reduction leaves the path alone: reduced at the horizon, the
+        # raw endpoints give the reduced sweep's horizon snapshot
+        [raw] = sweep_ensemble([cfg], plan, 257)
+        assert small[0][cfg.horizon].tobytes() == reduce(
+            raw[cfg.horizon]).tobytes()
 
     def test_zero_horizon(self, basis64):
         # no zero-horizon sweep exists; the t = 0 snapshot of a one-step
@@ -528,7 +532,7 @@ class TestSnapshotFn:
                            drift=None)
         outs = sweep_ensemble([cfg], NoisePlan(1, 4), 3, snapshot_times=[[0.0]],
                               snapshot_fn=lambda s: s[:, :1] * 2.0)
-        assert outs[0].snapshots[0.0].tolist() == [[2 * default_initial(basis64)[0]]] * 3
+        assert outs[0][0.0].tolist() == [[2 * default_initial(basis64)[0]]] * 3
 
 
 def test_sweep_memory_is_window_sized(basis64):
@@ -558,7 +562,7 @@ class TestRunEnsemble:
                            drift=None)
         plan = NoisePlan(31, 6)
         outs = sweep_ensemble([cfg], plan, 4000)
-        var = outs[0].endpoints[:, 0].var(ddof=1)
+        var = outs[0][cfg.horizon][:, 0].var(ddof=1)
         target = (1.0 - np.exp(-4.0 * np.pi**2)) / (2.0 * np.pi**2)
         se = target * np.sqrt(2.0 / 3999)
         assert abs(var - target) < 4 * se
@@ -619,7 +623,9 @@ class TestBlowUpOrdering:
         monitors = norm_monitors(self.runs(), NoisePlan(6, 10), survivors)
         h = hashlib.sha256()
         for out, mons in zip(outs, monitors):
-            for a in ([out.endpoints] + [out.snapshots[t] for t in self.TIMES]
+            # the horizon, 1.0, is hashed first as the endpoints, then in
+            # its place among the snapshots
+            for a in ([out[1.0]] + [out[t] for t in self.TIMES]
                       + list(mons)):
                 h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest() == (
@@ -699,7 +705,7 @@ class TestThreading:
         for n in (600, 13):
             one = sweep_ensemble([cfg], NoisePlan(2, 5), n, threads=1)
             eight = sweep_ensemble([cfg], NoisePlan(2, 5), n, threads=8)
-            assert one[0].endpoints.tobytes() == eight[0].endpoints.tobytes()
+            assert one[0][1.0].tobytes() == eight[0][1.0].tobytes()
 
     def test_one_thread_inside_restored_after_return(self, basis64, blas_seen):
         blas, seen, _ = blas_seen

@@ -1,11 +1,13 @@
 """The package surface: every public name resolves, deleted names stay
-gone, every benchmark hook point exists, and every demo script and the
-README quickstart run."""
+gone, every benchmark hook point exists, the benchmark harness runs its
+tiny workloads correctly, and every demo script and the README
+quickstart run."""
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -33,7 +35,7 @@ DELETED = {"weak_error_estimate", "run_ensemble", "EnsembleStats",
            "weak_errors_shared_reference", "_error_table", "_setup",
            "_reference", "_constants", "_output_dir", "_fmt", "_encode",
            "preset", "PropertyReport", "StepSizeVerdict", "max_mean_l2_sq",
-           "max_mean_l4_4", "max_mean_sup", "degree"}
+           "max_mean_l4_4", "max_mean_sup", "degree", "RunOutput"}
 #: basis methods that nothing in the package called
 DELETED_METHODS = {"eigenvalue", "semigroup_apply", "to_spectral"}
 #: benchmark hook points whose targets were deleted before the benchmark
@@ -48,7 +50,7 @@ PUBLIC = [
     "ALLEN_CAHN", "BlowUpError", "ConfigError", "DriftConstants",
     "DriftDerivationError", "DriftSpec", "ErrorRow", "ErrorTable",
     "ExperimentConfig", "MomentReport", "NoisePlan", "PRESETS", "ProfileSet",
-    "RateFit", "RunOutput", "SchemeConfig", "SchemeKind", "SineBasis",
+    "RateFit", "SchemeConfig", "SchemeKind", "SineBasis",
     "StepTestFunction", "TamingParams", "__version__", "conv_dw_covariance",
     "conv_variance", "default_initial", "derive_growth_constants",
     "f_delta_eval", "f_delta_prime_eval", "f_eval", "f_prime_eval",
@@ -96,6 +98,20 @@ def test_benchmark_hook_points_resolve():
             missing.add(f"{module}.{attr}")
     # an exact list: a stale or mistyped entry fails too
     assert missing == DEAD_HOOKS
+
+
+def test_benchmark_tiny_workloads_run_correctly():
+    # every workload at tiny sizes, each repeat checked by the harness:
+    # exit code, CSV schema, sample-steps swept and repeat bytes.  It took
+    # about 6 s for 24 runs on a 2-core Xeon
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         "all", "--tiny", "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), (
+        proc.stdout[-4000:])
 
 
 @pytest.mark.parametrize("cls, names", [

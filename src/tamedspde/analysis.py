@@ -257,14 +257,15 @@ def interface_profile(
     profile set per scheme, all from one sweep over the shared noise that
     stores the nodal values (``snapshot_fn=basis.to_physical``)."""
     times_arr = np.asarray(sorted(times), dtype=np.float64)
+    basis = schemes[0].basis
     outputs = sweep_ensemble(
         schemes, plan, n_samples,
         snapshot_times=[list(times_arr)] * len(schemes),
-        snapshot_fn=schemes[0].basis.to_physical, threads=threads,
+        snapshot_fn=basis.to_physical, threads=threads,
     )
-    return [ProfileSet(times=times_arr,
-                       mean_values=np.array([out[float(t)].mean(axis=0)
-                                             for t in times_arr]))
+    shape = (len(times_arr), basis.n_modes)     # (0, N) without times
+    return [ProfileSet(times=times_arr, mean_values=np.reshape(
+                [out[float(t)].mean(axis=0) for t in times_arr], shape))
             for out in outputs]
 
 

@@ -360,6 +360,11 @@ class TestInterfaceProfile:
                            np.sin(np.pi * basis64.grid), atol=1e-12)
         assert profile.mean_values.shape == (2, 64)
 
+    def test_no_times_gives_empty_profiles(self, basis64):
+        cfg = _tamed(basis64, 4, epsilon=0.05)
+        (profile,) = interface_profile([cfg], NoisePlan(5, 4), 3, [])
+        assert profile.mean_values.shape == (0, 64)
+
     def test_heat_decay_profile(self, basis64):
         # the profile is the nodewise mean of the sweep's stored snapshots
         cfg = SchemeConfig(epsilon=1.0, tau=2.0**-4, n_steps=16, basis=basis64,

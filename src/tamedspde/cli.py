@@ -79,6 +79,21 @@ def _write_manifest(outdir: Path, command: str, cfg: ExperimentConfig,
     (outdir / "config.resolved.ini").write_text(cfg.to_ini())
 
 
+def _earlier_outputs(outdir: Path) -> list:
+    """What an earlier tamedspde run's manifest in ``outdir`` lists; a
+    target that is not missing, empty or such a run's is refused."""
+    try:
+        old = json.loads((outdir / "manifest.json").read_text())
+        if old["tool"] == "tamedspde":
+            return old["outputs"] if isinstance(old.get("outputs"), list) else []
+    except (OSError, ValueError, TypeError, KeyError):
+        pass
+    if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
+        raise ConfigError(f"outputs.directory: {outdir} is neither missing, "
+                          "empty nor an earlier tamedspde output directory")
+    return []
+
+
 def _write_outputs(cfg: ExperimentConfig, command: str, files: dict,
                    extra: dict) -> None:
     """Write a finished run into ``cfg.directory``: each of ``files``, a
@@ -90,12 +105,8 @@ def _write_outputs(cfg: ExperimentConfig, command: str, files: dict,
     into place, the manifest last: a failed write leaves the target as it
     was."""
     outdir = Path(cfg.directory)
+    listed = _earlier_outputs(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        old = json.loads((outdir / "manifest.json").read_text())
-        listed = old["outputs"] if old["tool"] == "tamedspde" else []
-    except (OSError, ValueError, TypeError, KeyError):
-        listed = []
     with tempfile.TemporaryDirectory(prefix=".tamedspde-", dir=outdir) as tmp:
         stage = Path(tmp)
         for name, content in files.items():
@@ -108,7 +119,7 @@ def _write_outputs(cfg: ExperimentConfig, command: str, files: dict,
         for name in names:
             if (outdir / name).is_dir():
                 raise IsADirectoryError(f"{outdir / name} is a directory")
-        for name in listed if isinstance(listed, list) else []:
+        for name in listed:
             # a plain file only: no "/" leads out, and "", "." and ".." are dirs
             if (isinstance(name, str) and "/" not in name and name not in files
                     and (outdir / name).is_file()):
@@ -393,6 +404,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        _earlier_outputs(Path(cfg.directory))     # before any sweep
         command, _ = _COMMANDS[args.command]
         code, files, extra = command(cfg, max(1, args.threads))
         _write_outputs(cfg, args.command, files, extra)

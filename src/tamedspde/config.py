@@ -223,8 +223,8 @@ _FIELDS = {
     "master_seed": ("sampling", "master_seed", int, "must be >= 0",
                     lambda v: v >= 0),
     "coupled": ("sampling", "coupled", _bool, "", None),
-    "phi_norm": ("sampling", "phi_norm", str, "must be one of nodal, l2, sup",
-                 lambda v: v in ("nodal", "l2", "sup")),
+    "phi_norm": ("sampling", "phi_norm", str, "must be one of nodal, l2",
+                 lambda v: v in ("nodal", "l2")),
     "directory": ("outputs", "directory", str, "", None),
     # a repeated time or horizon would write its rows or its sweep twice
     "interface_times": ("interface", "times", _floats,

@@ -3,6 +3,10 @@ line.  Tolerances are fixed here, not tuned: taming and scalar-inequality
 slacks at 1e-12/1e-9, distributional checks at 4 standard errors, the
 weak-rate reproduction against the published error column within a factor
 band of [0.1, 10] per row with the fitted slope inside its stated window.
+
+Criteria 3-8 also compare the numbers they judge, in the digits their
+lines print, with ``science_ledger.json``: the bands judge, the ledger
+records, so a change that moves a number shows its diff there.
 """
 
 import json
@@ -30,11 +34,21 @@ from test_noise import stream_increments
 
 #: published weak-error column for the unit taming exponent, by level
 REFERENCE_ERRORS = {8: 0.5982, 9: 0.3533, 10: 0.2131, 11: 0.1319, 12: 0.0853}
+#: criterion -> the printed digits of each number it asserts on
+LEDGER = json.loads((Path(__file__).parent / "science_ledger.json").read_text())
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} {detail}")
     assert passed, f"{criterion}: {detail}"
+
+
+def ledger(criterion: str, printed: dict):
+    """The criterion's printed values must equal its ledger entry; the
+    message carries the new entry as JSON, ready to paste."""
+    assert printed == LEDGER.get(criterion), (
+        f"{criterion}: the science ledger differs; this run gives "
+        f"{json.dumps({criterion: printed}, indent=2)}")
 
 
 def read_error_table(path: Path):
@@ -46,8 +60,8 @@ def read_error_table(path: Path):
 
 def test_criterion_1_taming_properties():
     start = time.perf_counter()
-    dom = check_taming_domination(n=100_000, seed=101)
-    gap = check_taming_gap(n=100_000, seed=102)
+    dom = check_taming_domination(seed=101)
+    gap = check_taming_gap(seed=102)
     elapsed = time.perf_counter() - start
     report(
         "1 taming-properties",
@@ -58,7 +72,7 @@ def test_criterion_1_taming_properties():
 
 def test_criterion_2_power_inequality():
     start = time.perf_counter()
-    result = check_power_mean_inequality(n=100_000, seed=103)
+    result = check_power_mean_inequality(seed=103)
     elapsed = time.perf_counter() - start
     report(
         "2 power-inequality",
@@ -70,11 +84,12 @@ def test_criterion_2_power_inequality():
 def test_criterion_3_noise_law(basis64):
     start = time.perf_counter()
     n = 100_000
-    failures = []
+    failures, printed = [], {}
 
     def within(sample, target, se, label):
+        printed[label] = f"{sample:.6g}"
         if abs(sample - target) >= 4 * se:
-            failures.append(f"{label}: {sample:.6g} vs {target:.6g} "
+            failures.append(f"{label}: {printed[label]} vs {target:.6g} "
                             f"(4se={4 * se:.2g})")
 
     var_se = np.sqrt(2.0 / (n - 1))
@@ -122,6 +137,7 @@ def test_criterion_3_noise_law(basis64):
         f"{len(failures)} deviations, runtime={elapsed:.1f}s"
         + ("; " + "; ".join(failures) if failures else ""),
     )
+    ledger("3 noise-law", printed)
 
 
 def test_criterion_4_ou_stationary_variance(basis64):
@@ -134,12 +150,14 @@ def test_criterion_4_ou_stationary_variance(basis64):
     target = 1.0 / (2.0 * np.pi**2)
     se = target * np.sqrt(2.0 / (n - 1))
     elapsed = time.perf_counter() - start
+    printed = {"var": f"{var:.6f}", "target": f"{target:.6f}"}
     report(
         "4 ou-stationary-variance",
         abs(var - target) < 4 * se and elapsed < 60.0,
-        f"var={var:.6f} target={target:.6f} 4se={4 * se:.2g} "
+        f"var={printed['var']} target={printed['target']} 4se={4 * se:.2g} "
         f"runtime={elapsed:.1f}s",
     )
+    ledger("4 ou-stationary-variance", printed)
 
 
 def test_criterion_5_weak_rate_full_and_ci(tmp_path):
@@ -159,12 +177,16 @@ def test_criterion_5_weak_rate_full_and_ci(tmp_path):
         in_band.append(0.1 * ref <= err <= 10.0 * ref and err > 0)
     fit = json.loads((out_full / "rate_fit.json").read_text())
     slope_ok = 0.40 <= fit["slope"] <= 0.90
+    errors = [float(r["weak_error"]) for r in rows]
+    printed = {"errors": [str(e) for e in errors],
+               "slope": f"{fit['slope']:.3f}"}
     report(
         "5a weak-rate-full",
         all(in_band) and slope_ok and elapsed_full < 1800.0,
-        f"errors={[float(r['weak_error']) for r in rows]} "
-        f"slope={fit['slope']:.3f} runtime={elapsed_full:.0f}s",
+        f"errors={errors} slope={printed['slope']} "
+        f"runtime={elapsed_full:.0f}s",
     )
+    ledger("5a weak-rate-full", printed)
 
     start = time.perf_counter()
     out_ci = tmp_path / "ci"
@@ -174,11 +196,13 @@ def test_criterion_5_weak_rate_full_and_ci(tmp_path):
     elapsed_ci = time.perf_counter() - start
     assert code == 0
     fit_ci = json.loads((out_ci / "rate_fit.json").read_text())
+    printed = {"slope": f"{fit_ci['slope']:.3f}"}
     report(
         "5b weak-rate-ci",
         0.3 <= fit_ci["slope"] <= 1.0 and elapsed_ci < 300.0,
-        f"slope={fit_ci['slope']:.3f} runtime={elapsed_ci:.0f}s",
+        f"slope={printed['slope']} runtime={elapsed_ci:.0f}s",
     )
+    ledger("5b weak-rate-ci", printed)
 
 
 def test_criterion_6_beta100_regime(tmp_path):
@@ -191,12 +215,16 @@ def test_criterion_6_beta100_regime(tmp_path):
     cfg_text = manifest["resolved_config"]
     fit = json.loads((tmp_path / "rate_fit.json").read_text())
     slope_ok = 0.35 <= fit["slope"] <= 0.90
+    ratios = [float(r["admissibility_ratio"]) for r in rows]
+    printed = {"slope": f"{fit['slope']:.3f}",
+               "ratios": [str(r) for r in ratios]}
     report(
         "6 beta100-regime",
         all_admissible and slope_ok and "beta = 100" in cfg_text,
-        f"admissible={all_admissible} slope={fit['slope']:.3f} "
-        f"ratios={[float(r['admissibility_ratio']) for r in rows]}",
+        f"admissible={all_admissible} slope={printed['slope']} "
+        f"ratios={ratios}",
     )
+    ledger("6 beta100-regime", printed)
 
 
 def test_criterion_7_moment_stability(tmp_path, basis64):
@@ -229,12 +257,16 @@ def test_criterion_7_moment_stability(tmp_path, basis64):
         assert np.all(np.isfinite(max_l2))
         mean_of_max[horizon] = float(np.mean(max_l2**2))
     sample_ratio = mean_of_max[2.0] / mean_of_max[1.0]
+    printed = {"max_T1": f"{maxima[1.0]:.4f}", "max_T2": f"{maxima[2.0]:.4f}",
+               "ratio": f"{ratio:.3f}", "sample_ratio": f"{sample_ratio:.3f}"}
     report(
         "7 moment-stability",
         ratio <= 1.5 and sample_ratio <= 1.5,
-        f"max mean |X|^2: T=1 {maxima[1.0]:.4f}, T=2 {maxima[2.0]:.4f}, "
-        f"ratio={ratio:.3f}; mean of per-sample max: ratio={sample_ratio:.3f}",
+        f"max mean |X|^2: T=1 {printed['max_T1']}, T=2 {printed['max_T2']}, "
+        f"ratio={printed['ratio']}; mean of per-sample max: "
+        f"ratio={printed['sample_ratio']}",
     )
+    ledger("7 moment-stability", printed)
 
 
 def test_criterion_8_interface_capture(tmp_path):
@@ -251,11 +283,13 @@ def test_criterion_8_interface_capture(tmp_path):
     t0_exact = all(
         abs(v - np.sin(np.pi * x)) < 1e-12 for x, v in t0
     )
+    printed = {"peak": f"{peak:.4f}"}
     report(
         "8 interface-capture",
         peak <= 1.1 and t0_exact and len(by_time) == 4,
-        f"max |mean value|={peak:.4f}, t=0 profile exact={t0_exact}",
+        f"max |mean value|={printed['peak']}, t=0 profile exact={t0_exact}",
     )
+    ledger("8 interface-capture", printed)
 
 
 def test_criterion_9_thread_determinism(tmp_path):

@@ -619,17 +619,18 @@ class TestOutputDirectory:
         assert calls == ["profiles_eps_0.01.csv", "profiles_eps_0.05.csv"]
         assert self.contents(tmp_path) == before
 
-    @pytest.mark.parametrize("manifest", [
-        None,
-        "not json",
-        json.dumps({"tool": "other", "outputs": ["notes.txt"]}),
-        json.dumps({"tool": "tamedspde", "outputs": {"notes.txt": 1}}),
-        json.dumps({"tool": "tamedspde",
-                    "outputs": ["../notes.txt", "sub/notes.txt", "sub", "..",
-                                ".", ""]}),
+    @pytest.mark.parametrize("manifest, code", [
+        (None, 1),
+        ("not json", 1),
+        (json.dumps({"tool": "other", "outputs": ["notes.txt"]}), 1),
+        (json.dumps({"tool": "tamedspde", "outputs": {"notes.txt": 1}}), 0),
+        (json.dumps({"tool": "tamedspde",
+                     "outputs": ["../notes.txt", "sub/notes.txt", "sub", "..",
+                                 ".", ""]}), 0),
     ], ids=["none", "unreadable", "foreign", "not-a-list", "paths"])
-    def test_unlisted_files_are_kept(self, manifest, tmp_path):
-        # only the plain file names a manifest of this tool lists may go
+    def test_unlisted_files_are_kept(self, manifest, code, tmp_path):
+        # only the plain file names a manifest of this tool lists may go;
+        # a directory without such a manifest is refused as it stands
         outdir = tmp_path / "out"
         (outdir / "sub").mkdir(parents=True)
         for path in (tmp_path / "notes.txt", outdir / "notes.txt",
@@ -637,12 +638,31 @@ class TestOutputDirectory:
             path.write_text("keep\n")
         if manifest is not None:
             (outdir / "manifest.json").write_text(manifest)
-        assert run_cli("verify", "--out-dir", str(outdir)) == 0
-        assert self.listing(outdir) == [
-            "config.resolved.ini", "manifest.json", "notes.txt", "sub",
-            "verify_report.json"]
+        before = self.contents(outdir)
+        assert run_cli("verify", "--out-dir", str(outdir)) == code
+        if code:
+            assert self.contents(outdir) == before
+        else:
+            assert self.listing(outdir) == [
+                "config.resolved.ini", "manifest.json", "notes.txt", "sub",
+                "verify_report.json"]
         assert (tmp_path / "notes.txt").read_text() == "keep\n"
+        assert (outdir / "notes.txt").read_text() == "keep\n"
         assert (outdir / "sub" / "notes.txt").read_text() == "keep\n"
+
+    def test_foreign_directory_is_refused(self, tmp_path, capsys,
+                                          monkeypatch):
+        # a directory holding a file and no manifest is refused before any
+        # check or sweep runs, and the file is kept
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "notes.txt").write_text("keep\n")
+        monkeypatch.setattr(cli, "property_suite", None)
+        assert run_cli("verify", "--out-dir", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: outputs.directory: ")
+        assert self.listing(outdir) == ["notes.txt"]
+        assert (outdir / "notes.txt").read_text() == "keep\n"
 
 
 class TestFlagsAndHelp:

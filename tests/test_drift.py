@@ -195,7 +195,7 @@ class TestGrowthConstants:
 
     def test_growth_bound_on_grid(self):
         dc = derive_growth_constants(ALLEN_CAHN)
-        u = verification_grid(n=20_000)
+        u = verification_grid()
         assert np.all(
             np.abs(f_eval(ALLEN_CAHN, u))
             <= dc.c3 * np.abs(u) ** 3 + dc.c4 * np.abs(u) + dc.c5 + 1e-9
@@ -203,7 +203,7 @@ class TestGrowthConstants:
 
     def test_one_sided_lipschitz_on_grid(self):
         dc = derive_growth_constants(ALLEN_CAHN)
-        u = verification_grid(n=20_000)
+        u = verification_grid()
         assert np.all(f_prime_eval(ALLEN_CAHN, u) <= dc.L_f + 1e-12)
 
     def test_coercivity_on_grid(self):
@@ -238,7 +238,7 @@ def full_grid_constants(d, bound=1e3, pair_grid=401):
     c3 = float(abs(coeffs[deg])) + mid
     c4 = float(abs(coeffs[1]))
     c5 = float(abs(coeffs[0])) + mid
-    L_f = float(np.max(f_prime_eval(d, verification_grid(bound))))
+    L_f = float(np.max(f_prime_eval(d, verification_grid())))
     mags = np.logspace(-6, np.log10(bound), pair_grid)
     axis = np.concatenate([-mags[::-1], [0.0], mags])
     u = axis[:, None]
@@ -454,11 +454,11 @@ class TestStepSizeCondition:
 
 class TestInvariantChecks:
     def test_taming_domination(self):
-        result = check_taming_domination(ALLEN_CAHN, n=20_000, seed=7)
+        result = check_taming_domination(ALLEN_CAHN, seed=7)
         assert result.passed, result.counterexample
 
     def test_taming_gap(self):
-        result = check_taming_gap(ALLEN_CAHN, n=20_000, seed=8)
+        result = check_taming_gap(ALLEN_CAHN, seed=8)
         assert result.passed, result.counterexample
 
     def test_one_sided_delta_derivative(self):
@@ -470,7 +470,7 @@ class TestInvariantChecks:
         assert result.passed, result.counterexample
 
     def test_power_mean_inequality(self):
-        result = check_power_mean_inequality(n=20_000, seed=9)
+        result = check_power_mean_inequality(seed=9)
         assert result.passed, result.counterexample
 
     def test_power_mean_inequality_tightness(self):

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import tamedspde
+from tamedspde import drift
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["tamedspde"] + [
@@ -141,7 +142,25 @@ def test_config_object_fields(cls, names):
     (tamedspde.weak_error_table,
      ("groups", "reference", "plan", "n_samples", "phi", "constants",
       "coupled", "threads")),
-], ids=["sweep_ensemble", "interface_profile", "weak_error_table"])
+    # the verification protocol is fixed: one grid, one delta family and
+    # one sample count, so no check takes a bound, a size or a delta
+    (drift.verification_grid, ()),
+    (tamedspde.derive_growth_constants, ("d",)),
+    (drift.check_taming_domination, ("d", "seed")),
+    (drift.check_taming_gap, ("d", "seed")),
+    (drift.check_one_sided_delta_derivative, ("d",)),
+    (drift.check_delta_derivative_growth, ("d",)),
+    (drift.check_power_mean_inequality, ("seed",)),
+    (tamedspde.property_suite, ("drift", "seed")),
+    # every moment path starts from the default initial state
+    (tamedspde.moment_sup_estimate,
+     ("cfg", "plan", "n_samples", "time_grid", "threads")),
+], ids=["sweep_ensemble", "interface_profile", "weak_error_table",
+        "verification_grid", "derive_growth_constants",
+        "check_taming_domination", "check_taming_gap",
+        "check_one_sided_delta_derivative", "check_delta_derivative_growth",
+        "check_power_mean_inequality", "property_suite",
+        "moment_sup_estimate"])
 def test_function_parameters(func, names):
     assert tuple(inspect.signature(func).parameters) == names
 

@@ -22,10 +22,11 @@ from tamedspde import (
 
 basis = SineBasis(64)
 level = 10
+# 2^level steps of tau = horizon / 2^level
 cfg = SchemeConfig(
     epsilon=0.01,
-    tau=2.0**-level,
-    n_steps=2**level,
+    horizon=1.0,
+    level=level,
     basis=basis,
     drift=ALLEN_CAHN,
     # tamed at the scheme's own step size tau

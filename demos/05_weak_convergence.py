@@ -33,12 +33,13 @@ taming = TamingParams(alpha=1.0, beta=5.0, theta=0.5)
 
 def tamed(level):
     return SchemeConfig(
-        epsilon=epsilon, tau=horizon / 2**level, n_steps=2**level, basis=basis,
+        epsilon=epsilon, horizon=horizon, level=level, basis=basis,
         drift=ALLEN_CAHN, taming=taming,
     )
 
+# the reference steps on the fine grid itself: tau = horizon / 2^fine_level
 reference = SchemeConfig(
-    epsilon=epsilon, tau=horizon / 2**fine_level, n_steps=2**fine_level,
+    epsilon=epsilon, horizon=horizon, level=fine_level,
     basis=basis, drift=ALLEN_CAHN, kind=SchemeKind.SEMI_IMPLICIT_REFERENCE,
 )
 

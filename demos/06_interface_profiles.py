@@ -26,7 +26,7 @@ times = [0.0, 0.25, 1.0]
 runs = ((0.01, 8), (0.001, 10))
 schemes = [
     SchemeConfig(
-        epsilon=epsilon, tau=2.0**-level, n_steps=2**level, basis=basis,
+        epsilon=epsilon, horizon=1.0, level=level, basis=basis,
         drift=ALLEN_CAHN,
         taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5),
     )

@@ -135,8 +135,8 @@ def weak_error_table(
 ) -> list[ErrorTable]:
     """One table per group of schemes, one row per scheme: the weak error
     |E phi(scheme endpoint) - E phi(reference endpoint)| against one
-    reference run, its 95% Monte-Carlo halfwidth, the level
-    log2(n_steps) and the step-size admissibility verdict from
+    reference run, its 95% Monte-Carlo halfwidth, the scheme's level
+    and the step-size admissibility verdict from
     ``constants`` at the scheme's own epsilon (admissible with a NaN ratio
     without them or for an untamed scheme).
 
@@ -180,7 +180,7 @@ def weak_error_table(
                                                   cfg.tau, cfg.epsilon)
             admissible = bool(ratio <= 1.0)  # not when NaN
         rows.append(ErrorRow(
-            level=int(round(np.log2(cfg.n_steps))),
+            level=cfg.level,
             tau=cfg.tau,
             weak_error=err,
             mc_halfwidth=hw,
@@ -218,20 +218,20 @@ def moment_sup_estimate(
     cfg: SchemeConfig,
     plan: NoisePlan,
     n_samples: int,
-    time_grid: Sequence[float],
     *,
     threads: int = 1,
 ) -> MomentReport:
-    """Ensemble means of squared-L2, fourth-power-L4, and sup norms.
+    """Ensemble means of squared-L2, fourth-power-L4, and sup norms at
+    every step of ``cfg``, t = 0 and the horizon included.
 
     Every path starts from ``default_initial``.  The sweep reduces each
     snapshot to the per-sample norms of ``SineBasis.norms`` as it goes, so
     it stores (samples, 3) values per time instead of (samples, modes)
     states; each mean is taken over one norm's (samples,) column.
     """
-    times = np.asarray(sorted(time_grid), dtype=np.float64)
+    times = cfg.tau * np.arange(cfg.n_steps + 1)
     outputs = sweep_ensemble(
-        [cfg], plan, n_samples, snapshot_times=[list(times)],
+        [cfg], plan, n_samples, snapshot_times=[times],
         snapshot_fn=cfg.basis.norms, threads=threads,
     )
     snaps = [outputs[0][float(t)] for t in times]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -140,15 +141,8 @@ def _scheme(cfg: ExperimentConfig, level: int, *, basis: SineBasis,
     taming = None
     if kind is SchemeKind.TAMED_EXP_EULER:
         taming = TamingParams(alpha=cfg.alpha, beta=cfg.beta, theta=cfg.theta)
-    return SchemeConfig(
-        epsilon=cfg.epsilon,
-        tau=cfg.horizon / 2**level,
-        n_steps=2**level,
-        basis=basis,
-        drift=drift,
-        taming=taming,
-        kind=kind,
-    )
+    return SchemeConfig(epsilon=cfg.epsilon, horizon=cfg.horizon, level=level,
+                        basis=basis, drift=drift, taming=taming, kind=kind)
 
 
 def _admissibility_entries(table: ErrorTable) -> list[dict]:
@@ -280,18 +274,16 @@ def cmd_interface(cfg: ExperimentConfig, threads: int):
 
 def cmd_moments(cfg: ExperimentConfig, threads: int):
     basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
-    tau = 2.0**-cfg.moments_tau_level
     reports = []
     for horizon in cfg.moments_horizons:
-        n_steps = int(round(horizon / tau))     # a power of two (validate)
-        level = n_steps.bit_length() - 1
-        # the scheme's step, n_steps * tau / 2**level, is tau exactly
-        scheme = _scheme(replace(cfg, horizon=n_steps * tau), level,
-                         basis=basis, drift=drift)
-        times = [m * tau for m in range(n_steps + 1)]
+        # validate made each horizon 2^level steps of 2^-tau_level, the
+        # scheme's tau, exactly
+        level = math.frexp(horizon * 2.0**cfg.moments_tau_level)[1] - 1
+        scheme = _scheme(replace(cfg, horizon=horizon), level, basis=basis,
+                         drift=drift)
         reports.append(moment_sup_estimate(
             scheme, NoisePlan(cfg.master_seed, level), cfg.moments_n_samples,
-            times, threads=threads,
+            threads=threads,
         ))
     files = {}
     maxima = []

@@ -67,6 +67,7 @@ class DriftSpec:
     def __post_init__(self):
         if int(self.q) != self.q or self.q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q}")
+        object.__setattr__(self, "q", int(self.q))
         if not self.leading > 0:
             raise ValueError(f"leading coefficient must be > 0, got {self.leading}")
         if len(self.lower) > 2 * self.q - 1:

@@ -13,6 +13,10 @@ explicit in the untamed reaction term,
 
     X_{m+1,j} = (X_{m,j} + tau eps^-1 F_j(X_m) + dW_j) / (1 + tau lambda_j).
 
+A run of level k takes 2^k steps of tau = T / 2^k over its horizon T,
+and a noise plan of fine level L >= k has 2^L steps of h = T / 2^L, so
+each step of the run covers exactly 2^(L - k) fine steps.
+
 ``sweep_ensemble`` advances any number of runs through one pass over the
 fine noise grid.  Every random number is counter-addressed per (sample,
 mode, fine step), samples are processed in chunks of min(256,
@@ -108,14 +112,15 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """One integrator run: step size, horizon, model, and method.
+    """One integrator run on the dyadic grid: ``n_steps = 2**level`` steps
+    of ``tau = horizon / 2**level``, and the model and method it steps.
 
     A tamed run with a drift is tamed by ``taming`` at its own step ``tau``.
     """
 
     epsilon: float
-    tau: float
-    n_steps: int
+    horizon: float
+    level: int
     basis: SineBasis
     drift: DriftSpec | None = None
     taming: TamingParams | None = None
@@ -124,17 +129,22 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
+        if int(self.level) != self.level or self.level < 0:
+            raise ValueError(f"level must be an integer >= 0, got {self.level!r}")
+        object.__setattr__(self, "level", int(self.level))
         if self.kind is SchemeKind.TAMED_EXP_EULER and self.drift is not None:
             if self.taming is None:
                 raise ValueError("tamed scheme with a drift needs TamingParams")
 
     @property
-    def horizon(self) -> float:
-        return self.tau * self.n_steps
+    def n_steps(self) -> int:
+        return 2**self.level
+
+    @property
+    def tau(self) -> float:
+        return self.horizon / 2**self.level
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +166,15 @@ class _RunPre:
         basis = cfg.basis
         self.transform = basis._transform
         self.inv_nodes = 1.0 / (basis.n_modes + 1)
-        self.drift_scale = cfg.tau / cfg.epsilon
+        # read once: the drift term passes it to the taming at every step
+        self.tau = cfg.tau
+        self.drift_scale = self.tau / cfg.epsilon
         # per-mode factor of the update: E(tau) for the tamed step,
         # 1 / (1 + tau lambda) for the reference
         if self.tamed:
-            self.factor = basis.semigroup_factors(cfg.tau)
+            self.factor = basis.semigroup_factors(self.tau)
         else:
-            self.factor = 1.0 / (1.0 + cfg.tau * basis.eigenvalues)
+            self.factor = 1.0 / (1.0 + self.tau * basis.eigenvalues)
 
     def drift_term(self, states: np.ndarray, phys: np.ndarray,
                    fv: np.ndarray, tame: np.ndarray) -> np.ndarray | None:
@@ -176,7 +188,7 @@ class _RunPre:
         with np.errstate(invalid="ignore", over="ignore"):
             np.matmul(states, self.transform, out=phys)
             if self.tamed:
-                drift_mod.f_tau_eval(cfg.drift, cfg.taming, cfg.tau, phys,
+                drift_mod.f_tau_eval(cfg.drift, cfg.taming, self.tau, phys,
                                      out=fv, scratch=tame)
             else:
                 drift_mod.f_eval(cfg.drift, phys, out=fv)
@@ -339,12 +351,13 @@ def sweep_ensemble(
     plan: NoisePlan,
     samples: int | Sequence[int],
     *,
-    x0: np.ndarray | None = None,
     snapshot_times: Sequence[Sequence[float]] | None = None,
     snapshot_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     threads: int = 1,
 ) -> list[dict[float, np.ndarray]]:
-    """Advance all runs over one shared noise path per sample.
+    """Advance all runs, which share one horizon and are no finer than
+    ``plan``, over one shared noise path per sample, every path from
+    ``default_initial``.
 
     ``samples`` is either a count (ids 0..n-1) or explicit sample ids;
     ids select the counter-addressed noise.  Returns one snapshot dict
@@ -360,13 +373,13 @@ def sweep_ensemble(
     snapshot array is then (samples, K) or (samples,) instead of
     (samples, N); an observable of the endpoint is computed this way,
     inside the sweep.  It is applied to a whole chunk's states, always at
-    least two rows (the state at t = 0 as two copies of ``x0``), so a
-    one-row matmul inside it cannot take BLAS's matrix-vector path; its
-    rows must depend only on their own state.  None stores the states
-    themselves.  A caller that wants the running norm monitors asks for a
-    snapshot at every step with ``snapshot_fn=basis.norms`` and takes the
-    maxima over time of the square root, the fourth root and the sup
-    column.
+    least two rows (the state at t = 0 as two copies of the initial
+    state), so a one-row matmul inside it cannot take BLAS's
+    matrix-vector path; its rows must depend only on their own state.
+    None stores the states themselves.  A caller that wants the running
+    norm monitors asks for a snapshot at every step with
+    ``snapshot_fn=basis.norms`` and takes the maxima over time of the
+    square root, the fourth root and the sup column.
     """
     if not runs:
         raise ValueError("need at least one run")
@@ -380,15 +393,14 @@ def sweep_ensemble(
     for r in runs:
         if r.basis.n_modes != basis.n_modes:
             raise ValueError("all runs must share one basis size")
-        if abs(r.horizon - horizon) > 1e-12 * max(1.0, horizon):
+        if r.horizon != horizon:
             raise ValueError(
                 f"runs disagree on the horizon: {r.horizon} vs {horizon}"
             )
-    if x0 is None:
-        x0 = default_initial(basis)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (basis.n_modes,):
-        raise ValueError(f"x0 must have shape ({basis.n_modes},)")
+        if r.level > plan.fine_level:
+            raise ValueError(f"run level {r.level} is finer than the plan's "
+                             f"fine level {plan.fine_level}")
+    x0 = default_initial(basis)
 
     n_mode = basis.n_modes
     fine_steps = plan.fine_steps
@@ -397,17 +409,7 @@ def sweep_ensemble(
     for i, r in enumerate(runs):
         snaps = _snapshot_steps(r, snapshot_times[i] if snapshot_times
                                 else [r.horizon])
-        ratio = int(round(r.tau / h))
-        if ratio < 1 or abs(ratio * h - r.tau) > 1e-9 * r.tau:
-            raise ValueError(
-                f"step size {r.tau} is not an integer multiple of the fine "
-                f"step {h} (fine_level={plan.fine_level})"
-            )
-        if r.n_steps * ratio != fine_steps:
-            raise ValueError(
-                f"run covers {r.n_steps * ratio} fine steps, plan has {fine_steps}"
-            )
-        pres.append(_RunPre(r, ratio, snaps))
+        pres.append(_RunPre(r, 2 ** (plan.fine_level - r.level), snaps))
     if snapshot_fn is None:
         snapshot_fn = np.asarray       # the states themselves
     # two rows: see the one-row note in work
@@ -457,7 +459,7 @@ def sweep_ensemble(
         decay = (np.tile(decay_fine, (count, 1))
                  if any(t for _, t in accs) else None)
         # update factors tiled to the chunk, one per (kind, tau) in use
-        tiles = {(pre.tamed, pre.cfg.tau): np.tile(pre.factor, (count, 1))
+        tiles = {(pre.tamed, pre.tau): np.tile(pre.factor, (count, 1))
                  for pre in pres}
         for w0 in range(0, fine_steps, window):
             fine = stream.next_window()     # (dW, conv), indexed by "tamed"
@@ -475,7 +477,7 @@ def sweep_ensemble(
                         continue
                     inc = fine[t][kl] if ratio == 1 else accs[ratio, t]
                     new = pre.advance(states[i], inc, spare, phys, fv,
-                                      tiles[t, pre.cfg.tau])
+                                      tiles[t, pre.tau])
                     spare, states[i] = states[i], new
                     if not np.isfinite(new, out=finite).all():
                         bad = int(np.flatnonzero(~finite)[0]) // n_mode

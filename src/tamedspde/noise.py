@@ -81,17 +81,19 @@ class NoisePlan:
     """Addressing scheme for every random number a simulation consumes.
 
     ``fine_level`` fixes the fine grid: h = T / 2**fine_level for horizon
-    T.  Any coarse run whose step is an integer multiple of h consumes
-    exactly the fine increments it covers, so runs at different step
-    sizes share one underlying path.
+    T.  A run of level k <= fine_level consumes exactly the
+    2**(fine_level - k) fine increments each of its steps covers, so runs
+    at different step sizes share one underlying path.
     """
 
     master_seed: int
     fine_level: int
 
     def __post_init__(self):
-        if self.fine_level < 0:
-            raise ValueError(f"fine_level must be >= 0, got {self.fine_level}")
+        if int(self.fine_level) != self.fine_level or self.fine_level < 0:
+            raise ValueError(f"fine_level must be an integer >= 0, "
+                             f"got {self.fine_level!r}")
+        object.__setattr__(self, "fine_level", int(self.fine_level))
 
     @property
     def fine_steps(self) -> int:

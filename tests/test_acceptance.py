@@ -143,7 +143,7 @@ def test_criterion_3_noise_law(basis64):
 def test_criterion_4_ou_stationary_variance(basis64):
     start = time.perf_counter()
     n = 10_000
-    cfg = SchemeConfig(epsilon=1.0, tau=2.0**-6, n_steps=128, basis=basis64,
+    cfg = SchemeConfig(epsilon=1.0, horizon=2.0, level=7, basis=basis64,
                        drift=None, kind=SchemeKind.TAMED_EXP_EULER)
     outs = sweep_ensemble([cfg], NoisePlan(404, 7), n)
     var = float(outs[0][cfg.horizon][:, 0].var(ddof=1))
@@ -243,11 +243,10 @@ def test_criterion_7_moment_stability(tmp_path, basis64):
     # |X|_L2^2 must also stay stable when the horizon doubles
     from tamedspde.drift import ALLEN_CAHN, TamingParams
 
-    tau = 2.0**-10
     mean_of_max = {}
     for horizon, level in ((1.0, 10), (2.0, 11)):
         cfg = SchemeConfig(
-            epsilon=0.01, tau=tau, n_steps=2**level, basis=basis64,
+            epsilon=0.01, horizon=horizon, level=level, basis=basis64,
             drift=ALLEN_CAHN,
             taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5),
         )

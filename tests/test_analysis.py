@@ -115,15 +115,14 @@ class TestStepTestFunction:
 
 def _tamed(basis, level, epsilon=0.05, horizon=1.0, alpha=1.0):
     return SchemeConfig(
-        epsilon=epsilon, tau=horizon / 2**level, n_steps=2**level, basis=basis,
+        epsilon=epsilon, horizon=horizon, level=level, basis=basis,
         drift=ALLEN_CAHN, taming=TamingParams(alpha=alpha, beta=5.0, theta=0.5),
     )
 
 
 def _reference(basis, level, epsilon=0.05, horizon=1.0):
-    tau = horizon / 2**level
     return SchemeConfig(
-        epsilon=epsilon, tau=tau, n_steps=2**level, basis=basis,
+        epsilon=epsilon, horizon=horizon, level=level, basis=basis,
         drift=ALLEN_CAHN, kind=SchemeKind.SEMI_IMPLICIT_REFERENCE,
     )
 
@@ -277,13 +276,14 @@ class TestRateFit:
 
 class TestMoments:
     def test_ou_stationary_l2_energy(self, basis64):
-        # drift off, X0 = 0: stationary E|X|_L2^2 = sum_j 1/(2 lambda_j),
-        # evaluated by direct partial summation
+        # drift off: stationary E|X|_L2^2 = sum_j 1/(2 lambda_j),
+        # evaluated by direct partial summation; by T = 2 the heat flow
+        # has scaled the initial state's energy of 0.5 by e^{-4 pi^2}
         target = float(np.sum(1.0 / (2.0 * basis64.eigenvalues)))
         assert target == pytest.approx(0.0825, abs=2e-4)
-        cfg = SchemeConfig(epsilon=1.0, tau=2.0**-5, n_steps=64, basis=basis64,
+        cfg = SchemeConfig(epsilon=1.0, horizon=2.0, level=6, basis=basis64,
                            drift=None)
-        [out] = sweep_ensemble([cfg], NoisePlan(17, 6), 4000, x0=np.zeros(64),
+        [out] = sweep_ensemble([cfg], NoisePlan(17, 6), 4000,
                                snapshot_fn=basis64.norms)
         got = np.mean(out[2.0][:, 0])
         se = target * np.sqrt(2.0 / 63) / np.sqrt(4000) * 8  # loose guard
@@ -292,37 +292,25 @@ class TestMoments:
     def test_deterministic_two_samples(self, basis64):
         # the t = 0 row is the initial state's, whatever the noise; the
         # heat flow then takes |X|^2 from 0.5 towards the noise's ~0.08
-        cfg = SchemeConfig(epsilon=1.0, tau=2.0**-4, n_steps=16, basis=basis64,
+        cfg = SchemeConfig(epsilon=1.0, horizon=1.0, level=4, basis=basis64,
                            drift=None)
-        report = moment_sup_estimate(cfg, NoisePlan(1, 4), 2, [0.0, 0.5, 1.0])
+        report = moment_sup_estimate(cfg, NoisePlan(1, 4), 2)
+        assert report.times.tolist() == [m / 16 for m in range(17)]
         rec_norms = np.linalg.norm(default_initial(basis64))
         assert report.mean_l2_sq[0] == pytest.approx(rec_norms**2, rel=1e-12)
         assert np.max(report.mean_l2_sq) == report.mean_l2_sq[0]
 
-    def test_off_grid_time_rejected(self, basis64):
-        cfg = SchemeConfig(epsilon=1.0, tau=2.0**-4, n_steps=16, basis=basis64,
-                           drift=None)
-        with pytest.raises(ValueError):
-            moment_sup_estimate(cfg, NoisePlan(1, 4), 2, [0.3])
-
-    @staticmethod
-    def tamed(basis, level):
-        tau = 2.0**-level
-        return SchemeConfig(
-            epsilon=0.05, tau=tau, n_steps=2**level, basis=basis,
-            drift=ALLEN_CAHN,
-            taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5),
-        )
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_in_sweep_norms_equal_full_snapshot_means(self, basis64, threads):
         # 257 samples: chunks of 256 and 1.  The oracle is the reduction
         # of full-state snapshots after the sweep, in the formulas the
         # estimator used before it reduced inside the sweep
-        cfg = self.tamed(basis64, 6)
+        cfg = _tamed(basis64, 6)
         plan = NoisePlan(5, 6)
         times = [m * cfg.tau for m in range(cfg.n_steps + 1)]
-        report = moment_sup_estimate(cfg, plan, 257, times, threads=threads)
+        report = moment_sup_estimate(cfg, plan, 257, threads=threads)
+        assert report.times.tobytes() == np.array(times).tobytes()
         outs = sweep_ensemble([cfg], plan, 257, snapshot_times=[times],
                               threads=threads)
         l2sq, l44, sup = [], [], []
@@ -339,11 +327,10 @@ class TestMoments:
     def test_memory_holds_norms_not_states(self, basis64):
         # a snapshot at each of 513 steps: full (100, 64) states would
         # take 26 MB, three norms per sample take 1.2 MB
-        cfg = self.tamed(basis64, 9)
-        times = [m * cfg.tau for m in range(cfg.n_steps + 1)]
+        cfg = _tamed(basis64, 9)
         tracemalloc.start()
         try:
-            moment_sup_estimate(cfg, NoisePlan(3, 9), 100, times)
+            moment_sup_estimate(cfg, NoisePlan(3, 9), 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,7 +352,7 @@ class TestInterfaceProfile:
 
     def test_heat_decay_profile(self, basis64):
         # the profile is the nodewise mean of the sweep's stored snapshots
-        cfg = SchemeConfig(epsilon=1.0, tau=2.0**-4, n_steps=16, basis=basis64,
+        cfg = SchemeConfig(epsilon=1.0, horizon=1.0, level=4, basis=basis64,
                            drift=None)
         plan = NoisePlan(5, 4)
         (profile,) = interface_profile([cfg], plan, 2, [0.5])

@@ -79,6 +79,13 @@ class TestDriftSpec:
         with pytest.raises(ValueError):
             DriftSpec(q=1, leading=1.0)
 
+    def test_integral_float_q_stored_as_int(self):
+        # q = 2.0 passes the integer check; the coefficient array needs an int
+        d = DriftSpec(q=2.0, leading=1.0, lower=(0.0, 1.0))
+        assert type(d.q) is int
+        assert d == ALLEN_CAHN
+        assert d.coeffs.tolist() == ALLEN_CAHN.coeffs.tolist()
+
     def test_rejects_oversized_f0(self):
         with pytest.raises(ValueError):
             DriftSpec(q=2, leading=1.0, lower=(0.0, 0.0, 0.0, 1.0))
@@ -120,9 +127,10 @@ class TestTamedDrift:
             TamingParams(alpha=2.5, beta=5.0, theta=0.5)
         with pytest.raises(ValueError):
             TamingParams(alpha=1.0, beta=-5.0, theta=0.5)
-        # the step size is the scheme's, and the scheme rejects tau <= 0
-        with pytest.raises(ValueError, match="tau"):
-            SchemeConfig(epsilon=0.5, tau=0.0, n_steps=1, basis=SineBasis(4),
+        # the step size is the scheme's, horizon / 2**level, and the
+        # scheme rejects a horizon <= 0, so tau > 0
+        with pytest.raises(ValueError, match="horizon"):
+            SchemeConfig(epsilon=0.5, horizon=0.0, level=0, basis=SineBasis(4),
                          drift=ALLEN_CAHN,
                          taming=TamingParams(alpha=1.0, beta=5.0, theta=0.5))
 

@@ -32,7 +32,7 @@ def tamed_cfg(basis, *, epsilon=0.01, level=6, horizon=1.0, beta=5.0,
     if drift is not None:
         taming = TamingParams(alpha=alpha, beta=beta, theta=theta)
     return SchemeConfig(
-        epsilon=epsilon, tau=horizon / 2**level, n_steps=2**level, basis=basis,
+        epsilon=epsilon, horizon=horizon, level=level, basis=basis,
         drift=drift, taming=taming, kind=SchemeKind.TAMED_EXP_EULER,
     )
 
@@ -40,7 +40,7 @@ def tamed_cfg(basis, *, epsilon=0.01, level=6, horizon=1.0, beta=5.0,
 def reference_cfg(basis, *, epsilon=0.01, level=6, horizon=1.0,
                   drift=ALLEN_CAHN):
     return SchemeConfig(
-        epsilon=epsilon, tau=horizon / 2**level, n_steps=2**level, basis=basis,
+        epsilon=epsilon, horizon=horizon, level=level, basis=basis,
         drift=drift, kind=SchemeKind.SEMI_IMPLICIT_REFERENCE,
     )
 
@@ -59,20 +59,32 @@ def step(state, cfg, noise):
 class TestConfigValidation:
     def test_epsilon_range(self, basis16):
         with pytest.raises(ValueError):
-            SchemeConfig(epsilon=1.5, tau=0.1, n_steps=10, basis=basis16)
+            SchemeConfig(epsilon=1.5, horizon=1.0, level=3, basis=basis16)
         with pytest.raises(ValueError):
-            SchemeConfig(epsilon=0.0, tau=0.1, n_steps=10, basis=basis16)
+            SchemeConfig(epsilon=0.0, horizon=1.0, level=3, basis=basis16)
 
     def test_zero_steps_rejected(self, basis16):
-        # a run takes at least one step, so the sweep has no zero-step case
-        for n_steps in (0, -1):
-            with pytest.raises(ValueError, match="n_steps"):
-                SchemeConfig(epsilon=0.5, tau=0.1, n_steps=n_steps,
+        # every level >= 0 takes at least one step, so the sweep has no
+        # zero-step case; a level that is not such an integer is refused
+        for level in (-1, -1.0, 2.5):
+            with pytest.raises(ValueError, match="level must be an integer"):
+                SchemeConfig(epsilon=0.5, horizon=1.0, level=level,
                              basis=basis16, drift=None)
+
+    def test_integral_level_stored_as_int(self, basis16):
+        cfg = SchemeConfig(epsilon=0.5, horizon=1.0, level=np.float64(3.0),
+                           basis=basis16)
+        assert type(cfg.level) is int and type(cfg.n_steps) is int
+        assert (cfg.level, cfg.n_steps, cfg.tau) == (3, 8, 0.125)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+    def test_horizon_must_be_finite_and_positive(self, basis16, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            SchemeConfig(epsilon=0.5, horizon=horizon, level=3, basis=basis16)
 
     def test_tamed_drift_needs_taming(self, basis16):
         with pytest.raises(ValueError):
-            SchemeConfig(epsilon=0.5, tau=0.1, n_steps=10, basis=basis16,
+            SchemeConfig(epsilon=0.5, horizon=1.0, level=3, basis=basis16,
                          drift=ALLEN_CAHN)
 
 
@@ -88,7 +100,7 @@ class TestTamedStep:
         # sin^3 = (3 sin - sin(3.))/4, checked by Gauss quadrature
         tau, eps = 0.1, 1.0
         cfg = SchemeConfig(
-            epsilon=eps, tau=tau, n_steps=1, basis=basis64, drift=ALLEN_CAHN,
+            epsilon=eps, horizon=tau, level=0, basis=basis64, drift=ALLEN_CAHN,
             taming=TamingParams(alpha=1.0, beta=1e-12, theta=0.5),
         )
         state = default_initial(basis64)
@@ -160,11 +172,11 @@ class TestRunTrajectory:
     def test_zero_steps_returns_initial(self, basis64):
         # a zero-step run cannot be built; the initial state is what a
         # run returns at t = 0
-        with pytest.raises(ValueError, match="n_steps"):
-            SchemeConfig(epsilon=0.01, tau=2.0**-4, n_steps=0, basis=basis64,
-                         drift=None)
-        cfg = SchemeConfig(epsilon=0.01, tau=2.0**-4, n_steps=1, basis=basis64,
-                           drift=None)
+        with pytest.raises(ValueError, match="level"):
+            SchemeConfig(epsilon=0.01, horizon=2.0**-4, level=-1,
+                         basis=basis64, drift=None)
+        cfg = SchemeConfig(epsilon=0.01, horizon=2.0**-4, level=0,
+                           basis=basis64, drift=None)
         (out,) = sweep_ensemble([cfg], NoisePlan(1, 4), [0],
                                 snapshot_times=[[0.0]])
         assert np.array_equal(out[0.0][0], default_initial(basis64))
@@ -236,11 +248,34 @@ class TestSweep:
 
     def test_alignment_errors(self, basis64):
         cfg = tamed_cfg(basis64, level=5)
-        with pytest.raises(ValueError):
-            sweep_ensemble([cfg], NoisePlan(1, 4), 4)  # tau finer than plan
+        with pytest.raises(ValueError,
+                           match="run level 5 is finer than the plan's fine "
+                                 "level 4"):
+            sweep_ensemble([cfg], NoisePlan(1, 4), 4)
         other = tamed_cfg(basis64, level=3, horizon=2.0)
-        with pytest.raises(ValueError):
-            sweep_ensemble([cfg, other], NoisePlan(1, 5), 4)  # horizon clash
+        with pytest.raises(ValueError, match="disagree on the horizon"):
+            sweep_ensemble([cfg, other], NoisePlan(1, 5), 4)
+
+    def test_horizon_off_the_dyadic_fractions(self, basis64, monkeypatch,
+                                              fingerprint):
+        # T = 0.3 at level 3 on fine level 6: the endpoint is keyed at
+        # 0.3 itself and each step covers 8 fine steps.  The digest was
+        # recorded with the run given as tau = 0.3 / 8 and 8 steps; the
+        # reference kind's bytes are the same at the X86_V3 dispatch level
+        ratios = []
+
+        class Recording(engine._RunPre):
+            def __init__(self, cfg, ratio=1, snaps=None):
+                super().__init__(cfg, ratio, snaps)
+                ratios.append(ratio)
+
+        monkeypatch.setattr(engine, "_RunPre", Recording)
+        cfg = reference_cfg(basis64, level=3, horizon=0.3, epsilon=0.5)
+        [out] = sweep_ensemble([cfg], NoisePlan(7, 6), 5)
+        assert list(out) == [0.3] and ratios == [8]
+        assert hashlib.sha256(out[0.3].tobytes()).hexdigest() == (
+            "6fe70f33f33ac6619e7a6f872be7871091613e215cd72e026e65453d76dafb43"
+        ), f"sweep bytes moved on this machine:\n{fingerprint}"
 
     def test_coupled_coarse_equals_manual_composition(self, basis64):
         # one coarse step of ratio 2 must consume exactly the two fine
@@ -525,11 +560,11 @@ class TestSnapshotFn:
     def test_zero_horizon(self, basis64):
         # no zero-horizon sweep exists; the t = 0 snapshot of a one-step
         # run is the callable applied to the initial state
-        with pytest.raises(ValueError, match="n_steps"):
-            SchemeConfig(epsilon=0.5, tau=2.0**-4, n_steps=0, basis=basis64,
-                         drift=None)
-        cfg = SchemeConfig(epsilon=0.5, tau=2.0**-4, n_steps=1, basis=basis64,
-                           drift=None)
+        with pytest.raises(ValueError, match="level"):
+            SchemeConfig(epsilon=0.5, horizon=2.0**-4, level=-1,
+                         basis=basis64, drift=None)
+        cfg = SchemeConfig(epsilon=0.5, horizon=2.0**-4, level=0,
+                           basis=basis64, drift=None)
         outs = sweep_ensemble([cfg], NoisePlan(1, 4), 3, snapshot_times=[[0.0]],
                               snapshot_fn=lambda s: s[:, :1] * 2.0)
         assert outs[0][0.0].tolist() == [[2 * default_initial(basis64)[0]]] * 3
@@ -553,12 +588,12 @@ def test_sweep_memory_is_window_sized(basis64):
 
 class TestRunEnsemble:
     """Whole ensembles through ``sweep_ensemble``: the law of an exact OU
-    chain, and a blow-up raised."""
+    chain (``TestBlowUpOrdering`` has the blow-ups)."""
 
     def test_ou_stationary_variance_mode1(self, basis64):
         # drift off: each mode is an exact OU chain; mode 1 variance at
         # T = 2 is (1 - exp(-4 pi^2)) / (2 pi^2) ~ 1/(2 pi^2)
-        cfg = SchemeConfig(epsilon=1.0, tau=2.0**-5, n_steps=64, basis=basis64,
+        cfg = SchemeConfig(epsilon=1.0, horizon=2.0, level=6, basis=basis64,
                            drift=None)
         plan = NoisePlan(31, 6)
         outs = sweep_ensemble([cfg], plan, 4000)
@@ -566,13 +601,6 @@ class TestRunEnsemble:
         target = (1.0 - np.exp(-4.0 * np.pi**2)) / (2.0 * np.pi**2)
         se = target * np.sqrt(2.0 / 3999)
         assert abs(var - target) < 4 * se
-
-    def test_blowup_aborts_by_default(self, basis64):
-        cfg = tamed_cfg(basis64, level=2, horizon=4.0, epsilon=0.001)
-        x0 = np.zeros(64)
-        x0[0] = 1e150
-        with pytest.raises(BlowUpError):
-            sweep_ensemble([cfg], NoisePlan(1, 2), 4, x0=x0)
 
 
 class TestBlowUpOrdering:
@@ -591,9 +619,8 @@ class TestBlowUpOrdering:
         basis = SineBasis(8)
         out = []
         for level in (10, 8):
-            tau = 2.0**-level
             out.append(SchemeConfig(
-                epsilon=0.0024, tau=tau, n_steps=2**level, basis=basis,
+                epsilon=0.0024, horizon=1.0, level=level, basis=basis,
                 drift=ALLEN_CAHN,
                 taming=TamingParams(alpha=1.0, beta=1e-6, theta=0.5),
             ))

@@ -15,9 +15,11 @@ import pytest
 
 from tamedspde import (
     NoisePlan,
+    SchemeConfig,
     SineBasis,
     conv_dw_covariance,
     conv_variance,
+    sweep_ensemble,
 )
 from tamedspde import noise
 from tamedspde.noise import PATH_STREAM, IncrementStream, increment_factors
@@ -266,6 +268,15 @@ def test_plan_validation():
     plan = NoisePlan(1, 10)
     assert plan.fine_steps == 1024
     assert plan.fine_step_size(1.0) == 2.0**-10
+
+
+def test_integral_float_fine_level_stored_as_int(basis16):
+    # 3.0 passes the integer check; the sweep's range() needs an int
+    plan = NoisePlan(1, 3.0)
+    assert type(plan.fine_level) is int and plan == NoisePlan(1, 3)
+    cfg = SchemeConfig(epsilon=0.5, horizon=1.0, level=2, basis=basis16)
+    [a], [b] = (sweep_ensemble([cfg], p, 2) for p in (plan, NoisePlan(1, 3)))
+    assert a[1.0].tobytes() == b[1.0].tobytes()
 
 
 class TestIncrementStream:

@@ -116,10 +116,11 @@ def test_benchmark_tiny_workloads_run_correctly():
 
 
 @pytest.mark.parametrize("cls, names", [
-    # the step size is the scheme's alone, and every run is driven by the
-    # noise: no setting duplicates tau or switches the noise off
+    # a run is 2**level steps of its horizon (tau and n_steps follow), and
+    # every run is driven by the noise: no setting duplicates tau or
+    # switches the noise off
     (tamedspde.SchemeConfig,
-     ("epsilon", "tau", "n_steps", "basis", "drift", "taming", "kind")),
+     ("epsilon", "horizon", "level", "basis", "drift", "taming", "kind")),
     (tamedspde.TamingParams, ("alpha", "beta", "theta")),
     # the profiles' nodes are the basis's grid, and the moments' maxima
     # over time are np.max of their columns: neither is kept twice
@@ -131,10 +132,10 @@ def test_config_object_fields(cls, names):
 
 
 @pytest.mark.parametrize("func, names", [
-    # a blow-up always raises, with no option to skip it; a profile
+    # a blow-up always raises, with no option to skip it; every path
     # starts from the default initial state
     (tamedspde.sweep_ensemble,
-     ("runs", "plan", "samples", "x0", "snapshot_times", "snapshot_fn",
+     ("runs", "plan", "samples", "snapshot_times", "snapshot_fn",
       "threads")),
     (tamedspde.interface_profile,
      ("schemes", "plan", "n_samples", "times", "threads")),
@@ -152,9 +153,8 @@ def test_config_object_fields(cls, names):
     (drift.check_delta_derivative_growth, ("d",)),
     (drift.check_power_mean_inequality, ("seed",)),
     (tamedspde.property_suite, ("drift", "seed")),
-    # every moment path starts from the default initial state
-    (tamedspde.moment_sup_estimate,
-     ("cfg", "plan", "n_samples", "time_grid", "threads")),
+    # the moments are taken at every step of the run
+    (tamedspde.moment_sup_estimate, ("cfg", "plan", "n_samples", "threads")),
 ], ids=["sweep_ensemble", "interface_profile", "weak_error_table",
         "verification_grid", "derive_growth_constants",
         "check_taming_domination", "check_taming_gap",

@@ -5,8 +5,8 @@ term pushes the solution toward the stable phase +1 while the space-time
 white noise keeps shaking it; the endpoint is a noisy plateau near +1
 pinned to zero at the boundary.
 
-The sweep's output is its snapshots: one (samples, modes) array per
-requested time, and the endpoint is the snapshot at the horizon.
+The sweep's output is its snapshots: one (steps, samples, modes) array
+per run, a row per requested step, and the endpoint is the last row.
 """
 
 import numpy as np
@@ -35,13 +35,14 @@ cfg = SchemeConfig(
 plan = NoisePlan(master_seed=7, fine_level=level)
 
 # one sample of the ensemble, with a snapshot at every step, t = 0 included
-times = [m * cfg.tau for m in range(cfg.n_steps + 1)]
-(out,) = sweep_ensemble([cfg], plan, [0], snapshot_times=[times])
-path = np.stack([out[t][0] for t in times])    # (steps + 1, modes)
+(out,) = sweep_ensemble([cfg], plan, [0],
+                        snapshot_steps=[range(cfg.n_steps + 1)])
+path = out[:, 0]                                # (steps + 1, modes)
 
 print("L2 norm of the state along the path:")
 for t in (0.0, 0.0625, 0.25, 1.0):
-    print(f"  t={t:5.2f}  |X|_L2 = {np.sqrt(basis.norms(out[t][0])[0]):.4f}")
+    state = path[cfg.step_at(t)]
+    print(f"  t={t:5.2f}  |X|_L2 = {np.sqrt(basis.norms(state)[0]):.4f}")
 
 # (|X|_L2^2, |X|_L4^4, sup|X|) at every step, maximised over time
 l2sq, l44, sup = basis.norms(path).max(axis=0)
@@ -50,7 +51,7 @@ print(f"  max |X|_L2  = {np.sqrt(l2sq):.4f}")
 print(f"  max |X|_L4  = {l44**0.25:.4f}")
 print(f"  max sup|X|  = {sup:.4f}")
 
-profile = basis.to_physical(out[cfg.horizon][0])
+profile = basis.to_physical(path[-1])
 mid = slice(24, 40)
 print(f"\nendpoint values at the middle nodes (phase +1 plateau):")
 print("  " + " ".join(f"{v:+.2f}" for v in profile[mid]))

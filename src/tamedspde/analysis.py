@@ -147,7 +147,7 @@ def weak_error_table(
     ``plan.spawn(0)`` and scheme i, counted across all groups, on
     ``plan.spawn(i + 1)``, and combines the two sample variances.
 
-    A run's endpoint is its horizon snapshot, and phi is the sweep's
+    A run's endpoint is its last snapshot, and phi is the sweep's
     ``snapshot_fn``: each run keeps a (samples,) vector, not endpoints.
     """
     schemes = [cfg for group in groups for cfg in group]
@@ -155,17 +155,16 @@ def weak_error_table(
     if coupled:
         outputs = sweep_ensemble(schemes + [reference], plan, n_samples,
                                  snapshot_fn=observe, threads=threads)
-        phi_ref = outputs.pop()[reference.horizon]
+        phi_ref = outputs.pop()[-1]
     else:
-        [ref_out] = sweep_ensemble([reference], plan.spawn(0), n_samples,
-                                   snapshot_fn=observe, threads=threads)
-        phi_ref = ref_out[reference.horizon]
+        phi_ref = sweep_ensemble([reference], plan.spawn(0), n_samples,
+                                 snapshot_fn=observe, threads=threads)[0][-1]
         outputs = [sweep_ensemble([cfg], plan.spawn(i + 1), n_samples,
                                   snapshot_fn=observe, threads=threads)[0]
                    for i, cfg in enumerate(schemes)]
     rows = []
     for cfg, out in zip(schemes, outputs):
-        vals = out[cfg.horizon]
+        vals = out[-1]
         if coupled:
             delta = vals - phi_ref
             err = float(abs(delta.mean()))
@@ -226,18 +225,17 @@ def moment_sup_estimate(
 
     Every path starts from ``default_initial``.  The sweep reduces each
     snapshot to the per-sample norms of ``SineBasis.norms`` as it goes, so
-    it stores (samples, 3) values per time instead of (samples, modes)
+    it stores (samples, 3) values per step instead of (samples, modes)
     states; each mean is taken over one norm's (samples,) column.
     """
-    times = cfg.tau * np.arange(cfg.n_steps + 1)
-    outputs = sweep_ensemble(
-        [cfg], plan, n_samples, snapshot_times=[times],
+    [out] = sweep_ensemble(
+        [cfg], plan, n_samples, snapshot_steps=[range(cfg.n_steps + 1)],
         snapshot_fn=cfg.basis.norms, threads=threads,
     )
-    snaps = [outputs[0][float(t)] for t in times]
-    l2sq, l44, sup = (np.array([np.mean(s[:, k]) for s in snaps])
-                      for k in range(3))
-    return MomentReport(times=times, mean_l2_sq=l2sq, mean_l4_4=l44, mean_sup=sup)
+    # per column: one mean over axis 1 of all three sums in another order
+    l2sq, l44, sup = (out[:, :, k].mean(axis=1) for k in range(3))
+    return MomentReport(times=cfg.tau * np.arange(cfg.n_steps + 1),
+                        mean_l2_sq=l2sq, mean_l4_4=l44, mean_sup=sup)
 
 
 def interface_profile(
@@ -252,16 +250,15 @@ def interface_profile(
     profile set per scheme, all from one sweep over the shared noise that
     stores the nodal values (``snapshot_fn=basis.to_physical``)."""
     times_arr = np.asarray(sorted(times), dtype=np.float64)
-    basis = schemes[0].basis
-    outputs = sweep_ensemble(
-        schemes, plan, n_samples,
-        snapshot_times=[list(times_arr)] * len(schemes),
-        snapshot_fn=basis.to_physical, threads=threads,
-    )
-    shape = (len(times_arr), basis.n_modes)     # (0, N) without times
-    return [ProfileSet(times=times_arr, mean_values=np.reshape(
-                [out[float(t)].mean(axis=0) for t in times_arr], shape))
-            for out in outputs]
+    steps = [[cfg.step_at(t) for t in times_arr] for cfg in schemes]
+    # a repeated time, or two within the grid's tolerance, share one row
+    kept = [sorted(set(s)) for s in steps]
+    outputs = sweep_ensemble(schemes, plan, n_samples, snapshot_steps=kept,
+                             snapshot_fn=schemes[0].basis.to_physical,
+                             threads=threads)
+    return [ProfileSet(times=times_arr,
+                       mean_values=out.mean(axis=1)[[k.index(m) for m in s]])
+            for out, s, k in zip(outputs, steps, kept)]
 
 
 @np.errstate(over="ignore", invalid="ignore")

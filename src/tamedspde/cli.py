@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -40,8 +39,7 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, format_value
 from .drift import (DriftDerivationError, DriftSpec, TamingParams,
                     derive_growth_constants)
-from .engine import (BlowUpError, SchemeConfig, SchemeKind, _blas_threads,
-                     _snapshot_steps)
+from .engine import BlowUpError, SchemeConfig, SchemeKind, _blas_threads
 from .noise import NoisePlan
 from .presets import PRESETS
 from .spectral import SineBasis
@@ -247,7 +245,8 @@ def cmd_interface(cfg: ExperimentConfig, threads: int):
     # the profiles step at tau_levels[0] only, so its grid must hold every
     # time; validate cannot ask this of the other commands' configs
     try:
-        _snapshot_steps(schemes[0], cfg.interface_times)
+        for t in cfg.interface_times:
+            schemes[0].step_at(t)
     except ValueError as exc:
         raise ConfigError(f"interface.times: {exc}") from None
     names = [f"profiles_eps_{format(eps, 'g')}.csv" for eps in epsilons]
@@ -275,10 +274,7 @@ def cmd_interface(cfg: ExperimentConfig, threads: int):
 def cmd_moments(cfg: ExperimentConfig, threads: int):
     basis, drift = SineBasis(cfg.n_modes), _drift(cfg)
     reports = []
-    for horizon in cfg.moments_horizons:
-        # validate made each horizon 2^level steps of 2^-tau_level, the
-        # scheme's tau, exactly
-        level = math.frexp(horizon * 2.0**cfg.moments_tau_level)[1] - 1
+    for horizon, level in zip(cfg.moments_horizons, cfg.moments_levels):
         scheme = _scheme(replace(cfg, horizon=horizon), level, basis=basis,
                          drift=drift)
         reports.append(moment_sup_estimate(

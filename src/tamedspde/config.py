@@ -104,21 +104,25 @@ class ExperimentConfig:
         if not self.alpha * self.theta < 1:
             bad("taming.alpha",
                 f"need alpha * theta < 1, got {self.alpha * self.theta}")
-        for t in self.moments_horizons:
+        for t, level in zip(self.moments_horizons, self.moments_levels):
             steps = t * 2.0**self.moments_tau_level
-            mantissa, exponent = math.frexp(steps)
-            if mantissa != 0.5 or steps < 1:
+            if steps != 2.0**level or steps < 1:
                 bad("moments.horizons",
                     f"horizon {t} must give a power-of-two number of steps "
                     f"of tau = 2^-{self.moments_tau_level}, got {steps}")
-            # each horizon's sweep runs its own fine grid of 2^(exponent-1)
-            # steps
-            if exponent - 1 > _MAX_FINE_LEVEL:
+            # each horizon's sweep runs its own fine grid of 2^level steps
+            if level > _MAX_FINE_LEVEL:
                 bad("moments.tau_level",
                     f"horizon {t} at tau = 2^-{self.moments_tau_level} needs "
-                    f"fine level {exponent - 1}, above the supported "
+                    f"fine level {level}, above the supported "
                     f"{_MAX_FINE_LEVEL}")
         return self
+
+    @property
+    def moments_levels(self) -> tuple[int, ...]:
+        """Each horizon's level k: 2^k steps of 2^-tau_level once validated."""
+        return tuple(math.frexp(t * 2.0**self.moments_tau_level)[1] - 1
+                     for t in self.moments_horizons)
 
     # -- serialization ------------------------------------------------------
 

@@ -27,13 +27,14 @@ thread count or chunk size.  A one-row matmul takes BLAS's matrix-vector
 path, whose last bit can differ from a row of a matrix product, so a
 chunk of one sample is swept as two copies of it.
 
-Snapshots are the sweep's only output: each run gives a dict from time to
-a (samples, ...) array, and its endpoint is the snapshot at its horizon,
-the one time taken when no other is asked for.  Snapshots can be reduced
-as the sweep goes (``snapshot_fn``), so a caller that reads a few numbers
-per sample and time, such as an observable of the endpoint, does not hold
-the states.  The running norm monitors are the maxima over time of norm
-snapshots taken at every step.
+Snapshots are the sweep's only output: each run gives one (steps, samples,
+...) array, a row per snapshot step on the run's own grid, and its
+endpoint is the row of step n_steps, the one step taken when no other is
+asked for; ``SchemeConfig.step_at`` maps a time to its step.  Snapshots
+can be reduced as the sweep goes (``snapshot_fn``), so a caller that
+reads a few numbers per sample and step, such as an observable of the
+endpoint, does not hold the states.  The running norm monitors are the
+maxima over time of norm snapshots taken at every step.
 
 Each chunk streams its noise: a ``noise.IncrementStream`` keeps one live
 Philox generator per sample and fills reused 8-step window buffers laid
@@ -69,6 +70,7 @@ import contextlib
 import ctypes
 import enum
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -144,7 +146,17 @@ class SchemeConfig:
 
     @property
     def tau(self) -> float:
-        return self.horizon / 2**self.level
+        # not horizon / 2**level: float(2**level) overflows from level 1024
+        return math.ldexp(self.horizon, -self.level)
+
+    def step_at(self, t: float) -> int:
+        """The step m with m * tau = t within 1e-9 max(1, tau), else
+        ValueError; t / tau is clipped, so an overflow to inf is off the grid."""
+        m = int(round(min(max(t / self.tau, -1.0), self.n_steps + 1.0)))
+        if not 0 <= m <= self.n_steps or abs(m * self.tau - t) > 1e-9 * max(1.0, self.tau):
+            raise ValueError(f"snapshot time {t} is not on the step grid of "
+                             f"tau={self.tau} in [0, {self.horizon}]")
+        return m
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +166,14 @@ class SchemeConfig:
 
 class _RunPre:
     """One run of a sweep: its coarse ratio (fine steps per step), its
-    snapshots (given as step -> time, kept as fine step -> time) and the
-    precomputed quantities of the step it takes."""
+    snapshot steps (kept as fine step -> output row) and the precomputed
+    quantities of the step it takes."""
 
     def __init__(self, cfg: SchemeConfig, ratio: int = 1,
-                 snaps: dict[int, float] | None = None):
+                 steps: Sequence[int] = ()):
         self.cfg = cfg
         self.ratio = ratio
-        self.snaps = {m * ratio: t for m, t in (snaps or {}).items()}
+        self.snaps = {m * ratio: row for row, m in enumerate(steps)}
         self.tamed = cfg.kind is SchemeKind.TAMED_EXP_EULER
         basis = cfg.basis
         self.transform = basis._transform
@@ -319,21 +331,6 @@ def _blas_threads() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _snapshot_steps(cfg: SchemeConfig, times: Sequence[float]) -> dict[int, float]:
-    table: dict[int, float] = {}
-    for t in times:
-        # clipped, so a time whose step count overflows to inf is off the
-        # grid rather than an OverflowError
-        m = int(round(min(max(t / cfg.tau, -1.0), cfg.n_steps + 1.0)))
-        if not 0 <= m <= cfg.n_steps or abs(m * cfg.tau - t) > 1e-9 * max(1.0, cfg.tau):
-            raise ValueError(
-                f"snapshot time {t} is not on the step grid of tau={cfg.tau} "
-                f"in [0, {cfg.horizon}]"
-            )
-        table[m] = float(t)
-    return table
-
-
 def _sample_id(s) -> int:
     """``s`` as a sample id: an integer in [0, 2**63), the ids an int64
     array holds (the Philox counter word is unsigned)."""
@@ -351,26 +348,27 @@ def sweep_ensemble(
     plan: NoisePlan,
     samples: int | Sequence[int],
     *,
-    snapshot_times: Sequence[Sequence[float]] | None = None,
+    snapshot_steps: Sequence[Sequence[int]] | None = None,
     snapshot_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     threads: int = 1,
-) -> list[dict[float, np.ndarray]]:
+) -> list[np.ndarray]:
     """Advance all runs, which share one horizon and are no finer than
     ``plan``, over one shared noise path per sample, every path from
     ``default_initial``.
 
     ``samples`` is either a count (ids 0..n-1) or explicit sample ids;
-    ids select the counter-addressed noise.  Returns one snapshot dict
-    per run, from each of ``snapshot_times[i]`` to a sample-major
-    (samples, ...) array; without ``snapshot_times`` the one time is the
-    run's horizon, so ``outs[i][runs[i].horizon]`` holds its endpoints.
+    ids select the counter-addressed noise.  Returns one (steps, samples,
+    ...) array per run, a row per step of ``snapshot_steps[i]``, strictly
+    increasing integers in [0, ``runs[i].n_steps``] on run i's own grid
+    (else ValueError naming the run); the default step is ``n_steps``, so
+    ``outs[i][-1]`` holds run i's endpoints.
     A non-finite state raises BlowUpError once every chunk has finished
     or blown, naming the first blow-up by (fine step, run, sample
     position); results and that error are independent of ``threads``.
 
     ``snapshot_fn`` reduces what a snapshot stores: it maps a (rows, N)
     batch of states to per-sample values, (rows, K) or (rows,), and each
-    snapshot array is then (samples, K) or (samples,) instead of
+    snapshot row is then (samples, K) or (samples,) instead of
     (samples, N); an observable of the endpoint is computed this way,
     inside the sweep.  It is applied to a whole chunk's states, always at
     least two rows (the state at t = 0 as two copies of the initial
@@ -390,7 +388,8 @@ def sweep_ensemble(
     n_samples = len(sample_ids)
     basis = runs[0].basis
     horizon = runs[0].horizon
-    for r in runs:
+    given = [[r.n_steps] for r in runs] if snapshot_steps is None else snapshot_steps
+    for i, (r, steps) in enumerate(zip(runs, given, strict=True)):
         if r.basis.n_modes != basis.n_modes:
             raise ValueError("all runs must share one basis size")
         if r.horizon != horizon:
@@ -400,22 +399,23 @@ def sweep_ensemble(
         if r.level > plan.fine_level:
             raise ValueError(f"run level {r.level} is finer than the plan's "
                              f"fine level {plan.fine_level}")
+        # -1 < s_0 < ... < s_last < n_steps + 1, else a row stays unwritten
+        pairs = zip([-1, *steps], [*steps, r.n_steps + 1])
+        if not all(isinstance(b, (int, np.integer)) and a < b for a, b in pairs):
+            raise ValueError(f"run {i}: snapshot steps must be strictly increasing "
+                             f"integers in [0, {r.n_steps}], got {steps}")
     x0 = default_initial(basis)
 
     n_mode = basis.n_modes
     fine_steps = plan.fine_steps
     h = plan.fine_step_size(horizon)
-    pres = []
-    for i, r in enumerate(runs):
-        snaps = _snapshot_steps(r, snapshot_times[i] if snapshot_times
-                                else [r.horizon])
-        pres.append(_RunPre(r, 2 ** (plan.fine_level - r.level), snaps))
-    if snapshot_fn is None:
-        snapshot_fn = np.asarray       # the states themselves
+    pres = [_RunPre(r, 2 ** (plan.fine_level - r.level), steps)
+            for r, steps in zip(runs, given)]
+    snapshot_fn = snapshot_fn or np.asarray    # None: the states themselves
     # two rows: see the one-row note in work
     snap0 = snapshot_fn(np.tile(x0, (2, 1)))[:1]
-    outputs = [{t: np.empty((n_samples, *snap0.shape[1:]))
-                for t in pre.snaps.values()} for pre in pres]
+    outputs = [np.empty((len(pre.snaps), n_samples, *snap0.shape[1:]))
+               for pre in pres]
 
     decay_fine = np.exp(-basis.eigenvalues * h)
     window = min(_WINDOW_STEPS, fine_steps)
@@ -447,7 +447,7 @@ def sweep_ensemble(
         finite = np.empty((count, n_mode), dtype=bool)
         for i, pre in enumerate(pres):
             if 0 in pre.snaps:
-                outputs[i][pre.snaps[0]][lo:hi] = snap0
+                outputs[i][pre.snaps[0], lo:hi] = snap0
         stream = noise_mod.IncrementStream(plan, ids, basis.eigenvalues, h, window,
                                            dw=not all(p.tamed for p in pres),
                                            conv=any(p.tamed for p in pres))
@@ -483,7 +483,7 @@ def sweep_ensemble(
                         bad = int(np.flatnonzero(~finite)[0]) // n_mode
                         return k, i, lo + bad
                     if k + 1 in pre.snaps:
-                        outputs[i][pre.snaps[k + 1]][lo:hi] = (
+                        outputs[i][pre.snaps[k + 1], lo:hi] = (
                             snapshot_fn(new)[:rows])
         return None
 

@@ -46,6 +46,7 @@ is exact in distribution and exactly coupled to the fine path.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,8 @@ class NoisePlan:
         return 2**self.fine_level
 
     def fine_step_size(self, horizon: float) -> float:
-        return horizon / self.fine_steps
+        # not horizon / 2**fine_level: float(2**1024) overflows
+        return math.ldexp(horizon, -self.fine_level)
 
     def philox_key(self) -> np.ndarray:
         """Two-word Philox key derived from the master seed (read-only,

@@ -285,7 +285,7 @@ class TestMoments:
                            drift=None)
         [out] = sweep_ensemble([cfg], NoisePlan(17, 6), 4000,
                                snapshot_fn=basis64.norms)
-        got = np.mean(out[2.0][:, 0])
+        got = np.mean(out[-1][:, 0])
         se = target * np.sqrt(2.0 / 63) / np.sqrt(4000) * 8  # loose guard
         assert got == pytest.approx(target, abs=max(4 * 0.0745 / np.sqrt(4000), se))
 
@@ -311,11 +311,11 @@ class TestMoments:
         times = [m * cfg.tau for m in range(cfg.n_steps + 1)]
         report = moment_sup_estimate(cfg, plan, 257, threads=threads)
         assert report.times.tobytes() == np.array(times).tobytes()
-        outs = sweep_ensemble([cfg], plan, 257, snapshot_times=[times],
+        outs = sweep_ensemble([cfg], plan, 257,
+                              snapshot_steps=[range(cfg.n_steps + 1)],
                               threads=threads)
         l2sq, l44, sup = [], [], []
-        for t in times:
-            coeffs = outs[0][t]
+        for coeffs in outs[0]:
             phys = basis64.to_physical(coeffs)
             l2sq.append(np.mean(np.sum(coeffs**2, axis=-1)))
             l44.append(np.mean(np.sum(phys**4, axis=-1) / (basis64.n_modes + 1)))
@@ -356,8 +356,9 @@ class TestInterfaceProfile:
                            drift=None)
         plan = NoisePlan(5, 4)
         (profile,) = interface_profile([cfg], plan, 2, [0.5])
-        outs = sweep_ensemble([cfg], plan, 2, snapshot_times=[[0.5]])
-        expected = basis64.to_physical(outs[0][0.5]).mean(axis=0)
+        outs = sweep_ensemble([cfg], plan, 2,
+                              snapshot_steps=[[cfg.step_at(0.5)]])
+        expected = basis64.to_physical(outs[0][0]).mean(axis=0)
         assert profile.mean_values[0].tobytes() == expected.tobytes()
 
     def test_one_sweep_per_scheme_list(self, basis64):
@@ -369,6 +370,17 @@ class TestInterfaceProfile:
         for cfg, got in zip(cfgs, together):
             (alone,) = interface_profile([cfg], plan, 3, [0.0, 0.5, 1.0])
             assert got.mean_values.tobytes() == alone.mean_values.tobytes()
+
+    def test_times_on_one_step_share_its_row(self, basis64):
+        # the sweep refuses a repeated step; a repeated time, or one
+        # within the grid's tolerance of another, reads the same row
+        cfg = _tamed(basis64, 4, epsilon=0.05)
+        plan = NoisePlan(5, 4)
+        (once,) = interface_profile([cfg], plan, 3, [0.5, 1.0])
+        (twice,) = interface_profile([cfg], plan, 3, [1.0, 0.5, 0.5 + 1e-12])
+        assert twice.times.tolist() == [0.5, 0.5 + 1e-12, 1.0]
+        assert twice.mean_values.tobytes() == (
+            once.mean_values[[0, 0, 1]].tobytes())
 
 
 class TestPropertySuite:

@@ -496,6 +496,10 @@ class TestMomentsCommand:
         cfg = replace(ExperimentConfig(), moments_tau_level=13)
         assert cfg.moments_horizons == (1.0, 2.0)
         assert cfg.validate() is cfg
+        # one sweep per horizon, each on its own grid of 2^level steps
+        assert cfg.moments_levels == (13, 14)
+        assert replace(cfg, moments_horizons=(0.25, 0.5),
+                       moments_tau_level=2).moments_levels == (0, 1)
 
 
 class TestOutputDirectory:

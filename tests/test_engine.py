@@ -77,6 +77,26 @@ class TestConfigValidation:
         assert type(cfg.level) is int and type(cfg.n_steps) is int
         assert (cfg.level, cfg.n_steps, cfg.tau) == (3, 8, 0.125)
 
+    @pytest.mark.parametrize("horizon", [1.0, 0.3, 2.0, 7.5, 1e-300, 1e300])
+    def test_tau_bits_equal_the_division(self, basis16, horizon):
+        for level in range(1024):
+            cfg = SchemeConfig(epsilon=0.5, horizon=horizon, level=level,
+                               basis=basis16)
+            assert cfg.tau.hex() == (horizon / 2**level).hex(), level
+            assert NoisePlan(1, level).fine_step_size(horizon).hex() == (
+                (horizon / 2**level).hex()), level
+
+    def test_tau_past_level_1023_does_not_overflow(self, basis16):
+        # float(2**1024) overflows; tau is 0.0 only past 2**-1074
+        for level, tau in ((1024, 2.0**-1024), (1074, 2.0**-1074),
+                           (1075, 0.0), (5000, 0.0)):
+            cfg = SchemeConfig(epsilon=0.5, horizon=1.0, level=level,
+                               basis=basis16)
+            assert cfg.tau == tau
+            assert NoisePlan(1, level).fine_step_size(1.0) == tau
+        with pytest.raises(OverflowError):
+            1.0 / 2**1024
+
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
     def test_horizon_must_be_finite_and_positive(self, basis16, horizon):
         with pytest.raises(ValueError, match="horizon must be finite"):
@@ -178,8 +198,8 @@ class TestRunTrajectory:
         cfg = SchemeConfig(epsilon=0.01, horizon=2.0**-4, level=0,
                            basis=basis64, drift=None)
         (out,) = sweep_ensemble([cfg], NoisePlan(1, 4), [0],
-                                snapshot_times=[[0.0]])
-        assert np.array_equal(out[0.0][0], default_initial(basis64))
+                                snapshot_steps=[[0]])
+        assert np.array_equal(out[0, 0], default_initial(basis64))
 
     def test_zero_noise_heat_decay(self, basis64):
         # every run is driven by the noise, so the noise-free path is 32
@@ -196,19 +216,20 @@ class TestRunTrajectory:
     def test_snapshots_and_monitor_recomputation(self, basis64):
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         plan = NoisePlan(11, 4)
-        times = [m / 16 for m in range(17)]
-        (out,) = sweep_ensemble([cfg], plan, [3], snapshot_times=[times])
+        (out,) = sweep_ensemble([cfg], plan, [3],
+                                snapshot_steps=[range(17)])
         assert len(out) == 17
-        recomputed = max(
-            float(np.linalg.norm(out[t][0])) for t in times
-        )
+        recomputed = max(float(np.linalg.norm(row[0])) for row in out)
         ((max_l2, _, _),) = norm_monitors([cfg], plan, [3])
         assert max_l2[0] == pytest.approx(recomputed, rel=1e-12)
 
     def test_snapshot_off_grid_rejected(self, basis64):
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
-        with pytest.raises(ValueError, match="not on the step grid"):
-            sweep_ensemble([cfg], NoisePlan(11, 4), [0], snapshot_times=[[0.3]])
+        assert [cfg.step_at(t) for t in (0.0, 0.25, 1.0)] == [0, 4, 16]
+        # 1e308 / tau overflows to inf: clipped, it is off the grid
+        for t in (0.3, -0.0625, 1.0625, 1e308, -1e308):
+            with pytest.raises(ValueError, match="not on the step grid"):
+                cfg.step_at(t)
 
     def test_memory_at_2_14_steps(self, basis64):
         # the lone sample sweeps as two rows; the traced peak was 0.6 MB
@@ -216,7 +237,7 @@ class TestRunTrajectory:
         plan = NoisePlan(5, 14)
         tracemalloc.start()
         try:
-            sweep_ensemble([cfg], plan, [3], snapshot_times=[[0.5, 1.0]])
+            sweep_ensemble([cfg], plan, [3], snapshot_steps=[[2**13, 2**14]])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -225,17 +246,55 @@ class TestRunTrajectory:
     def test_sample_id_selects_path(self, basis64):
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         plan = NoisePlan(11, 4)
-        a, b, again = (sweep_ensemble([cfg], plan, [sample])[0][cfg.horizon]
+        a, b, again = (sweep_ensemble([cfg], plan, [sample])[0][-1]
                        for sample in (7, 8, 7))
         assert not np.array_equal(a, b)
         assert np.array_equal(a, again)
+
+
+class TestSnapshotSteps:
+    """``snapshot_steps[i]`` are strictly increasing integers in
+    [0, n_steps] of run i; anything else would leave a row unwritten."""
+
+    @pytest.mark.parametrize("steps", [
+        [4, 4], [8, 4], [-1, 4], [4, 17], [0.5, 4], [4.0],
+    ], ids=["repeated", "decreasing", "negative", "past-the-end",
+            "non-integral", "float"])
+    def test_bad_steps_name_the_run(self, basis64, steps):
+        runs = [tamed_cfg(basis64, level=3, epsilon=0.5),
+                tamed_cfg(basis64, level=4, epsilon=0.5)]
+        with pytest.raises(ValueError, match=re.escape(
+                "run 1: snapshot steps must be strictly increasing "
+                "integers in [0, 16]")):
+            sweep_ensemble(runs, NoisePlan(3, 4), 2,
+                           snapshot_steps=[[8], steps])
+
+    def test_one_list_per_run(self, basis64):
+        cfg = tamed_cfg(basis64, level=3, epsilon=0.5)
+        with pytest.raises(ValueError):
+            sweep_ensemble([cfg, cfg], NoisePlan(3, 3), 2,
+                           snapshot_steps=[[8]])
+
+    def test_rows_come_in_the_given_order(self, basis64):
+        # rows follow the list; the default is the endpoint alone
+        cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
+        plan = NoisePlan(3, 6)
+        [every] = sweep_ensemble([cfg], plan, 3, snapshot_steps=[range(17)])
+        [some] = sweep_ensemble([cfg], plan, 3,
+                                snapshot_steps=[np.array([0, 5, 16])])
+        [end] = sweep_ensemble([cfg], plan, 3)
+        assert every.shape == (17, 3, 64) and some.shape == (3, 3, 64)
+        assert some.tobytes() == every[[0, 5, 16]].tobytes()
+        assert end.tobytes() == every[16:].tobytes()
+        [none] = sweep_ensemble([cfg], plan, 3, snapshot_steps=[[]])
+        assert none.shape == (0, 3, 64)
 
 
 class TestSweep:
     def test_scheme_against_itself_identical(self, basis64):
         cfg = tamed_cfg(basis64, level=5)
         outs = sweep_ensemble([cfg, cfg], NoisePlan(9, 5), 10)
-        assert np.array_equal(outs[0][cfg.horizon], outs[1][cfg.horizon])
+        assert np.array_equal(outs[0][-1], outs[1][-1])
 
     def test_thread_count_invariance(self, basis64):
         cfg = tamed_cfg(basis64, level=6)
@@ -244,7 +303,7 @@ class TestSweep:
         a = sweep_ensemble([cfg, ref], plan, 520, threads=1)
         b = sweep_ensemble([cfg, ref], plan, 520, threads=4)
         for x, y in zip(a, b):
-            assert np.array_equal(x[1.0], y[1.0])
+            assert np.array_equal(x[-1], y[-1])
 
     def test_alignment_errors(self, basis64):
         cfg = tamed_cfg(basis64, level=5)
@@ -258,22 +317,22 @@ class TestSweep:
 
     def test_horizon_off_the_dyadic_fractions(self, basis64, monkeypatch,
                                               fingerprint):
-        # T = 0.3 at level 3 on fine level 6: the endpoint is keyed at
-        # 0.3 itself and each step covers 8 fine steps.  The digest was
+        # T = 0.3 at level 3 on fine level 6: the endpoint is the one
+        # snapshot and each step covers 8 fine steps.  The digest was
         # recorded with the run given as tau = 0.3 / 8 and 8 steps; the
         # reference kind's bytes are the same at the X86_V3 dispatch level
         ratios = []
 
         class Recording(engine._RunPre):
-            def __init__(self, cfg, ratio=1, snaps=None):
-                super().__init__(cfg, ratio, snaps)
+            def __init__(self, cfg, ratio=1, steps=()):
+                super().__init__(cfg, ratio, steps)
                 ratios.append(ratio)
 
         monkeypatch.setattr(engine, "_RunPre", Recording)
         cfg = reference_cfg(basis64, level=3, horizon=0.3, epsilon=0.5)
         [out] = sweep_ensemble([cfg], NoisePlan(7, 6), 5)
-        assert list(out) == [0.3] and ratios == [8]
-        assert hashlib.sha256(out[0.3].tobytes()).hexdigest() == (
+        assert out.shape == (1, 5, 64) and ratios == [8]
+        assert hashlib.sha256(out[-1].tobytes()).hexdigest() == (
             "6fe70f33f33ac6619e7a6f872be7871091613e215cd72e026e65453d76dafb43"
         ), f"sweep bytes moved on this machine:\n{fingerprint}"
 
@@ -293,7 +352,7 @@ class TestSweep:
             for k in (2 * m, 2 * m + 1):
                 agg = decay * agg + conv[k, 0]
             state = step(state, cfg, agg)
-        assert np.allclose(outs[0][cfg.horizon][0], state, rtol=1e-12,
+        assert np.allclose(outs[0][-1][0], state, rtol=1e-12,
                            atol=1e-15)
 
     @pytest.mark.parametrize("samples, bad", [
@@ -330,16 +389,15 @@ class TestSweep:
                 for q in (0, 2, 3, 4, 6, 8)]
         runs += [reference_cfg(basis64, level=level, epsilon=0.5)
                  for level in (9, 3)]
-        times = [[0.5, 1.0]] * len(runs)
+        steps = at_times(runs, (0.5, 1.0))
         plan = NoisePlan(23, 9)
-        default = sweep_ensemble(runs, plan, 13, snapshot_times=times)
+        default = sweep_ensemble(runs, plan, 13, snapshot_steps=steps)
         default_mons = norm_monitors(runs, plan, 13)
         for window in (4, 16, 64, 256):
             monkeypatch.setattr(engine, "_WINDOW_STEPS", window)
-            outs = sweep_ensemble(runs, plan, 13, snapshot_times=times)
+            outs = sweep_ensemble(runs, plan, 13, snapshot_steps=steps)
             for a, b in zip(default, outs):
-                assert _output_arrays(a, (0.5, 1.0)) == _output_arrays(
-                    b, (0.5, 1.0))
+                assert _output_arrays(a) == _output_arrays(b)
             mons = norm_monitors(runs, plan, 13)
             assert _monitor_bytes(mons) == _monitor_bytes(default_mons)
 
@@ -408,10 +466,15 @@ def test_every_step_passes_the_hook_points(basis64, monkeypatch, samples,
     assert calls == {"advance": steps, "drift_term": steps}
 
 
-def _output_arrays(out, times, rows=slice(None)):
-    """The bytes of every output array of one run, per array: its
-    snapshots at ``times``, the horizon, its endpoints, among them."""
-    return [out[t][rows].tobytes() for t in times]
+def at_times(runs, times):
+    """Each run's snapshot steps at ``times``, on its own grid."""
+    return [[r.step_at(t) for t in times] for r in runs]
+
+
+def _output_arrays(out, rows=slice(None)):
+    """The bytes of one run's output, per snapshot row; the last row
+    holds its endpoints."""
+    return [row[rows].tobytes() for row in out]
 
 
 def norm_monitors(runs, plan, samples, **kwargs):
@@ -420,13 +483,11 @@ def norm_monitors(runs, plan, samples, **kwargs):
     all steps, t = 0 included."""
     outs = sweep_ensemble(
         runs, plan, samples,
-        snapshot_times=[[m * r.tau for m in range(r.n_steps + 1)]
-                        for r in runs],
+        snapshot_steps=[range(r.n_steps + 1) for r in runs],
         snapshot_fn=runs[0].basis.norms,
         **kwargs)
     monitors = []
-    for out in outs:
-        norms = np.stack(list(out.values()))    # (steps + 1, S, 3)
+    for norms in outs:                          # (steps + 1, S, 3)
         monitors.append((np.sqrt(norms[..., 0]).max(axis=0),
                          (norms[..., 1]**0.25).max(axis=0),
                          norms[..., 2].max(axis=0)))
@@ -453,14 +514,14 @@ class TestSampleBits:
         """Per run, the output arrays' bytes and the monitors."""
         runs, plan = self.runs(basis), NoisePlan(41, 6)
         outs = sweep_ensemble(runs, plan, samples,
-                              snapshot_times=[self.TIMES, self.TIMES])
+                              snapshot_steps=at_times(runs, self.TIMES))
         monitors = norm_monitors(runs, plan, samples)
         return outs, monitors
 
     @staticmethod
-    def as_bytes(sweep, times, rows=slice(None)):
+    def as_bytes(sweep, rows=slice(None)):
         outs, monitors = sweep
-        return ([_output_arrays(out, times, rows) for out in outs],
+        return ([_output_arrays(out, rows) for out in outs],
                 _monitor_bytes(monitors, rows))
 
     @pytest.fixture(scope="class")
@@ -470,19 +531,18 @@ class TestSampleBits:
     @pytest.mark.parametrize("sample", [0, 5, 255, 256, 299])
     def test_single_sample_equals_batch_row(self, basis64, full, sample):
         one = self.sweep(basis64, [sample])
-        assert self.as_bytes(one, self.TIMES) == self.as_bytes(
-            full, self.TIMES, [sample])
+        assert self.as_bytes(one) == self.as_bytes(full, [sample])
 
     @pytest.mark.parametrize("count", [255, 256, 257])
     def test_chunk_edges(self, basis64, full, count):
         # 257 samples end in a one-row chunk
-        assert self.as_bytes(self.sweep(basis64, count), self.TIMES) == (
-            self.as_bytes(full, self.TIMES, slice(0, count)))
+        assert self.as_bytes(self.sweep(basis64, count)) == (
+            self.as_bytes(full, slice(0, count)))
 
     def test_explicit_ids_equal_count(self, basis64, full):
         ids = [299, 0, 5, 256, 255]
-        assert self.as_bytes(self.sweep(basis64, ids), self.TIMES) == (
-            self.as_bytes(full, self.TIMES, ids))
+        assert self.as_bytes(self.sweep(basis64, ids)) == (
+            self.as_bytes(full, ids))
 
 
 class TestStepHelperBits:
@@ -516,7 +576,7 @@ class TestStepHelperBits:
                     else:
                         acc = acc + dw[k]
                 state = step(state, cfg, acc)
-            assert state.tobytes() == outs[0][1.0][sample].tobytes(), (
+            assert state.tobytes() == outs[0][-1][sample].tobytes(), (
                 f"sample {sample}")
 
 
@@ -545,17 +605,18 @@ class TestSnapshotFn:
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         plan = NoisePlan(41, 6)
         reduce = lambda states: states @ basis64._transform[:, :2]
-        full = sweep_ensemble([cfg], plan, 257, snapshot_times=[self.TIMES])
-        small = sweep_ensemble([cfg], plan, 257, snapshot_times=[self.TIMES],
+        steps = at_times([cfg], self.TIMES)
+        full = sweep_ensemble([cfg], plan, 257, snapshot_steps=steps)
+        small = sweep_ensemble([cfg], plan, 257, snapshot_steps=steps,
                                snapshot_fn=reduce)
-        for t in self.TIMES:
-            assert small[0][t].shape == (257, 2)
-            assert small[0][t].tobytes() == reduce(full[0][t]).tobytes()
+        assert small[0].shape == (len(self.TIMES), 257, 2)
+        for a, b in zip(small[0], full[0]):
+            assert a.shape == (257, 2)
+            assert a.tobytes() == reduce(b).tobytes()
         # a reduction leaves the path alone: reduced at the horizon, the
         # raw endpoints give the reduced sweep's horizon snapshot
         [raw] = sweep_ensemble([cfg], plan, 257)
-        assert small[0][cfg.horizon].tobytes() == reduce(
-            raw[cfg.horizon]).tobytes()
+        assert small[0][-1].tobytes() == reduce(raw[-1]).tobytes()
 
     def test_zero_horizon(self, basis64):
         # no zero-horizon sweep exists; the t = 0 snapshot of a one-step
@@ -565,9 +626,9 @@ class TestSnapshotFn:
                          basis=basis64, drift=None)
         cfg = SchemeConfig(epsilon=0.5, horizon=2.0**-4, level=0,
                            basis=basis64, drift=None)
-        outs = sweep_ensemble([cfg], NoisePlan(1, 4), 3, snapshot_times=[[0.0]],
+        outs = sweep_ensemble([cfg], NoisePlan(1, 4), 3, snapshot_steps=[[0]],
                               snapshot_fn=lambda s: s[:, :1] * 2.0)
-        assert outs[0][0.0].tolist() == [[2 * default_initial(basis64)[0]]] * 3
+        assert outs[0][0].tolist() == [[2 * default_initial(basis64)[0]]] * 3
 
 
 def test_sweep_memory_is_window_sized(basis64):
@@ -597,7 +658,7 @@ class TestRunEnsemble:
                            drift=None)
         plan = NoisePlan(31, 6)
         outs = sweep_ensemble([cfg], plan, 4000)
-        var = outs[0][cfg.horizon][:, 0].var(ddof=1)
+        var = outs[0][-1][:, 0].var(ddof=1)
         target = (1.0 - np.exp(-4.0 * np.pi**2)) / (2.0 * np.pi**2)
         se = target * np.sqrt(2.0 / 3999)
         assert abs(var - target) < 4 * se
@@ -646,14 +707,13 @@ class TestBlowUpOrdering:
         # bits it has in any batch, so the pin of their rows holds
         survivors = [s for s in range(12) if s != 2]
         outs = sweep_ensemble(self.runs(), NoisePlan(6, 10), survivors,
-                              snapshot_times=[self.TIMES, self.TIMES])
+                              snapshot_steps=at_times(self.runs(), self.TIMES))
         monitors = norm_monitors(self.runs(), NoisePlan(6, 10), survivors)
         h = hashlib.sha256()
         for out, mons in zip(outs, monitors):
             # the horizon, 1.0, is hashed first as the endpoints, then in
             # its place among the snapshots
-            for a in ([out[1.0]] + [out[t] for t in self.TIMES]
-                      + list(mons)):
+            for a in [out[-1], *out, *mons]:
                 h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest() == (
             "8674624037c3916b7181f29759495a51958d0325cf288bc3401f0c4195a2a862"
@@ -716,12 +776,12 @@ class TestThreading:
     def test_600_samples_bytes_equal_at_one_and_two_threads(self, basis64):
         runs = [tamed_cfg(basis64, level=4, epsilon=0.5),
                 reference_cfg(basis64, level=6, epsilon=0.5)]
-        times = [[0.5, 1.0], [0.5, 1.0]]
+        steps = at_times(runs, (0.5, 1.0))
         plan = NoisePlan(17, 6)
-        one = sweep_ensemble(runs, plan, 600, threads=1, snapshot_times=times)
-        two = sweep_ensemble(runs, plan, 600, threads=2, snapshot_times=times)
+        one = sweep_ensemble(runs, plan, 600, threads=1, snapshot_steps=steps)
+        two = sweep_ensemble(runs, plan, 600, threads=2, snapshot_steps=steps)
         for a, b in zip(one, two):
-            assert _output_arrays(a, (0.5, 1.0)) == _output_arrays(b, (0.5, 1.0))
+            assert _output_arrays(a) == _output_arrays(b)
         assert _monitor_bytes(norm_monitors(runs, plan, 600, threads=1)) == (
             _monitor_bytes(norm_monitors(runs, plan, 600, threads=2)))
 
@@ -732,7 +792,7 @@ class TestThreading:
         for n in (600, 13):
             one = sweep_ensemble([cfg], NoisePlan(2, 5), n, threads=1)
             eight = sweep_ensemble([cfg], NoisePlan(2, 5), n, threads=8)
-            assert one[0][1.0].tobytes() == eight[0][1.0].tobytes()
+            assert one[0][-1].tobytes() == eight[0][-1].tobytes()
 
     def test_one_thread_inside_restored_after_return(self, basis64, blas_seen):
         blas, seen, _ = blas_seen

@@ -276,7 +276,7 @@ def test_integral_float_fine_level_stored_as_int(basis16):
     assert type(plan.fine_level) is int and plan == NoisePlan(1, 3)
     cfg = SchemeConfig(epsilon=0.5, horizon=1.0, level=2, basis=basis16)
     [a], [b] = (sweep_ensemble([cfg], p, 2) for p in (plan, NoisePlan(1, 3)))
-    assert a[1.0].tobytes() == b[1.0].tobytes()
+    assert a[-1].tobytes() == b[-1].tobytes()
 
 
 class TestIncrementStream:

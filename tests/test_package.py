@@ -36,7 +36,8 @@ DELETED = {"weak_error_estimate", "run_ensemble", "EnsembleStats",
            "weak_errors_shared_reference", "_error_table", "_setup",
            "_reference", "_constants", "_output_dir", "_fmt", "_encode",
            "preset", "PropertyReport", "StepSizeVerdict", "max_mean_l2_sq",
-           "max_mean_l4_4", "max_mean_sup", "degree", "RunOutput"}
+           "max_mean_l4_4", "max_mean_sup", "degree", "RunOutput",
+           "_snapshot_steps"}
 #: basis methods that nothing in the package called
 DELETED_METHODS = {"eigenvalue", "semigroup_apply", "to_spectral"}
 #: benchmark hook points whose targets were deleted before the benchmark
@@ -135,7 +136,7 @@ def test_config_object_fields(cls, names):
     # a blow-up always raises, with no option to skip it; every path
     # starts from the default initial state
     (tamedspde.sweep_ensemble,
-     ("runs", "plan", "samples", "snapshot_times", "snapshot_fn",
+     ("runs", "plan", "samples", "snapshot_steps", "snapshot_fn",
       "threads")),
     (tamedspde.interface_profile,
      ("schemes", "plan", "n_samples", "times", "threads")),

@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 from contextlib import suppress
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    ErrorRow,
     ErrorTable,
     StepTestFunction,
     fit_convergence_rate,
@@ -46,8 +47,9 @@ from .spectral import SineBasis
 
 __all__ = ["main"]
 
-_TABLE1_ALPHAS = (1.0, 0.5, 1.0 / 3.0, 0.25)
-_TABLE1_COLUMNS = ("err_alpha_1", "err_alpha_1_2", "err_alpha_1_3", "err_alpha_1_4")
+#: table1.csv's error columns -> their taming exponents
+_TABLE1 = {"err_alpha_1": 1.0, "err_alpha_1_2": 0.5,
+           "err_alpha_1_3": 1.0 / 3.0, "err_alpha_1_4": 0.25}
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
@@ -185,11 +187,8 @@ def _weak_tables(cfg: ExperimentConfig, alphas: tuple[float, ...],
 
 def cmd_converge(cfg: ExperimentConfig, threads: int):
     [table] = _weak_tables(cfg, (cfg.alpha,), threads)
-    header = ("level", "tau", "weak_error", "mc_halfwidth", "n_samples",
-              "admissible", "admissibility_ratio")
-    files = {"errors.csv": (header, (
-        (r.level, r.tau, r.weak_error, r.mc_halfwidth, r.n_samples,
-         r.admissible, r.admissibility_ratio) for r in table.rows))}
+    files = {"errors.csv": (tuple(f.name for f in fields(ErrorRow)),
+                            map(astuple, table.rows))}
     for row in table.rows:
         print(f"level {row.level}  tau {row.tau:.3e}  weak error "
               f"{row.weak_error:.6f} +- {row.mc_halfwidth:.6f}  "
@@ -199,24 +198,21 @@ def cmd_converge(cfg: ExperimentConfig, threads: int):
     except ValueError as exc:               # "rate fit refused: <reason>"
         print(exc)
     else:
-        files["rate_fit.json"] = {
-            "slope": fit.slope, "intercept": fit.intercept,
-            "residual": fit.residual, "n_rows": len(table.rows),
-        }
+        files["rate_fit.json"] = {**asdict(fit), "n_rows": len(table.rows)}
         print(f"fitted convergence slope: {fit.slope:.4f}")
     return 0, files, {"admissibility": _admissibility_entries(table)}
 
 
 def cmd_table1(cfg: ExperimentConfig, threads: int):
-    tables = _weak_tables(cfg, _TABLE1_ALPHAS, threads)
-    header = ("level", "tau") + _TABLE1_COLUMNS
+    tables = _weak_tables(cfg, tuple(_TABLE1.values()), threads)
+    header = ("level", "tau", *_TABLE1)
     rows = [
         (row.level, row.tau) + tuple(t.rows[i].weak_error for t in tables)
         for i, row in enumerate(tables[0].rows)
     ]
     fits = {}
     monotone = {}
-    for name, alpha, table in zip(_TABLE1_COLUMNS, _TABLE1_ALPHAS, tables):
+    for (name, alpha), table in zip(_TABLE1.items(), tables):
         col = np.array([r.weak_error for r in table.rows])
         pairs = int(np.sum(col[1:] < col[:-1]))
         monotone[name] = {
@@ -232,7 +228,7 @@ def cmd_table1(cfg: ExperimentConfig, threads: int):
              "table1_fits.json": {"fits": fits, "monotone": monotone}}
     return 0, files, {"admissibility": [
         {"alpha": alpha, **entry}
-        for alpha, table in zip(_TABLE1_ALPHAS, tables)
+        for alpha, table in zip(_TABLE1.values(), tables)
         for entry in _admissibility_entries(table)
     ]}
 

@@ -9,7 +9,7 @@ import configparser
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -39,6 +39,43 @@ def format_value(value) -> str:
     return format_float(value)
 
 
+def _bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split())
+
+
+#: the finest fine grid, 2^14 steps: the paper7 presets' reference grid
+_MAX_FINE_LEVEL = 14
+
+#: (requirement, check) pairs that several fields share
+_POSITIVE = ("must be > 0", lambda v: v > 0)
+_AT_LEAST_TWO = ("must be >= 2", lambda v: v >= 2)
+_LEVEL = (f"must lie in 0..{_MAX_FINE_LEVEL}",
+          lambda v: 0 <= v <= _MAX_FINE_LEVEL)
+
+
+def _option(default, section: str, key: str, parser, requirement: str = "",
+            check=None):
+    """A field stored as ``key`` in ``[section]`` and read by ``parser``.
+    ``validate`` first requires every float of its value, alone or in a
+    tuple, to be finite, then ``check(value)`` to hold; the cross-field
+    conditions stay in ``validate``."""
+    return field(default=default, metadata={
+        "row": (section, key, parser, requirement, check)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment parameters.
@@ -50,34 +87,52 @@ class ExperimentConfig:
     size stays fixed while the horizon doubles.
     """
 
-    # model
-    epsilon: float = 0.01
-    q: int = 2
-    leading: float = 1.0
-    f0_coeffs: tuple[float, ...] = (0.0, 1.0)
-    # discretization
-    n_modes: int = 64
-    horizon: float = 1.0
-    tau_levels: tuple[int, ...] = (8, 9, 10, 11, 12)
-    fine_level: int = 14
-    # taming
-    alpha: float = 1.0
-    beta: float = 5.0
-    theta: float = 0.5
-    # sampling
-    n_samples: int = 1000
-    master_seed: int = 20250811
-    coupled: bool = True
-    phi_norm: str = "nodal"
-    # outputs
-    directory: str = "runs/out"
-    # interface subcommand
-    interface_times: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0)
-    interface_epsilons: tuple[float, ...] = ()
-    # moments subcommand
-    moments_horizons: tuple[float, ...] = (1.0, 2.0)
-    moments_n_samples: int = 100
-    moments_tau_level: int = 10
+    epsilon: float = _option(0.01, "model", "epsilon", float,
+                             "must lie in (0, 1]", lambda v: 0 < v <= 1)
+    q: int = _option(2, "model", "q", int, "must be an integer >= 2",
+                     lambda v: int(v) == v >= 2)
+    leading: float = _option(1.0, "model", "leading", float, *_POSITIVE)
+    f0_coeffs: tuple[float, ...] = _option((0.0, 1.0), "model", "f0_coeffs",
+                                           _floats)
+    # the dense N x N sine transform is 128 MB at N = 4096
+    n_modes: int = _option(64, "discretization", "n_modes", int,
+                           "must lie in 1..4096", lambda v: 1 <= v <= 4096)
+    horizon: float = _option(1.0, "discretization", "horizon", float,
+                             *_POSITIVE)
+    tau_levels: tuple[int, ...] = _option(
+        (8, 9, 10, 11, 12), "discretization", "tau_levels", _ints,
+        "must list strictly increasing levels >= 0",
+        lambda v: v and v[0] >= 0 and list(v) == sorted(set(v)))
+    fine_level: int = _option(14, "discretization", "fine_level", int,
+                              *_LEVEL)
+    alpha: float = _option(1.0, "taming", "alpha", float, *_POSITIVE)
+    beta: float = _option(5.0, "taming", "beta", float, *_POSITIVE)
+    theta: float = _option(0.5, "taming", "theta", float, *_POSITIVE)
+    n_samples: int = _option(1000, "sampling", "n_samples", int,
+                             *_AT_LEAST_TWO)
+    master_seed: int = _option(20250811, "sampling", "master_seed", int,
+                               "must be >= 0", lambda v: v >= 0)
+    coupled: bool = _option(True, "sampling", "coupled", _bool)
+    phi_norm: str = _option("nodal", "sampling", "phi_norm", str,
+                            "must be one of nodal, l2",
+                            lambda v: v in ("nodal", "l2"))
+    directory: str = _option("runs/out", "outputs", "directory", str)
+    # a repeated time or horizon would write its rows or its sweep twice
+    interface_times: tuple[float, ...] = _option(
+        (0.0, 0.25, 0.5, 1.0), "interface", "times", _floats,
+        "must list distinct times, at least one",
+        lambda v: v and len(set(v)) == len(v))
+    interface_epsilons: tuple[float, ...] = _option(
+        (), "interface", "epsilons", _floats, "each must lie in (0, 1]",
+        lambda v: all(0 < e <= 1 for e in v))
+    moments_horizons: tuple[float, ...] = _option(
+        (1.0, 2.0), "moments", "horizons", _floats,
+        "must list distinct horizons > 0, at least one",
+        lambda v: v and min(v) > 0 and len(set(v)) == len(v))
+    moments_n_samples: int = _option(100, "moments", "n_samples", int,
+                                     *_AT_LEAST_TWO)
+    # tau = 2^-tau_level, no finer than the finest fine grid
+    moments_tau_level: int = _option(10, "moments", "tau_level", int, *_LEVEL)
 
     def validate(self) -> "ExperimentConfig":
         """Check each row of ``_FIELDS``, then the cross-field conditions."""
@@ -174,79 +229,8 @@ class ExperimentConfig:
         raise ConfigError(f"unknown option {path}")
 
 
-def _bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split())
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split())
-
-
-def _positive(v) -> bool:
-    return v > 0
-
-
-#: the finest fine grid, 2^14 steps: the paper7 presets' reference grid
-_MAX_FINE_LEVEL = 14
-
-#: one row per field, in file order: field -> (section, key, parser,
-#: requirement, check).  ``validate`` first requires every float, alone or
-#: in a tuple, to be finite, then ``check(value)`` to hold; the cross-field
-#: conditions stay in ``validate``.
-_FIELDS = {
-    "epsilon": ("model", "epsilon", float, "must lie in (0, 1]",
-                lambda v: 0 < v <= 1),
-    "q": ("model", "q", int, "must be an integer >= 2",
-          lambda v: int(v) == v >= 2),
-    "leading": ("model", "leading", float, "must be > 0", _positive),
-    "f0_coeffs": ("model", "f0_coeffs", _floats, "", None),
-    # the dense N x N sine transform is 128 MB at N = 4096
-    "n_modes": ("discretization", "n_modes", int, "must lie in 1..4096",
-                lambda v: 1 <= v <= 4096),
-    "horizon": ("discretization", "horizon", float, "must be > 0", _positive),
-    "tau_levels": ("discretization", "tau_levels", _ints,
-                   "must list strictly increasing levels >= 0",
-                   lambda v: v and v[0] >= 0 and list(v) == sorted(set(v))),
-    "fine_level": ("discretization", "fine_level", int,
-                   f"must lie in 0..{_MAX_FINE_LEVEL}",
-                   lambda v: 0 <= v <= _MAX_FINE_LEVEL),
-    "alpha": ("taming", "alpha", float, "must be > 0", _positive),
-    "beta": ("taming", "beta", float, "must be > 0", _positive),
-    "theta": ("taming", "theta", float, "must be > 0", _positive),
-    "n_samples": ("sampling", "n_samples", int, "must be >= 2",
-                  lambda v: v >= 2),
-    "master_seed": ("sampling", "master_seed", int, "must be >= 0",
-                    lambda v: v >= 0),
-    "coupled": ("sampling", "coupled", _bool, "", None),
-    "phi_norm": ("sampling", "phi_norm", str, "must be one of nodal, l2",
-                 lambda v: v in ("nodal", "l2")),
-    "directory": ("outputs", "directory", str, "", None),
-    # a repeated time or horizon would write its rows or its sweep twice
-    "interface_times": ("interface", "times", _floats,
-                        "must list distinct times, at least one",
-                        lambda v: v and len(set(v)) == len(v)),
-    "interface_epsilons": ("interface", "epsilons", _floats,
-                           "each must lie in (0, 1]",
-                           lambda v: all(0 < e <= 1 for e in v)),
-    "moments_horizons": ("moments", "horizons", _floats,
-                         "must list distinct horizons > 0, at least one",
-                         lambda v: v and min(v) > 0 and len(set(v)) == len(v)),
-    "moments_n_samples": ("moments", "n_samples", int, "must be >= 2",
-                          lambda v: v >= 2),
-    # tau = 2^-tau_level, no finer than the finest fine grid
-    "moments_tau_level": ("moments", "tau_level", int,
-                          f"must lie in 0..{_MAX_FINE_LEVEL}",
-                          lambda v: 0 <= v <= _MAX_FINE_LEVEL),
-}
+#: field -> (section, key, parser, requirement, check), in file order
+_FIELDS = {f.name: f.metadata["row"] for f in fields(ExperimentConfig)}
 
 
 def _parse(name: str, text: str):

@@ -417,7 +417,7 @@ def sweep_ensemble(
     outputs = [np.empty((len(pre.snaps), n_samples, *snap0.shape[1:]))
                for pre in pres]
 
-    decay_fine = np.exp(-basis.eigenvalues * h)
+    decay_fine = basis.semigroup_factors(h)
     window = min(_WINDOW_STEPS, fine_steps)
 
     # one chunk per thread up to the cap, so that every thread has work

@@ -9,6 +9,7 @@ lines print, with ``science_ledger.json``: the bands judge, the ledger
 records, so a change that moves a number shows its diff there.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -36,6 +37,10 @@ from test_noise import stream_increments
 REFERENCE_ERRORS = {8: 0.5982, 9: 0.3533, 10: 0.2131, 11: 0.1319, 12: 0.0853}
 #: criterion -> the printed digits of each number it asserts on
 LEDGER = json.loads((Path(__file__).parent / "science_ledger.json").read_text())
+#: the benchmark's output hashes per workload, at the program's default
+#: seed; criteria 5b, 7 and 9 run the same commands
+PINS = json.loads((Path(__file__).parents[1] / "perfbench" / "pins.json")
+                  .read_text())["hashes"]
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -49,6 +54,17 @@ def ledger(criterion: str, printed: dict):
     assert printed == LEDGER.get(criterion), (
         f"{criterion}: the science ledger differs; this run gives "
         f"{json.dumps({criterion: printed}, indent=2)}")
+
+
+def pinned(workload: str, outdir: Path, names: tuple[str, ...],
+           fingerprint: str):
+    """The named outputs in ``outdir`` must have the sha256 that
+    ``perfbench/pins.json`` holds for ``workload``."""
+    got = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+           for name in names}
+    assert got == {name: PINS[workload][name] for name in names}, (
+        f"{workload}: output bytes differ from perfbench/pins.json on\n"
+        f"{fingerprint}")
 
 
 def read_error_table(path: Path):
@@ -160,7 +176,7 @@ def test_criterion_4_ou_stationary_variance(basis64):
     ledger("4 ou-stationary-variance", printed)
 
 
-def test_criterion_5_weak_rate_full_and_ci(tmp_path):
+def test_criterion_5_weak_rate_full_and_ci(tmp_path, fingerprint):
     # full preset, single-threaded
     start = time.perf_counter()
     out_full = tmp_path / "full"
@@ -203,6 +219,7 @@ def test_criterion_5_weak_rate_full_and_ci(tmp_path):
         f"slope={printed['slope']} runtime={elapsed_ci:.0f}s",
     )
     ledger("5b weak-rate-ci", printed)
+    pinned("converge-ci", out_ci, ("errors.csv", "rate_fit.json"), fingerprint)
 
 
 def test_criterion_6_beta100_regime(tmp_path):
@@ -227,7 +244,7 @@ def test_criterion_6_beta100_regime(tmp_path):
     ledger("6 beta100-regime", printed)
 
 
-def test_criterion_7_moment_stability(tmp_path, basis64):
+def test_criterion_7_moment_stability(tmp_path, basis64, fingerprint):
     code = main(["moments", "--out-dir", str(tmp_path)])
     assert code == 0
     maxima = {}
@@ -266,6 +283,8 @@ def test_criterion_7_moment_stability(tmp_path, basis64):
         f"ratio={printed['sample_ratio']}",
     )
     ledger("7 moment-stability", printed)
+    pinned("moments", tmp_path, ("moments_T_1.csv", "moments_T_2.csv"),
+           fingerprint)
 
 
 def test_criterion_8_interface_capture(tmp_path):
@@ -291,7 +310,7 @@ def test_criterion_8_interface_capture(tmp_path):
     ledger("8 interface-capture", printed)
 
 
-def test_criterion_9_thread_determinism(tmp_path):
+def test_criterion_9_thread_determinism(tmp_path, fingerprint):
     out1, out2 = tmp_path / "t1", tmp_path / "t3"
     assert main(["interface", "--preset", "interface-eps2",
                  "--threads", "1", "--out-dir", str(out1)]) == 0
@@ -304,3 +323,4 @@ def test_criterion_9_thread_determinism(tmp_path):
         a == b,
         f"identical bytes={a == b} ({len(a)} bytes)",
     )
+    pinned("interface-t2", out1, ("profiles_eps_0.01.csv",), fingerprint)

@@ -3,18 +3,20 @@ property test of the whole command line over a grammar of overrides."""
 
 import contextlib
 import hashlib
+import importlib.util
 import io
+import json
 import re
 import tempfile
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamedspde import ConfigError, ExperimentConfig, PRESETS
-from tamedspde.cli import main
+from tamedspde.cli import _build_parser, _resolve_config, main
 from tamedspde.config import _FIELDS
 
 #: sha256 of ``to_ini()`` per preset, recorded before the field table
@@ -47,8 +49,25 @@ def test_ini_bytes_pinned_and_roundtrip(name):
 
 
 def test_one_row_per_field_in_field_order():
-    assert list(_FIELDS) == [f.name for f in fields(ExperimentConfig)]
+    # the rows are the fields' metadata, so their order holds by construction
     assert len(set(KEYS)) == len(KEYS)
+
+
+def test_benchmark_configs_match_pins():
+    # each perfbench workload's command resolves to the config whose
+    # config.resolved.ini bytes pins.json holds; no sweep runs
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  root / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    pins = json.loads((root / "pins.json").read_text())
+    for name, workload in run.WORKLOADS.items():
+        args = _build_parser().parse_args(
+            [*workload["args"], "--seed", str(pins["seed"]), "--out-dir", "out"])
+        ini = _resolve_config(args).to_ini().encode()
+        assert (hashlib.sha256(ini).hexdigest()
+                == pins["hashes"][name]["config.resolved.ini"]), name
 
 
 #: sizes under which a probe that is not rejected runs in about a second

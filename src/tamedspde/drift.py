@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
+
+from .spectral import _as_int
 
 __all__ = [
     "DriftSpec",
@@ -65,9 +66,7 @@ class DriftSpec:
     lower: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if int(self.q) != self.q or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q}")
-        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "q", _as_int("q", self.q, 2))
         if not self.leading > 0:
             raise ValueError(f"leading coefficient must be > 0, got {self.leading}")
         if len(self.lower) > 2 * self.q - 1:
@@ -112,28 +111,34 @@ class TamingParams:
             )
 
 
-def f_eval(d: DriftSpec, v, out: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate f(v); vectorized over v, into ``out`` when given.
-
-    Horner's rule in place, with the operations of
-    ``numpy.polynomial.polynomial.polyval`` in its order, so the bits
-    match it.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    c = d.coeffs
-    if out is None:
-        out = np.empty_like(v)
-    np.multiply(v, 0.0, out=out)
-    out += c[-1]
-    for ci in c[-2::-1]:
+def _horner(c, v, out: np.ndarray | None = None) -> np.ndarray:
+    # sum c[k] v^k (len(c) >= 2) in place, into ``out`` when given, from
+    # v c[-1] and with no add of an interior zero: a skipped + 0 only leaves
+    # -0 for polyval's +0, and the add of c[0] (+0 or nonzero) erases it
+    out = np.multiply(v, c[-1], out=out)
+    for ci in c[-2:0:-1]:
+        if ci:
+            out += ci
         out *= v
-        out += ci
+    out += c[0]
     return out[()] if out.ndim == 0 else out
 
 
+def f_eval(d: DriftSpec, v, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate f(v); vectorized over v, into ``out`` when given.
+
+    The bits are numpy's ``polyval``'s on finite and NaN v; +-inf gives
+    f's limit, where polyval gives NaN.  Allen-Cahn takes 5 array passes.
+    """
+    return _horner(d.coeffs, np.asarray(v, dtype=np.float64), out)
+
+
 def f_prime_eval(d: DriftSpec, v) -> np.ndarray:
-    """Exact derivative f'(v) via the differentiated coefficient array."""
-    return npoly.polyval(np.asarray(v, dtype=np.float64), npoly.polyder(d.coeffs))
+    """Exact derivative f'(v): the bits of ``polyval(v, polyder(coeffs))``
+    on finite and NaN v, and f''s limit at v = +-inf.  The coefficients
+    are built per call, since (2q-1) leading may overflow."""
+    c = d.coeffs
+    return _horner(np.arange(1, len(c)) * c[1:], np.asarray(v, np.float64))
 
 
 def _abs_power(v: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:

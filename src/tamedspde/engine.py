@@ -83,7 +83,7 @@ from . import drift as drift_mod
 from . import noise as noise_mod
 from .drift import DriftSpec, TamingParams
 from .noise import NoisePlan
-from .spectral import SineBasis, default_initial
+from .spectral import SineBasis, _as_int, default_initial
 
 __all__ = [
     "SchemeKind",
@@ -133,9 +133,7 @@ class SchemeConfig:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if not 0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
-        if int(self.level) != self.level or self.level < 0:
-            raise ValueError(f"level must be an integer >= 0, got {self.level!r}")
-        object.__setattr__(self, "level", int(self.level))
+        object.__setattr__(self, "level", _as_int("level", self.level, 0))
         if self.kind is SchemeKind.TAMED_EXP_EULER and self.drift is not None:
             if self.taming is None:
                 raise ValueError("tamed scheme with a drift needs TamingParams")
@@ -151,8 +149,8 @@ class SchemeConfig:
 
     def step_at(self, t: float) -> int:
         """The step m with m * tau = t within 1e-9 max(1, tau), else
-        ValueError; t / tau is clipped, so an overflow to inf is off the grid."""
-        m = int(round(min(max(t / self.tau, -1.0), self.n_steps + 1.0)))
+        ValueError; t / tau is clipped (NaN to -1), so inf or NaN is off the grid."""
+        m = int(round(min(self.n_steps + 1.0, max(-1.0, t / self.tau))))
         if not 0 <= m <= self.n_steps or abs(m * self.tau - t) > 1e-9 * max(1.0, self.tau):
             raise ValueError(f"snapshot time {t} is not on the step grid of "
                              f"tau={self.tau} in [0, {self.horizon}]")
@@ -331,18 +329,6 @@ def _blas_threads() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sample_id(s) -> int:
-    """``s`` as a sample id: an integer in [0, 2**63), the ids an int64
-    array holds (the Philox counter word is unsigned)."""
-    try:
-        ok = int(s) == s and 0 <= s < 2**63
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"sample id {s!r} is not an integer in [0, 2**63)")
-    return int(s)
-
-
 def sweep_ensemble(
     runs: Sequence[SchemeConfig],
     plan: NoisePlan,
@@ -384,7 +370,9 @@ def sweep_ensemble(
     if isinstance(samples, (int, np.integer)):
         sample_ids = np.arange(samples)
     else:
-        sample_ids = np.array([_sample_id(s) for s in samples], dtype=np.int64)
+        # the ids an int64 array holds (the Philox counter word is unsigned)
+        sample_ids = np.array([_as_int("sample id", s, 0, 2**63)
+                               for s in samples], dtype=np.int64)
     n_samples = len(sample_ids)
     basis = runs[0].basis
     horizon = runs[0].horizon

@@ -51,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import _as_int
+
 __all__ = [
     "NoisePlan",
     "PATH_STREAM",
@@ -91,10 +93,8 @@ class NoisePlan:
     fine_level: int
 
     def __post_init__(self):
-        if int(self.fine_level) != self.fine_level or self.fine_level < 0:
-            raise ValueError(f"fine_level must be an integer >= 0, "
-                             f"got {self.fine_level!r}")
-        object.__setattr__(self, "fine_level", int(self.fine_level))
+        object.__setattr__(self, "fine_level",
+                           _as_int("fine_level", self.fine_level, 0))
 
     @property
     def fine_steps(self) -> int:

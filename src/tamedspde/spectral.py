@@ -20,6 +20,19 @@ import numpy as np
 __all__ = ["SineBasis", "default_initial"]
 
 
+def _as_int(name: str, value, low: int, high=np.inf) -> int:
+    """``value`` as an int in [low, high), else a ValueError naming
+    ``name`` and the value; an integral float such as 3.0 passes."""
+    try:
+        ok = int(value) == value and low <= value < high
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        span = f">= {low}" if high == np.inf else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
 class SineBasis:
     """Dirichlet sine basis with ``n_modes`` modes and collocation nodes.
 
@@ -34,13 +47,7 @@ class SineBasis:
     """
 
     def __init__(self, n_modes: int):
-        try:
-            ok = int(n_modes) == n_modes and n_modes >= 1
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValueError(f"n_modes must be an integer >= 1, got {n_modes!r}")
-        self.n_modes = int(n_modes)
+        self.n_modes = _as_int("n_modes", n_modes, 1)
         j = np.arange(1, self.n_modes + 1, dtype=np.float64)
         self.eigenvalues = (j * np.pi) ** 2
         self.grid = j / (self.n_modes + 1)

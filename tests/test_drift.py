@@ -49,17 +49,30 @@ class TestDriftSpec:
         assert np.allclose(f_eval(ALLEN_CAHN, v), v - v**3)
 
     def test_in_place_horner_matches_polyval_bits(self, rng):
-        # numpy's polyval is the reference the sweep's bytes were pinned with
-        d = DriftSpec(q=3, leading=2.0, lower=(0.5, 3.0, -1.0, 0.25))
+        # numpy's polyval is the reference the sweep's bytes were pinned
+        # with: f and f' give its bits on finite input and NaN, also where
+        # interior coefficients are zero and their adds are skipped
+        drifts = [DriftSpec(q=3, leading=2.0, lower=(0.5, 3.0, -1.0, 0.25)),
+                  ALLEN_CAHN, DriftSpec(q=3, leading=2.0, lower=(0, 0, 1)),
+                  DriftSpec(q=4, leading=1.5)]
         v = np.concatenate([rng.standard_normal((50, 64)).ravel() * 3,
-                            [0.0, -0.0, 1e80, -1e80, np.inf, -np.inf, np.nan]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = npoly.polyval(v, d.coeffs).tobytes()
-            assert f_eval(d, v).tobytes() == want
-            out = np.empty_like(v)
-            assert f_eval(d, v, out=out) is out
-            assert out.tobytes() == want
+                            [0.0, -0.0, 1.0, -1.0, 1e80, -1e80, np.nan]])
+        for d in drifts:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = npoly.polyval(v, d.coeffs).tobytes()
+                assert f_eval(d, v).tobytes() == want
+                out = np.empty_like(v)
+                assert f_eval(d, v, out=out) is out
+                assert out.tobytes() == want
+                assert (f_prime_eval(d, v).tobytes()
+                        == npoly.polyval(v, npoly.polyder(d.coeffs)).tobytes())
+            # at +-inf polyval's v * 0 gives NaN; f and f' give their
+            # limits: f (odd degree, negative leading) -inf at +inf, and
+            # f' (even degree) -inf at both ends
+            assert f_eval(d, [np.inf, -np.inf]).tolist() == [-np.inf, np.inf]
+            assert f_prime_eval(d, [np.inf, -np.inf]).tolist() == [-np.inf] * 2
         assert type(f_eval(d, 1.5)) is type(npoly.polyval(1.5, d.coeffs))
+        assert type(f_prime_eval(d, 1.5)) is type(npoly.polyval(1.5, d.coeffs))
 
     def test_coeffs_built_once_read_only(self):
         d = DriftSpec(q=3, leading=2.0, lower=(0.5, 0.0, -1.0))

@@ -226,8 +226,9 @@ class TestRunTrajectory:
     def test_snapshot_off_grid_rejected(self, basis64):
         cfg = tamed_cfg(basis64, level=4, epsilon=0.5)
         assert [cfg.step_at(t) for t in (0.0, 0.25, 1.0)] == [0, 4, 16]
-        # 1e308 / tau overflows to inf: clipped, it is off the grid
-        for t in (0.3, -0.0625, 1.0625, 1e308, -1e308):
+        # 1e308 / tau overflows to inf: clipped, it is off the grid, and
+        # NaN clips to -1
+        for t in (0.3, -0.0625, 1.0625, 1e308, -1e308, float("nan")):
             with pytest.raises(ValueError, match="not on the step grid"):
                 cfg.step_at(t)
 
@@ -359,7 +360,8 @@ class TestSweep:
         ([1.7, 2.2], 1.7), ([0, -1, 2], -1), ([3, 2**63, -1], 2**63),
     ], ids=["non-integral", "negative", "out-of-range"])
     def test_bad_sample_ids_rejected(self, basis64, samples, bad):
-        with pytest.raises(ValueError, match=re.escape(f"sample id {bad!r} ")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample id must be an integer in [0, {2**63}), got {bad!r}")):
             sweep_ensemble([tamed_cfg(basis64, level=2)], NoisePlan(1, 2),
                            samples)
 

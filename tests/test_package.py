@@ -116,6 +116,24 @@ def test_benchmark_tiny_workloads_run_correctly():
         proc.stdout[-4000:])
 
 
+def test_numpy_polynomial_never_imported(tmp_path):
+    # f and f' share the package's own Horner; numpy.polynomial is only
+    # the tests' oracle.  verify reaches f_prime_eval through
+    # derive_growth_constants, the one command path to it
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    code = ("import sys\n"
+            "from tamedspde import cli\n"
+            "assert 'numpy.polynomial' not in sys.modules\n"
+            "assert cli.main(['verify', '--out-dir', sys.argv[1]]) == 0\n"
+            "assert 'numpy.polynomial' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 @pytest.mark.parametrize("cls, names", [
     # a run is 2**level steps of its horizon (tau and n_steps follow), and
     # every run is driven by the noise: no setting duplicates tau or

@@ -1,5 +1,6 @@
 """Sine basis: spectrum, transform pair, semigroup, and norms."""
 
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamedspde import SineBasis, default_initial
+from tamedspde import (
+    DriftSpec,
+    NoisePlan,
+    SchemeConfig,
+    SineBasis,
+    default_initial,
+    sweep_ensemble,
+)
 
 
 def direct_to_physical(basis, coeffs):
@@ -217,3 +225,44 @@ def test_non_integral_basis_size(n_modes):
     with pytest.raises(ValueError, match="n_modes"):
         SineBasis(n_modes)
     assert SineBasis(4.0).n_modes == 4
+
+
+def _endpoint(sample):
+    # a two-step run driven by the noise of one sample id
+    cfg = SchemeConfig(epsilon=0.5, horizon=1.0, level=1, basis=SineBasis(4))
+    return sweep_ensemble([cfg], NoisePlan(1, 1), [sample])[0]
+
+
+#: the integer arguments that share ``spectral._as_int``: how each is set
+#: and read back, and its first value out of range
+INTEGER_ARGUMENTS = {
+    "n_modes": (lambda v: SineBasis(v).n_modes, 0),
+    "level": (lambda v: SchemeConfig(epsilon=0.5, horizon=1.0, level=v,
+                                     basis=SineBasis(4)).level, -1),
+    "fine_level": (lambda v: NoisePlan(1, v).fine_level, -1),
+    "q": (lambda v: DriftSpec(q=v, leading=1.0).q, 1),
+    "sample id": (_endpoint, 2**63),
+}
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), None, "3", 2.5,
+                                 "out of range"])
+@pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+def test_integer_argument_rejected(name, bad):
+    make, out_of_range = INTEGER_ARGUMENTS[name]
+    bad = out_of_range if bad == "out of range" else bad
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be an integer ")) as err:
+        make(bad)
+    assert str(err.value).endswith(f", got {bad!r}")
+
+
+@pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+def test_integral_float_argument_stored_as_int(name):
+    make, _ = INTEGER_ARGUMENTS[name]
+    got = make(np.float64(3.0))
+    if name == "sample id":
+        # the id addresses the noise as the int 3 does
+        assert got.tobytes() == make(3).tobytes()
+    else:
+        assert type(got) is int and got == 3
